@@ -8,46 +8,3 @@ from a numerical Schwarz-Christoffel map of the region below the
 queried walk.
 """
 __version__ = "0.1.0"
-
-from .bench import (BenchRow, RangeDistribution, TrialGrid, mcb_grid,
-                    range_distribution, run_grid, save_bench_csv,
-                    save_bench_json, save_range_csv)
-from .golden import (INV_PHI, GssParams, golden_section, iterative_gss,
-                     iterative_gss_error_trial, naive_gss_error_trial)
-from .harmonic import (EdgeMeasures, HmcParams, choose_edge, edge_measures,
-                       harmonic_bisection_search, mc_hitting_oracle,
-                       save_measures_csv)
-from .mcb import McbParams, mcb_descent, mcb_search, mcb_search_cauchy
-from .paths import (BRIDGE, CAUCHY, CauchyBridgeCdf, GridMin, GridPath,
-                    LazyBridgePath, cauchy_bridge_cdf, cauchy_bridge_sample,
-                    dyadic_times, fill_dyadic, load_grid_csv, load_walk_csv,
-                    new_bridge, save_grid_csv, simulate_bridge_batch,
-                    simulate_cauchy, simulate_cauchy_batch)
-from .report import SearchReport
-from .rng import derive_seed, make_rng
-from .scmap import (MAX_VERTICES, PreVertexSolution, ScSolverError,
-                    TurningAngles, WalkPolygon, lam_log_sin,
-                    mobius_disk_to_halfplane, normalize_prevertices,
-                    sc_forward_map, slope_jumps, solve_prevertices_full,
-                    solve_prevertices_perturbative, turning_angles)
-
-__all__ = [
-    "__version__",
-    "BRIDGE", "CAUCHY", "BenchRow", "CauchyBridgeCdf", "EdgeMeasures",
-    "GridMin", "GridPath", "GssParams", "HmcParams", "INV_PHI",
-    "LazyBridgePath", "MAX_VERTICES", "McbParams", "PreVertexSolution",
-    "RangeDistribution", "ScSolverError", "SearchReport", "TrialGrid",
-    "TurningAngles", "WalkPolygon",
-    "cauchy_bridge_cdf", "cauchy_bridge_sample", "choose_edge", "derive_seed",
-    "dyadic_times", "edge_measures", "fill_dyadic", "golden_section",
-    "harmonic_bisection_search", "iterative_gss", "iterative_gss_error_trial",
-    "lam_log_sin", "load_grid_csv", "load_walk_csv", "make_rng", "mcb_descent",
-    "mcb_grid", "mcb_search", "mcb_search_cauchy", "mc_hitting_oracle",
-    "mobius_disk_to_halfplane", "naive_gss_error_trial", "new_bridge",
-    "normalize_prevertices", "range_distribution", "run_grid",
-    "save_bench_csv", "save_bench_json", "save_grid_csv", "save_measures_csv",
-    "save_range_csv", "sc_forward_map", "simulate_bridge_batch",
-    "simulate_cauchy", "simulate_cauchy_batch", "slope_jumps",
-    "solve_prevertices_full", "solve_prevertices_perturbative",
-    "turning_angles",
-]

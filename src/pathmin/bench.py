@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -74,22 +73,20 @@ def _one_trial(grid: TrialGrid, cell: dict, tseed: int):
     return error, rep.wall_time, rep.queries
 
 
-def run_grid(grid: TrialGrid, threads: int | None = None) -> list[BenchRow]:
+def run_grid(grid: TrialGrid) -> list[BenchRow]:
     """Run every cell of the grid and aggregate per-cell statistics.
 
-    Trial t of cell c always uses the seed stream (grid.seed, c, t), so
-    results do not depend on the thread count.  Trials that raise are
-    counted as failures and excluded from the means; a cell with more
-    than 1% failures is flagged.
+    Trial t of cell c always uses the seed stream (grid.seed, c, t).
+    Trials that hit a numerical failure (RuntimeError, which covers
+    ScSolverError, or FloatingPointError) are counted as failures and
+    excluded from the means; a cell with more than 1% failures is
+    flagged.  Any other error, such as an invalid cell or an unknown
+    method, propagates to the caller.
     """
     rows = []
     for ci, cell in enumerate(grid.cells):
-        seeds = [derive_seed(grid.seed, ci, tr) for tr in range(grid.trials)]
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda s: _guarded_trial(grid, cell, s), seeds))
-        else:
-            outcomes = [_guarded_trial(grid, cell, s) for s in seeds]
+        outcomes = [_guarded_trial(grid, cell, derive_seed(grid.seed, ci, tr))
+                    for tr in range(grid.trials)]
         good = [o for o in outcomes if o is not None]
         failures = len(outcomes) - len(good)
         if good:
@@ -113,7 +110,7 @@ def run_grid(grid: TrialGrid, threads: int | None = None) -> list[BenchRow]:
 def _guarded_trial(grid, cell, tseed):
     try:
         return _one_trial(grid, cell, tseed)
-    except Exception:
+    except (RuntimeError, FloatingPointError):
         return None
 
 
@@ -214,15 +211,7 @@ def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
 
 def save_bench_json(rows: list[BenchRow], out_path: str,
                     meta: dict[str, Any] | None = None) -> None:
-    payload = {
-        "meta": meta or {},
-        "rows": [{
-            "method": r.method, "cell": r.cell, "mean_error": r.mean_error,
-            "stderr_error": r.stderr_error, "mean_wall_time": r.mean_wall_time,
-            "mean_queries": r.mean_queries, "trials": r.trials,
-            "failures": r.failures, "flagged": r.flagged,
-        } for r in rows],
-    }
+    payload = {"meta": meta or {}, "rows": [asdict(r) for r in rows]}
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -168,8 +167,7 @@ def cmd_bench(args) -> int:
     if args.method in ("mcb", "mcb-cauchy"):
         if not args.n:
             raise ValueError("--n is required for bisection benchmarks")
-        ns = _parse_int_list(args.n)
-        cells = [{"l": n, "r": n, "g": 2 ** n} for n in ns]
+        cells = mcb_grid(_parse_int_list(args.n)).cells
     elif args.method == "iter-gss":
         if not args.m:
             raise ValueError("--m is required for iter-gss benchmarks")
@@ -178,8 +176,7 @@ def cmd_bench(args) -> int:
         cells = [{}]
     grid = TrialGrid(method=args.method, cells=cells, trials=args.trials,
                      seed=args.seed, level=args.level, gss=gss)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    rows = run_grid(grid, threads=threads)
+    rows = run_grid(grid)
     save_bench_csv(rows, args.out)
     save_bench_json(rows, f"{args.out}.json", meta=_meta(args))
     _write_json(f"{args.out}.meta.json", _meta(args))
@@ -271,9 +268,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="iter-gss cells, e.g. '0..4'")
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: all cores); results do not "
-                        "depend on it")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("range", help="range statistics of simulated paths")
@@ -290,6 +284,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         parser.set_defaults(**defaults)
         for sp in sub.choices.values():
             sp.set_defaults(**defaults)
+    parser.commands = sub.choices   # name -> subparser, to check --config keys
     return parser
 
 
@@ -322,6 +317,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    options = {a.dest for a in parser.commands[args.command]._actions if a.option_strings}
+    unknown = sorted(set(config) - options - {"help"})
+    if unknown:
+        print(f"error: --config key(s) {', '.join(unknown)} name no option of "
+              f"'pathmin {args.command}'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -5,7 +5,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .paths import as_oracle, fill_dyadic
+from .paths import as_oracle
 from .report import SearchReport
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
@@ -132,23 +132,3 @@ def iterative_gss(path, m: int, params: GssParams | None = None,
         params={"m": m, "epsilon": params.epsilon, "max_iters": params.max_iters,
                 "iterations": total_iters},
         seed=seed)
-
-
-def naive_gss_error_trial(seed: int, level: int = 10,
-                          params: GssParams | None = None):
-    """(error, report) of plain golden-section against a fresh grid bridge.
-
-    error = estimate - grid minimum, never negative since the interpolated
-    path attains its minimum on the grid.
-    """
-    grid = fill_dyadic(seed, level)
-    rep = golden_section(grid, (0.0, 1.0), params, seed=seed)
-    return rep.min_value - grid.grid_min.value, rep
-
-
-def iterative_gss_error_trial(seed: int, m: int, level: int = 10,
-                              params: GssParams | None = None):
-    """(error, report) of partitioned golden-section against a fresh grid bridge."""
-    grid = fill_dyadic(seed, level)
-    rep = iterative_gss(grid, m, params, seed=seed)
-    return rep.min_value - grid.grid_min.value, rep

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass
 
@@ -22,8 +21,8 @@ import numpy as np
 from .paths import as_oracle
 from .report import SearchReport
 from .rng import make_rng
-from .scmap import (ScSolverError, WalkPolygon, solve_prevertices_full,
-                    solve_prevertices_perturbative)
+from .scmap import (MAX_VERTICES, ScSolverError, WalkPolygon,
+                    solve_prevertices_full, solve_prevertices_perturbative)
 
 # endpoint values this close to zero still count as pinned
 PIN_TOL = 1e-12
@@ -111,10 +110,16 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     rounds are counted in report.params['fallbacks'].  Total oracle
     queries = budget + 2 (the two endpoints plus one query per budget
     unit); report.params['midpoints'] lists the queried times in order.
+    The last round's walk has budget + 1 vertices, so the full solver
+    takes budgets below MAX_VERTICES only; larger ones raise ValueError.
     """
     params = params or HmcParams()
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if params.solver == "full" and budget >= MAX_VERTICES:
+        raise ValueError(f"budget {budget} needs walks of up to {budget + 1} vertices; "
+                         f"the full solver caps at {MAX_VERTICES}, so use a budget "
+                         f"below {MAX_VERTICES} or solver 'perturbative'")
     fn = as_oracle(path)
     t0 = time.perf_counter()
     v0 = fn(0.0)

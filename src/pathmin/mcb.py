@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CAUCHY, GridPath
+from .paths import GridPath
 from .report import SearchReport
 from .rng import make_rng
 
@@ -16,17 +16,6 @@ class McbParams:
     r: int        # descent depth: fair bits per descent
     g: int        # number of descents
     seed: int = 0
-
-
-def mcb_descent(r: int, rng) -> float:
-    """One descent: r fair bits pick nested halves of [0, 1]; returns the
-    midpoint (2k + 1) / 2**(r + 1) of the final cell."""
-    if r < 1:
-        raise ValueError("descent depth r must be >= 1")
-    idx = 0
-    for bit in rng.integers(0, 2, size=r):
-        idx = 2 * idx + int(bit)
-    return (2 * idx + 1) / 2.0 ** (r + 1)
 
 
 def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
@@ -65,18 +54,3 @@ def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
         params={"l": path.level, "r": params.r, "g": params.g,
                 "unique_queries": int(len(np.unique(cand)))},
         seed=params.seed)
-
-
-def mcb_search_cauchy(path: GridPath, params: McbParams) -> SearchReport:
-    """Monte-Carlo bisection on a Cauchy grid path.
-
-    The descent mechanics are exactly those of mcb_search; this entry
-    point just checks the path kind, tags the report and attaches the
-    grid minimum under params['grid_min'] for error bookkeeping.
-    """
-    if path.kind != CAUCHY:
-        raise ValueError(f"expected a cauchy grid path, got kind '{path.kind}'")
-    rep = mcb_search(path, params)
-    rep.method = "mcb-cauchy"
-    rep.params["grid_min"] = {"time": path.grid_min.time, "value": path.grid_min.value}
-    return rep

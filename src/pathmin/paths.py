@@ -145,48 +145,31 @@ def dyadic_times(level: int) -> np.ndarray:
 def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
     """Sample every time k/2**level of a pinned bridge and snapshot the grid.
 
-    The fill order is fixed: midpoints first, breadth-first by dyadic level,
-    left to right within a level.  Given an int seed a fresh pinned bridge
-    is built and filled with per-level batched draws; given a LazyBridgePath
-    the fill goes through query() so it stays consistent with whatever has
-    been sampled already.  Both routes consume the generator identically,
-    so the grid is a pure function of the seed.
+    Given an int seed the grid is simulate_bridge_batch(seed, level, 1)[0],
+    a pure function of the seed.  Given a LazyBridgePath the fill goes
+    through query(), so it stays consistent with whatever has been sampled
+    already; its order is fixed (midpoints first, breadth-first by dyadic
+    level, left to right within a level).  A fresh bridge of the same seed
+    consumes its generator in the same order as the batch, but query()
+    forms each conditional mean and variance from the neighbours, so the
+    two routes agree to within an ulp or so rather than bit for bit.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if isinstance(path_or_seed, LazyBridgePath):
-        path = path_or_seed
-        if not path.pinned:
-            raise ValueError("dyadic grid snapshots require a pinned bridge")
-    else:
-        path = new_bridge(int(path_or_seed), pinned=True)
-
     times = dyadic_times(level)
-    if path.n_sampled == 2:
-        values = _fill_fresh(path, level)
-    else:
-        for d in range(1, level + 1):
-            scale = 2.0 ** (-d)
-            for k in range(2 ** (d - 1)):
-                path.query((2 * k + 1) * scale)
-        values = np.array([path.value_at(t) for t in times])
-    return GridPath(level=level, times=times, values=values, kind=BRIDGE, seed=path.seed)
-
-
-def _fill_fresh(path: LazyBridgePath, level: int) -> np.ndarray:
-    # batched per-level refinement; draw order matches the query loop
-    v = np.array(path._values)
+    if not isinstance(path_or_seed, LazyBridgePath):
+        seed = int(path_or_seed)
+        values = simulate_bridge_batch(seed, level, 1)[0]
+        return GridPath(level=level, times=times, values=values, kind=BRIDGE, seed=seed)
+    path = path_or_seed
+    if not path.pinned:
+        raise ValueError("dyadic grid snapshots require a pinned bridge")
     for d in range(1, level + 1):
-        mid = 0.5 * (v[:-1] + v[1:])
-        std = math.sqrt(2.0 ** -(d + 1))
-        new = mid + std * path.rng.standard_normal(len(mid))
-        out = np.empty(2 * len(v) - 1)
-        out[::2] = v
-        out[1::2] = new
-        v = out
-    path._times = dyadic_times(level).tolist()
-    path._values = v.tolist()
-    return v.copy()
+        scale = 2.0 ** (-d)
+        for k in range(2 ** (d - 1)):
+            path.query((2 * k + 1) * scale)
+    values = np.array([path.value_at(t) for t in times])
+    return GridPath(level=level, times=times, values=values, kind=BRIDGE, seed=path.seed)
 
 
 def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
@@ -305,11 +288,6 @@ class CauchyBridgeCdf:
 
 def cauchy_bridge_cdf(u: float, v) :
     return CauchyBridgeCdf(u).cdf(v)
-
-
-def cauchy_bridge_sample(u: float, p: float) -> float:
-    """Inverse-CDF sample of the half-span-u Cauchy bridge midpoint at quantile p."""
-    return CauchyBridgeCdf(u).ppf(p)
 
 
 # ---------------------------------------------------------------------------

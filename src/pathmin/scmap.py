@@ -14,14 +14,12 @@ the walk amplitude around the flat-strip solution sin^2(pi t / 2).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-MACHINE_EPS = float(np.finfo(float).eps)
 MAX_VERTICES = 64            # finite-vertex cap: crowding makes larger solves unreliable
 NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
@@ -623,23 +621,3 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
         return fm.at(complex(zs))
     out = np.array([fm.at(zp) for zp in zs.ravel()], dtype=complex)
     return out.reshape(zs.shape)
-
-
-def mobius_disk_to_halfplane(zd) -> complex:
-    """Phi(Z) = -i (1 - Z) / (1 + Z): unit disk onto the lower half-plane.
-
-    The unit circle goes to the real axis (Phi(e^{i theta}) = -tan(theta/2))
-    and the centre to -i.  Z = -1 is the pole and raises ValueError.
-    """
-    zd = complex(zd)
-    if zd == -1.0:
-        raise ValueError("Z = -1 is the pole of the disk-to-half-plane map")
-    return -1j * (1.0 - zd) / (1.0 + zd)
-
-
-def normalize_prevertices(xi) -> np.ndarray:
-    """Affinely rescale increasing real pre-vertices so they span [0, 1]."""
-    xi = np.asarray(xi, dtype=float)
-    if len(xi) < 2 or xi[-1] == xi[0]:
-        raise ValueError("need at least two distinct pre-vertices")
-    return (xi - xi[0]) / (xi[-1] - xi[0])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pathmin.bench
 from pathmin.bench import (
     BenchRow,
     RangeDistribution,
@@ -18,6 +19,7 @@ from pathmin.bench import (
     save_range_csv,
 )
 from pathmin.golden import GssParams
+from pathmin.scmap import ScSolverError
 
 
 def test_single_cell_single_trial():
@@ -32,16 +34,6 @@ def test_single_cell_single_trial():
     assert row.mean_queries == 34.0
     assert row.stderr_error == 0.0
     assert row.mean_error >= 0.0
-
-
-def test_results_do_not_depend_on_thread_count():
-    grid = TrialGrid(method="mcb", cells=[{"l": 6, "r": 6, "g": 64}],
-                     trials=24, seed=3)
-    serial = run_grid(grid, threads=1)[0]
-    threaded = run_grid(grid, threads=4)[0]
-    assert serial.mean_error == threaded.mean_error
-    assert serial.mean_queries == threaded.mean_queries
-    assert serial.failures == threaded.failures
 
 
 def test_gss_methods_run_and_report_nonnegative_error():
@@ -74,21 +66,43 @@ def test_mcb_cauchy_method_runs():
     assert row.mean_error >= 0.0
 
 
-def test_unknown_method_fails_every_trial():
+def test_unknown_method_raises():
+    # a usage error, not a failed trial: it must reach the caller
     grid = TrialGrid(method="bogus", cells=[{}], trials=5, seed=0)
-    row = run_grid(grid)[0]
-    assert row.failures == 5
-    assert row.flagged
-    assert math.isnan(row.mean_error)
+    with pytest.raises(ValueError, match="bogus"):
+        run_grid(grid)
 
 
-def test_invalid_cell_is_flagged_not_raised():
-    # r > l makes every trial raise inside the search
+def test_invalid_cell_raises():
+    # r > l is a usage error, not a failed trial
     grid = TrialGrid(method="mcb", cells=[{"l": 3, "r": 5, "g": 4}],
                      trials=8, seed=0)
+    with pytest.raises(ValueError, match="exceeds grid level"):
+        run_grid(grid)
+
+
+@pytest.mark.parametrize("error", [ScSolverError, FloatingPointError])
+def test_numerical_failures_are_counted_and_flagged(monkeypatch, error):
+    search = pathmin.bench.mcb_search
+    calls = []
+
+    def fail_every_other(path, params):
+        calls.append(1)
+        if len(calls) % 2:
+            raise error("boom")
+        return search(path, params)
+
+    def fail_always(path, params):
+        raise error("boom")
+
+    grid = TrialGrid(method="mcb", cells=[{"l": 3, "r": 3, "g": 8}], trials=8, seed=0)
+    monkeypatch.setattr(pathmin.bench, "mcb_search", fail_every_other)
     row = run_grid(grid)[0]
-    assert row.failures == 8
-    assert row.flagged
+    assert (row.failures, row.flagged, row.mean_queries) == (4, True, 10.0)
+    monkeypatch.setattr(pathmin.bench, "mcb_search", fail_always)
+    row = run_grid(grid)[0]
+    assert (row.failures, row.flagged) == (8, True)
+    assert math.isnan(row.mean_error)
 
 
 def test_mcb_grid_builds_matched_budget_cells():

@@ -177,6 +177,23 @@ def test_bench_requires_cells_flag(tmp_path, capsys):
     assert rc == 2
 
 
+def test_bench_invalid_cells_exit_two(tmp_path, capsys):
+    # n = 0 gives a depth-0 descent: a usage error, not a failed trial
+    rc, out = run(tmp_path, "bench", "--method", "mcb", "--n", "0..2",
+                  "--trials", "5", "--seed", "0")
+    assert rc == 2
+    assert "depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_harmonic_budget_past_cap_exits_two(tmp_path, capsys):
+    rc, out = run(tmp_path, "search", "--method", "harmonic", "--budget", "64",
+                  "--seed", "1")
+    assert rc == 2
+    assert "caps at 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_range_command(tmp_path):
     rc, out = run(tmp_path, "range", "--seed", "2", "--level", "4",
                   "--paths", "50", "--bins", "10")
@@ -220,6 +237,22 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--seed", "1", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "a.csv")])
     assert rc == 2
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 3, "bogus_key": 1}))
+    rc = main(["simulate", "--seed", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "a.csv")])
+    assert rc == 2
+    assert "bogus_key" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    # a real option of another subcommand is unknown to this one
+    cfg.write_text(json.dumps({"trials": 3}))
+    rc = main(["simulate", "--seed", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "a.csv")])
+    assert rc == 2
+    assert "trials" in capsys.readouterr().err
 
 
 def test_argparse_errors_exit_two(tmp_path, capsys):

@@ -8,8 +8,6 @@ from pathmin.golden import (
     GssParams,
     golden_section,
     iterative_gss,
-    iterative_gss_error_trial,
-    naive_gss_error_trial,
 )
 from pathmin.paths import fill_dyadic
 
@@ -142,21 +140,33 @@ def test_iterative_rejects_negative_m():
         iterative_gss(lambda t: t, -1)
 
 
+def gss_error(seed, m=None, level=8):
+    """(error, report) of golden-section, partitioned when m is given,
+    against the grid minimum of a grid bridge."""
+    grid = fill_dyadic(seed, level)
+    if m is None:
+        rep = golden_section(grid, (0.0, 1.0), seed=seed)
+    else:
+        rep = iterative_gss(grid, m, seed=seed)
+    return rep.min_value - grid.grid_min.value, rep
+
+
 def test_error_trials_are_nonnegative_and_deterministic():
+    # the interpolated path attains its minimum on the grid, so the
+    # estimate can never undercut the grid minimum
     for seed in range(5):
-        err, rep = naive_gss_error_trial(seed, level=8)
-        err2, _ = naive_gss_error_trial(seed, level=8)
+        err, rep = gss_error(seed)
+        err2, _ = gss_error(seed)
         assert err >= 0.0
         assert err == err2
         assert rep.seed == seed
-    err, rep = iterative_gss_error_trial(3, m=2, level=8)
+    err, rep = gss_error(3, m=2)
     assert err >= 0.0
     assert rep.params["m"] == 2
 
 
 def test_partitioning_beats_naive_on_average():
     # coarse version of the benchmark ordering, 40 seeds at level 8
-    naive = np.array([naive_gss_error_trial(s, level=8)[0] for s in range(40)])
-    part = np.array([iterative_gss_error_trial(s, m=3, level=8)[0]
-                     for s in range(40)])
+    naive = np.array([gss_error(s)[0] for s in range(40)])
+    part = np.array([gss_error(s, m=3)[0] for s in range(40)])
     assert part.mean() < naive.mean()

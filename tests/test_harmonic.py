@@ -17,7 +17,7 @@ from pathmin.harmonic import (
 )
 from pathmin.paths import as_oracle, new_bridge
 from pathmin.rng import derive_seed, make_rng
-from pathmin.scmap import ScSolverError, WalkPolygon
+from pathmin.scmap import MAX_VERTICES, ScSolverError, WalkPolygon
 
 
 def flat_polygon(times):
@@ -162,6 +162,17 @@ def test_search_rejects_bad_budget_and_unpinned_paths():
         harmonic_bisection_search(new_bridge(1), 0)
     with pytest.raises(ValueError):
         harmonic_bisection_search(lambda t: t, 3)
+
+
+def test_full_solver_budget_past_vertex_cap_raises():
+    # the last round's walk would have budget + 1 > MAX_VERTICES vertices
+    path = new_bridge(1)
+    with pytest.raises(ValueError, match="caps at"):
+        harmonic_bisection_search(path, MAX_VERTICES, HmcParams(solver="full"))
+    assert path.n_sampled == 2   # rejected before any query
+    rep = harmonic_bisection_search(lambda t: 0.0, MAX_VERTICES,
+                                    HmcParams(beta=0.0, solver="perturbative"))
+    assert rep.queries == MAX_VERTICES + 2
 
 
 def test_search_is_deterministic_per_seed():

@@ -3,54 +3,57 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pathmin.mcb import McbParams, mcb_descent, mcb_search, mcb_search_cauchy
-from pathmin.paths import CAUCHY, GridPath, dyadic_times, fill_dyadic, simulate_cauchy
+from pathmin.mcb import McbParams, mcb_search
+from pathmin.paths import CAUCHY, GridPath, dyadic_times, fill_dyadic
 from pathmin.rng import make_rng
 
 
-class FixedBits:
-    """Stand-in generator yielding a scripted bit sequence."""
+def descent_grid(r):
+    """Level r + 1 grid with distinct negative interior values.
 
-    def __init__(self, bits):
-        self.bits = np.asarray(bits, dtype=np.int64)
+    Every depth-r cell midpoint is a grid node here, and the endpoints sit
+    at 0 above every interior value, so a single descent (g = 1) reports
+    its own midpoint as argmin_t.
+    """
+    n = 2 ** (r + 1)
+    values = np.concatenate([[0.0], -1.0 - np.arange(n - 1) / n, [0.0]])
+    return GridPath(level=r + 1, times=dyadic_times(r + 1), values=values, kind=CAUCHY)
 
-    def integers(self, lo, hi, size):
-        out, self.bits = self.bits[:size], self.bits[size:]
-        return out
+
+def descent_midpoint(r, seed):
+    return mcb_search(descent_grid(r), McbParams(r=r, g=1, seed=seed)).argmin_t
 
 
 def test_descent_bit_zero_goes_left():
-    assert mcb_descent(1, FixedBits([0])) == 0.25
-    assert mcb_descent(1, FixedBits([1])) == 0.75
+    for seed in range(20):
+        bit = make_rng(seed).integers(0, 2, size=(1, 1))[0, 0]
+        assert descent_midpoint(1, seed) == (0.25 if bit == 0 else 0.75)
 
 
 def test_descent_two_bits():
-    assert mcb_descent(2, FixedBits([1, 1])) == 0.875
-    assert mcb_descent(2, FixedBits([0, 0])) == 0.125
-    assert mcb_descent(2, FixedBits([0, 1])) == 0.375
+    # the first bit picks the half, the second the quarter inside it
+    for seed in range(20):
+        b0, b1 = make_rng(seed).integers(0, 2, size=(1, 2))[0]
+        assert descent_midpoint(2, seed) == (2 * (2 * b0 + b1) + 1) / 8.0
 
 
 def test_descent_reaches_every_cell_midpoint():
     for r in range(1, 7):
-        mids = {mcb_descent(r, FixedBits(np.unravel_index(k, (2,) * r)))
-                for k in range(2 ** r)}
+        mids = {descent_midpoint(r, seed) for seed in range(40 * 2 ** r)}
         want = {(2 * k + 1) / 2.0 ** (r + 1) for k in range(2 ** r)}
         assert mids == want
 
 
 def test_descent_rejects_zero_depth():
     with pytest.raises(ValueError):
-        mcb_descent(0, make_rng(0))
+        mcb_search(descent_grid(1), McbParams(r=0, g=1))
 
 
 def test_descent_cells_are_uniform():
     r = 6
-    rng = make_rng(123)
     counts = np.zeros(2 ** r)
-    n_draws = 100 * 2 ** r
-    for _ in range(n_draws):
-        mid = mcb_descent(r, rng)
-        counts[int(mid * 2 ** r)] += 1
+    for seed in range(100 * 2 ** r):
+        counts[int(descent_midpoint(r, seed) * 2 ** r)] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.001
 
@@ -123,15 +126,3 @@ def test_depth_exceeding_level_raises():
         mcb_search(grid, McbParams(r=0, g=10))
     with pytest.raises(ValueError):
         mcb_search(grid, McbParams(r=2, g=0))
-
-
-def test_cauchy_entry_point_checks_kind_and_reports_grid_min():
-    grid = simulate_cauchy(7, 8)
-    rep = mcb_search_cauchy(grid, McbParams(r=8, g=256, seed=3))
-    assert rep.method == "mcb-cauchy"
-    assert rep.params["grid_min"]["value"] == grid.grid_min.value
-    assert rep.min_value >= grid.grid_min.value
-
-    bridge = fill_dyadic(1, 4)
-    with pytest.raises(ValueError):
-        mcb_search_cauchy(bridge, McbParams(r=2, g=4))

@@ -13,8 +13,6 @@ from pathmin.scmap import (
     ScSolverError,
     WalkPolygon,
     lam_log_sin,
-    mobius_disk_to_halfplane,
-    normalize_prevertices,
     sc_forward_map,
     solve_prevertices_full,
     solve_prevertices_perturbative,
@@ -238,27 +236,6 @@ def test_map_preserves_input_shape():
 
 # ---------------------------------------------------------------------------
 # Helpers
-
-
-def test_mobius_maps_disk_to_lower_halfplane():
-    assert mobius_disk_to_halfplane(1.0) == 0.0
-    assert abs(mobius_disk_to_halfplane(-1j) - 1.0) < 1e-15
-    assert abs(mobius_disk_to_halfplane(0.0) + 1j) < 1e-15
-    for theta in np.linspace(-3.0, 3.0, 25):
-        w = mobius_disk_to_halfplane(np.exp(1j * theta))
-        assert abs(w.imag) < 1e-12
-        assert abs(w.real + math.tan(theta / 2.0)) < 1e-9
-    with pytest.raises(ValueError):
-        mobius_disk_to_halfplane(-1.0)
-
-
-def test_normalize_prevertices_affine():
-    out = normalize_prevertices([2.0, 3.0, 5.0])
-    assert np.allclose(out, [0.0, 1.0 / 3.0, 1.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        normalize_prevertices([1.0])
-    with pytest.raises(ValueError):
-        normalize_prevertices([2.0, 2.0])
 
 
 def test_log_sine_integral_against_quadrature():
