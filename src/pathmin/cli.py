@@ -118,6 +118,9 @@ def cmd_search(args) -> int:
                        seed=derive_seed(args.seed, 1))
         rep = harmonic_bisection_search(path, args.budget, hp)
         rep.seed = args.seed
+        if rep.params["fallbacks"]:
+            print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
+                  f"back to uniform weights", file=sys.stderr)
     else:
         raise ValueError(f"unknown search method '{args.method}'")
     payload = rep.to_dict()
@@ -280,10 +283,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     if defaults:
         # subparsers parse into a fresh namespace, so config-supplied
-        # defaults must be installed on every one of them
+        # defaults must be installed on every one of them; argparse checks
+        # required options before it applies defaults, so an option the
+        # config supplies stops being required
         parser.set_defaults(**defaults)
         for sp in sub.choices.values():
             sp.set_defaults(**defaults)
+            for action in sp._actions:
+                if action.required and action.dest in defaults:
+                    action.required = False
     parser.commands = sub.choices   # name -> subparser, to check --config keys
     return parser
 

@@ -10,9 +10,17 @@ walls.  solve_prevertices_full recovers the pre-vertices from the polygon
 side lengths by a damped Newton iteration on compound Gauss-Jacobi
 quadratures of |phi'|; solve_prevertices_perturbative linearises them in
 the walk amplitude around the flat-strip solution sin^2(pi t / 2).
+
+The quadrature splits every panel at its midpoint and grades each half
+from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
+gap / 2), then Gauss-Legendre segments starting at head * 1.5^m, each half
+as long as its distance from that pre-vertex.  The forward map integrates
+from the nearest pre-vertex with the same rule.  Gauss-Jacobi rules are
+memoised per exponent at module level and shared by every solve.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +39,6 @@ LM_TRIES = 25                # damping escalations per iteration before stalling
 PERT_BETA_MAX = 0.05         # amplitude below which the perturbative warm start is used
 CONTINUATION_SOLVES = 16     # inner-solve budget for the amplitude ramp
 GJ_POINTS = 24               # Gauss-Jacobi / Gauss-Legendre nodes per subsegment
-MAX_SUBSEGMENTS = 400        # covers gap ratios up to the log-gap clip box (e^120)
 
 _GL_X, _GL_W = leggauss(GJ_POINTS)
 _LAM_X, _LAM_W = leggauss(48)
@@ -151,90 +158,74 @@ class PreVertexSolution:
 # Compound Gauss-Jacobi quadrature of the side integrals
 
 
-def _gj_rule(p: float, cache: dict):
-    rule = cache.get(p)
-    if rule is None:
-        # weight (1 + x)^p: singular behaviour absorbed at the left node
-        rule = roots_jacobi(GJ_POINTS, 0.0, p)
-        cache[p] = rule
-    return rule
+@functools.lru_cache(maxsize=4096)   # every exponent of a cold 63-vertex continuation
+def _gj_rule(p: float):
+    # weight (1 + x)^p: singular behaviour absorbed at the left node
+    return roots_jacobi(GJ_POINTS, 0.0, p)
 
 
-def _half_segments(z, p, j_sing, s, span, direction, cache):
-    """Quadrature segments covering the half-panel from singular endpoint s.
+def _graded_rule(head, span, p_anchor):
+    """Nodes of the graded rule on half-panels [0, span] off their anchors.
 
-    Yields (nodes, weights, absorbed_index) triples.  The first segment is
-    Gauss-Jacobi with the |x - z_j|^{p_j} factor absorbed into the weight;
-    the rest are Gauss-Legendre panels marching toward the panel midpoint,
-    each no longer than half its distance to the nearest pre-vertex so the
-    integrand stays analytic well beyond the panel.
+    A half-panel runs from an anchor pre-vertex with exponent p_anchor
+    toward a point no nearer to any other pre-vertex, so every point of
+    it has the anchor as its nearest pre-vertex.  Its Gauss-Jacobi head
+    [0, head] absorbs u^{p_anchor}; Gauss-Legendre segments follow at
+    c_m = head * 1.5^m with length min(span - c_m, c_m / 2), each half
+    its distance from the anchor, until span is covered.
+
+    Returns (owner, u, w): for every node, its half-panel, its offset from
+    the anchor and its weight.  The GJ_POINTS * len(head) Gauss-Jacobi
+    nodes come first, one half-panel after another.
     """
-    others = np.abs(np.delete(z, j_sing) - s)
-    d = float(np.min(others)) if len(others) else span
-    length = min(span, 0.5 * d)
-    if length <= 0.0:
-        raise ScSolverError("degenerate panel: coincident pre-vertices")
-    xi, w = _gj_rule(p[j_sing], cache)
-    half = 0.5 * length
-    nodes = s + direction * half * (1.0 + xi)
-    yield nodes, w * half ** (p[j_sing] + 1.0), j_sing
-
-    covered = length
-    for _ in range(MAX_SUBSEGMENTS):
-        if covered >= span * (1.0 - 1e-14):
-            return
-        x0 = s + direction * covered
-        d0 = float(np.min(np.abs(z - x0)))
-        length = min(span - covered, 0.5 * d0)
-        if covered + length == covered:
-            # an underflow-narrow sliver next to a crowded pre-vertex; its
-            # mass is O(length^(1+p)) and beyond float resolution, so drop it
-            return
-        half = 0.5 * length
-        nodes = x0 + direction * half * (_GL_X + 1.0)
-        yield nodes, _GL_W * half, -1
-        covered += length
-    raise ScSolverError("panel subdivision did not terminate")
+    n_tail = np.ceil(np.log(span * (1.0 - 1e-14) / head) / math.log(1.5))
+    n_tail = np.maximum(n_tail, 0.0).astype(int)
+    seg_owner = np.repeat(np.arange(len(head)), n_tail)
+    m = np.arange(len(seg_owner)) - np.repeat(np.cumsum(n_tail) - n_tail, n_tail)
+    c = head[seg_owner] * 1.5 ** m
+    half = 0.5 * np.minimum(span[seg_owner] - c, 0.5 * c)
+    rules = [_gj_rule(q) for q in p_anchor]
+    xi = np.stack([r[0] for r in rules])
+    w_gj = np.stack([r[1] for r in rules])
+    head_half = 0.5 * head[:, None]
+    owner = np.repeat(np.concatenate([np.arange(len(head)), seg_owner]), GJ_POINTS)
+    u = np.concatenate([(head_half * (1.0 + xi)).ravel(),
+                        (c[:, None] + half[:, None] * (_GL_X + 1.0)).ravel()])
+    w = np.concatenate([(w_gj * head_half ** (p_anchor[:, None] + 1.0)).ravel(),
+                        (half[:, None] * _GL_W).ravel()])
+    return owner, u, w
 
 
-def _panel_segments(z, p, k, cache):
-    a, b = z[k], z[k + 1]
-    span = 0.5 * (b - a)
-    yield from _half_segments(z, p, k, a, span, +1.0, cache)
-    yield from _half_segments(z, p, k + 1, b, span, -1.0, cache)
-
-
-def _abs_side_integrals(z, p, cache) -> np.ndarray:
+def _abs_side_integrals(z, p) -> np.ndarray:
     """integral over each panel [z_k, z_{k+1}] of prod_j |x - z_j|^{p_j}.
 
-    All segments of all panels are batched into one log-product matrix
-    evaluation; the absorbed singular factor of each Gauss-Jacobi segment
-    is divided back out in log space.
+    Each panel splits at its midpoint into two half-panels, graded from
+    their end pre-vertices by _graded_rule: a Gauss-Jacobi head of length
+    min(span, nearest gap / 2), then Gauss-Legendre segments growing by
+    1.5, each half as long as its distance from that pre-vertex.  One
+    log-product matrix covers every node; the head weights absorb the end
+    factor, which is divided back out in log space.  The Gauss-Jacobi
+    rules are memoised per exponent at module level and shared by every
+    solve.
     """
     n_pan = len(z) - 1
-    seg_panel = []
-    seg_nodes = []
-    seg_weights = []
-    seg_absorbed = []
-    for k in range(n_pan):
-        for nodes, weights, j_abs in _panel_segments(z, p, k, cache):
-            seg_panel.append(k)
-            seg_nodes.append(nodes)
-            seg_weights.append(weights)
-            seg_absorbed.append(j_abs)
-    xs = np.concatenate(seg_nodes)
+    k = np.arange(n_pan)
+    gaps = np.diff(z)
+    near = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]]))
+    anchor = np.concatenate([k, k + 1])
+    span = np.tile(0.5 * gaps, 2)
+    head = np.minimum(span, 0.5 * near[anchor])
+    if not np.all(head > 0.0):
+        raise ScSolverError("degenerate panel: coincident pre-vertices")
+    owner, u, w = _graded_rule(head, span, p[anchor])
+    direction = np.repeat([1.0, -1.0], n_pan)
+    x = z[anchor][owner] + direction[owner] * u
+    n_head = GJ_POINTS * len(head)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.log(np.abs(xs[:, None] - z[None, :])) @ p
-        out = np.zeros(n_pan)
-        pos = 0
-        for k, nodes, weights, j_abs in zip(seg_panel, seg_nodes, seg_weights,
-                                            seg_absorbed):
-            m = len(nodes)
-            lf = log_f[pos:pos + m]
-            if j_abs >= 0:
-                lf = lf - p[j_abs] * np.log(np.abs(nodes - z[j_abs]))
-            out[k] += float(np.dot(weights, np.exp(lf)))
-            pos += m
+        log_f = np.log(np.abs(x[:, None] - z[None, :])) @ p
+        a = anchor[owner[:n_head]]
+        log_f[:n_head] -= p[a] * np.log(np.abs(x[:n_head] - z[a]))
+        out = np.bincount(np.tile(k, 2)[owner], weights=w * np.exp(log_f), minlength=n_pan)
     if not np.all(np.isfinite(out)):
         raise ScSolverError("quadrature node collided with a pre-vertex; "
                             "pre-vertices too crowded for float arithmetic")
@@ -254,13 +245,13 @@ def _log_gaps_from_z(z: np.ndarray) -> np.ndarray:
     return np.log(gaps[:-1] / gaps[-1])
 
 
-def _side_residual(z, p, targets, cache):
+def _side_residual(z, p, targets):
     """(residual vector, max relative error) of the side-length conditions.
 
     Predicted and target fractions both sum to one, so the last equation
     is redundant and the residual keeps only the first n - 1 components.
     """
-    a = _abs_side_integrals(z, p, cache)
+    a = _abs_side_integrals(z, p)
     pred = a / a.sum()
     rel = float(np.max(np.abs(pred / targets - 1.0)))
     return (pred - targets)[:-1], rel
@@ -274,7 +265,7 @@ def _default_start(poly: WalkPolygon) -> np.ndarray:
     return np.sin(0.5 * np.pi * poly.times) ** 2
 
 
-def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray, cache: dict):
+def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     """Damped Newton on the side-length conditions from z0.
 
     Returns (z, rel, iters, converged); converged means the max relative
@@ -288,7 +279,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray, cache: dict):
     lengths = poly.edge_lengths()
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
-    f, rel = _side_residual(_z_from_log_gaps(y), p, targets, cache)
+    f, rel = _side_residual(_z_from_log_gaps(y), p, targets)
     mu = 0.0
     iters = 0
     stagnant = 0
@@ -299,7 +290,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray, cache: dict):
             for j in range(n - 1):
                 y_j = y.copy()
                 y_j[j] += FD_STEP
-                f_j, _ = _side_residual(_z_from_log_gaps(y_j), p, targets, cache)
+                f_j, _ = _side_residual(_z_from_log_gaps(y_j), p, targets)
                 jac[:, j] = (f_j - f) / FD_STEP
         except ScSolverError:
             # too crowded to differentiate at the current point
@@ -320,7 +311,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray, cache: dict):
                 step = np.linalg.solve(jtj + mu * scale, -jtf)
             y_new = np.clip(y + step, -60.0, 60.0)
             try:
-                f_new, rel_new = _side_residual(_z_from_log_gaps(y_new), p, targets, cache)
+                f_new, rel_new = _side_residual(_z_from_log_gaps(y_new), p, targets)
             except ScSolverError:
                 mu = max(mu * 10.0, LM_MU_MIN)
                 continue
@@ -368,11 +359,10 @@ def solve_prevertices_full(poly: WalkPolygon,
     else:
         z0 = _default_start(poly)
 
-    cache: dict = {}
-    z, rel, iters, ok = _newton_side_solve(poly, z0, cache)
+    z, rel, iters, ok = _newton_side_solve(poly, z0)
     total = iters
     if not ok and initial_guess is None and poly.beta > 0.0:
-        z2, rel2, extra, ok2 = _amplitude_continuation(poly, cache)
+        z2, rel2, extra, ok2 = _amplitude_continuation(poly)
         total += extra
         if ok2 or rel2 < rel:
             z, rel, ok = z2, rel2, ok2
@@ -384,7 +374,7 @@ def solve_prevertices_full(poly: WalkPolygon,
                              residual_norm=rel, iterations=total, solver="full")
 
 
-def _amplitude_continuation(poly: WalkPolygon, cache: dict):
+def _amplitude_continuation(poly: WalkPolygon):
     """Solve at a reduced amplitude, then ramp beta back up.
 
     Halves the amplitude until the cold start converges, then repeatedly
@@ -397,7 +387,7 @@ def _amplitude_continuation(poly: WalkPolygon, cache: dict):
     frac = 0.5
     for _ in range(8):
         sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, ok = _newton_side_solve(sub, _default_start(sub), cache)
+        z, rel, iters, ok = _newton_side_solve(sub, _default_start(sub))
         total += iters
         if ok:
             f_lo, z_lo = frac, z
@@ -409,7 +399,7 @@ def _amplitude_continuation(poly: WalkPolygon, cache: dict):
     frac = 1.0
     for _ in range(CONTINUATION_SOLVES):
         sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, ok = _newton_side_solve(sub, z_lo, cache)
+        z, rel, iters, ok = _newton_side_solve(sub, z_lo)
         total += iters
         if ok:
             if frac == 1.0:
@@ -505,7 +495,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
             residual = math.inf
         else:
             _, residual = _side_residual(z, alpha - 1.0,
-                                         poly.edge_lengths() / poly.edge_lengths().sum(), {})
+                                         poly.edge_lengths() / poly.edge_lengths().sum())
     return PreVertexSolution(prevertices=z, alpha=alpha, residual_norm=residual,
                              iterations=0, solver="perturbative", c_constant=c)
 
@@ -524,52 +514,26 @@ def _branch_log(w):
     return np.log(np.abs(w)) + 1j * theta
 
 
-def _complex_segment_integral(z, p, j_anchor, z_from, z_to, cache):
-    """integral of prod_j (zeta - z_j)^{p_j} along the straight segment
-    z_from -> z_to, where z_from = z[j_anchor] is the only pre-vertex the
-    segment touches.  Same compound rule as the real panels: Gauss-Jacobi
-    absorbs sigma^{p_j} at the anchor, Gauss-Legendre panels march the rest.
+def _complex_segment_integral(z, p, j, z_to):
+    """integral of prod_i (zeta - z_i)^{p_i} along the straight segment
+    z_j -> z_to, where z_to is no nearer to any other pre-vertex than to
+    z_j.  The segment then stays in z_j's (convex) Voronoi cell, so it is
+    one half-panel of the graded rule anchored at z_j.
     """
-    direction = z_to - z_from
+    direction = z_to - z[j]
     span = abs(direction)
     if span == 0.0:
         return 0.0 + 0.0j
     unit = direction / span
-    others = np.delete(z, j_anchor)
-    d = float(np.min(np.abs(others - z_from))) if len(others) else span
-    total = 0.0 + 0.0j
-    p_anchor = p[j_anchor]
-    length = min(span, 0.5 * d)
-    xi, w = _gj_rule(p_anchor, cache)
-    half = 0.5 * length
-    sigma = half * (1.0 + xi)
-    zeta = z_from + unit * sigma
-    log_rest = np.zeros(len(sigma), dtype=complex)
-    for j in range(len(z)):
-        if j == j_anchor:
-            continue
-        log_rest += p[j] * _branch_log(zeta - z[j])
-    # absorbed factor: (sigma * unit)^{p_anchor} = sigma^{p_anchor} * unit^{p_anchor}
-    phase = np.exp(p_anchor * _branch_log(np.asarray(unit)))
-    total += half ** (p_anchor + 1.0) * phase * np.dot(w, np.exp(log_rest)) * unit
-    covered = length
-    for _ in range(MAX_SUBSEGMENTS):
-        if covered >= span * (1.0 - 1e-14):
-            break
-        x0 = z_from + unit * covered
-        d0 = float(np.min(np.abs(z - x0)))
-        length = min(span - covered, 0.5 * d0)
-        half = 0.5 * length
-        sigma = covered + half * (_GL_X + 1.0)
-        zeta = z_from + unit * sigma
-        log_full = np.zeros(len(sigma), dtype=complex)
-        for j in range(len(z)):
-            log_full += p[j] * _branch_log(zeta - z[j])
-        total += half * np.dot(_GL_W, np.exp(log_full)) * unit
-        covered += length
-    else:
-        raise ScSolverError("segment subdivision did not terminate")
-    return total
+    others = np.delete(z, j)
+    near = float(np.min(np.abs(others - z[j])))
+    _, u, w = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]), p[j:j + 1])
+    zeta = z[j] + unit * u
+    # (zeta - z_j)^{p_j} = u^{p_j} * unit^{p_j}; the head weights absorb u^{p_j}
+    log_f = _branch_log(zeta[:, None] - others[None, :]) @ np.delete(p, j)
+    log_f += p[j] * _branch_log(unit)
+    log_f[GJ_POINTS:] += p[j] * np.log(u[GJ_POINTS:])
+    return unit * np.dot(w, np.exp(log_f))
 
 
 class _ForwardMap:
@@ -579,8 +543,7 @@ class _ForwardMap:
     def __init__(self, sol: PreVertexSolution):
         self.z = np.asarray(sol.prevertices, dtype=float)
         self.p = np.asarray(sol.alpha, dtype=float) - 1.0
-        self.cache: dict = {}
-        a = _abs_side_integrals(self.z, self.p, self.cache)
+        a = _abs_side_integrals(self.z, self.p)
         # phase of the integrand is constant on each panel: -pi * sum of the
         # exponents of the pre-vertices still ahead
         tail = np.cumsum(self.p[::-1])[::-1]
@@ -594,17 +557,12 @@ class _ForwardMap:
         z_point = complex(z_point)
         if z_point.imag > 1e-12:
             raise ValueError("the map is defined on the closed lower half-plane")
-        if z_point.imag == 0.0:
-            x = z_point.real
-            hit = np.nonzero(self.z == x)[0]
-            if len(hit):
-                return complex(self.vertex_images[hit[0]])
-            if self.z[0] < x < self.z[-1]:
-                k = int(np.searchsorted(self.z, x) - 1)
-                part = _complex_segment_integral(self.z, self.p, k, self.z[k], x, self.cache)
-                return complex(self.vertex_images[k] + self.scale * part)
+        hit = np.nonzero(self.z == z_point)[0]
+        if len(hit):
+            return complex(self.vertex_images[hit[0]])
+        # anchor at the nearest pre-vertex, so the graded rule applies
         j = int(np.argmin(np.abs(self.z - z_point)))
-        part = _complex_segment_integral(self.z, self.p, j, self.z[j], z_point, self.cache)
+        part = _complex_segment_integral(self.z, self.p, j, z_point)
         return complex(self.vertex_images[j] + self.scale * part)
 
 

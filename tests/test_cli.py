@@ -93,6 +93,20 @@ def test_search_harmonic_flat_midpoint_sequence(tmp_path):
                                           0.625, 0.875, 0.0625, 0.1875]
 
 
+def test_search_harmonic_warns_about_fallback_rounds(tmp_path, capsys):
+    argv = ("search", "--method", "harmonic", "--solver", "perturbative",
+            "--beta", "0.5", "--budget", "8")
+    rc, out = run(tmp_path, *argv, "--seed", "2")
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "warning: 2 of 7 rounds fell back to uniform weights" in captured.err
+    assert "warning" not in captured.out
+    assert json.loads(out.read_text())["params"]["fallbacks"] == 2
+    rc, _ = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_search_accepts_saved_grid(tmp_path):
     grid_file = tmp_path / "grid.csv"
     assert main(["simulate", "--seed", "3", "--level", "6",
@@ -216,6 +230,22 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
                "--out", str(tmp_path / "b.csv")])
     assert rc == 0
     assert len(list(csv.reader((tmp_path / "b.csv").open()))) == 10
+
+
+def test_config_supplies_required_options(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--level", "3", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["seed"] == 5
+    cfg.write_text(json.dumps({"seed": 5, "out": str(tmp_path / "r.json"),
+                               "method": "naive-gss", "level": 6}))
+    assert main(["search", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["meta"]["seed"] == 5
+    # supplied by neither the config nor the command line: still required
+    cfg.write_text(json.dumps({"level": 3}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_config_with_dashed_keys(tmp_path):
