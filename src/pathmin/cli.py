@@ -152,7 +152,6 @@ def cmd_measure(args) -> int:
     if args.oracle is not None:
         _require_positive(args.oracle, "--oracle")
         oracle = mc_hitting_oracle(poly, walkers=args.oracle, dt=args.dt,
-                                   depth=args.depth,
                                    seed=derive_seed(args.seed, 1))
     save_measures_csv(em, args.out, extra_meta=_meta(args), oracle=oracle)
     top = int(np.argmax(em.weights))
@@ -256,8 +255,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--oracle", type=int, default=None, metavar="N",
                    help="also run the random-walk oracle with N walkers and "
                         "append mc_weight,mc_stderr columns")
-    p.add_argument("--dt", type=float, default=1e-4, help="oracle near-field step")
-    p.add_argument("--depth", type=float, default=10.0, help="oracle start depth")
+    p.add_argument("--dt", type=float, default=1e-4, help="oracle absorption shell width")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("bench", help="accuracy/runtime grid over one method")

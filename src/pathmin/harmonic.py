@@ -5,8 +5,9 @@ deep below the walk graph (with reflecting vertical walls at t = 0 and
 t = 1) first hits the graph on that edge.  Conformally this is the
 arcsine measure of the edge's pre-vertex interval, which the guided
 search uses to decide which edge to bisect next.  mc_hitting_oracle
-estimates the same weights by direct walker simulation and serves as the
-ground truth for the analytic route.
+estimates the same weights by walk-on-spheres simulation, exact in law up
+to its absorption shell, and serves as the ground truth for the analytic
+route.
 """
 from __future__ import annotations
 
@@ -186,24 +187,6 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
 # Monte-Carlo hitting oracle
 
 
-def _extended_boundary(poly: WalkPolygon):
-    """Period-2 reflection of the walk graph across the walls.
-
-    Returns (breaks, y_start, slopes, edge_ids) for the 2n pieces covering
-    one period [0, 2): piece p starts at x = breaks[p] with height
-    y_start[p] and maps back to walk edge edge_ids[p].
-    """
-    t = poly.times
-    y = poly.scaled_values()
-    n = poly.n_edges
-    slopes = np.diff(y) / np.diff(t)
-    breaks = np.concatenate([t[:-1], 2.0 - t[::-1][:n]])
-    y_start = np.concatenate([y[:-1], y[::-1][:n]])
-    sl = np.concatenate([slopes, -slopes[::-1]])
-    edge_ids = np.concatenate([np.arange(n), np.arange(n - 1, -1, -1)])
-    return breaks, y_start, sl, edge_ids
-
-
 def _point_segment_distance(px, py, ax, ay, bx, by):
     """Vectorised distance from points (px, py) to segments (a, b)."""
     dx = bx - ax
@@ -216,143 +199,66 @@ def _point_segment_distance(px, py, ax, ay, bx, by):
     return np.sqrt((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2)
 
 
-def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4,
-                      depth: float = 10.0, seed: int = 0,
-                      max_rounds: int = 1_000_000) -> EdgeMeasures:
-    """Estimate the edge hitting weights by simulating reflected walkers.
+def _fold(x):
+    """Period-2 reflection of the real line onto [0, 1]."""
+    return 1.0 - np.abs(1.0 - np.mod(x, 2.0))
 
-    Walkers start at (1/2, min graph height - depth); the horizontal
-    coordinate lives on the whole line and is folded by the period-2
-    reflection of the boundary, which realises the reflecting walls
-    exactly in law.  Below the graph's lowest height the domain is a free
-    half-plane, so a walker there jumps straight to its exact re-entry
-    point on that height line, whose horizontal offset is Cauchy with the
-    current depth as scale.  Above it walkers take Gaussian steps whose
-    variance grows as (distance to the graph / 5)^2 down to the floor
-    `dt`, with a Brownian-bridge crossing correction that removes the
-    leading discrete-monitoring bias.  A walker is absorbed on the first
-    edge its step chord (or bridge excursion) crosses.
+
+def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4,
+                      seed: int = 0, max_rounds: int = 1_000_000) -> EdgeMeasures:
+    """Estimate the edge hitting weights by walk-on-spheres.
+
+    The horizontal coordinate lives on the whole line and is folded onto
+    [0, 1] by the period-2 reflection, which realises the reflecting walls
+    exactly in law; every mirror image of the graph lies farther from a
+    folded point than the graph itself.  Below the graph's lowest height
+    y_min the domain is a free half-plane, so a walker there jumps straight
+    to its exact re-entry point on the line y = y_min, whose horizontal
+    offset is Cauchy with the current depth as scale.  Walkers start on
+    that line at x uniform on [0, 2), the exact law of a start infinitely
+    deep.  Above it a walker jumps to a uniform point on the circle whose
+    radius is its distance to the graph (Muller 1956), which is exact in
+    law.  A walker within `dt` of the graph is absorbed on its nearest
+    edge; this absorption shell is the only source of bias.
 
     Returns EdgeMeasures with binomial standard errors.  Raises
     RuntimeError if any walker survives max_rounds rounds.
     """
     if walkers < 1:
         raise ValueError("need at least one walker")
-    if dt <= 0.0 or depth <= 0.0:
-        raise ValueError("dt and depth must be positive")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     t = poly.times
     yb = poly.scaled_values()
     n = poly.n_edges
     y_min = float(yb.min())
-    breaks, py0, sl, edge_ids = _extended_boundary(poly)
-    # segment endpoints in folded coordinates, for exact distances
-    ax, ay = t[:-1], yb[:-1]
-    bx, by = t[1:], yb[1:]
+    ax, ay, bx, by = t[:-1], yb[:-1], t[1:], yb[1:]
 
     rng = make_rng(seed)
-    xu = np.full(walkers, 0.5)
-    y = np.full(walkers, y_min - depth)
+    x = _fold(2.0 * rng.random(walkers))
+    y = np.full(walkers, y_min)
     counts = np.zeros(n, dtype=np.int64)
-
-    def boundary_height(x):
-        m, frac = np.divmod(x, 2.0)
-        p = np.searchsorted(breaks, frac, side="right") - 1
-        return py0[p] + sl[p] * (frac - breaks[p]), p + 2 * n * m.astype(np.int64)
-
     rounds = 0
-    while len(xu):
+    while len(x):
         if rounds >= max_rounds:
             raise RuntimeError(
-                f"{len(xu)} walkers still alive after {max_rounds} rounds; "
+                f"{len(x)} walkers still alive after {max_rounds} rounds; "
                 f"deepest at y = {float(y.min()):.3g}")
         rounds += 1
-        hit_edge = np.full(len(xu), -1, dtype=np.int64)
-
+        dist = _point_segment_distance(x, y, ax, ay, bx, by)
+        edge = dist.argmin(axis=1)
+        r = dist[np.arange(len(x)), edge]
+        hit = r < dt
+        counts += np.bincount(edge[hit], minlength=n)
+        live = ~hit
+        x, y, r = x[live], y[live], r[live]
+        angle = 2.0 * np.pi * rng.random(len(x))
+        x = x + r * np.cos(angle)
+        y = y + r * np.sin(angle)
         deep = y < y_min
-        if np.any(deep):
-            di = np.nonzero(deep)[0]
-            jump = (y_min - y[di]) * rng.standard_cauchy(len(di))
-            xland = np.mod(xu[di] + jump, 2.0)
-            xu[di] = xland
-            y[di] = y_min
-            bh, gp = boundary_height(xland)
-            on = bh <= y_min   # the boundary only touches the line at its minima
-            if np.any(on):
-                hit_edge[di[on]] = edge_ids[gp[on] % (2 * n)]
-
-        live = hit_edge < 0
-        step = np.full(len(xu), dt)
-        if np.any(live):
-            li = np.nonzero(live)[0]
-            pxf = np.abs(np.mod(xu[li], 2.0))
-            pxf = np.where(pxf > 1.0, 2.0 - pxf, pxf)
-            seg_d = _point_segment_distance(pxf, y[li], ax, ay, bx, by)
-            step[li] = np.maximum(dt, (seg_d.min(axis=1) / 5.0) ** 2)
-        sqs = np.sqrt(step)
-        noise = rng.standard_normal((2, len(xu)))
-        u_bridge = rng.random(len(xu))
-        xu2 = np.where(live, xu + sqs * noise[0], xu)
-        y2 = np.where(live, y + sqs * noise[1], y)
-
-        test = live & (np.maximum(y, y2) >= y_min - 4.0 * sqs)
-        if np.any(test):
-            ti = np.nonzero(test)[0]
-            hx0, hy0 = xu[ti], y[ti]
-            hx1, hy1 = xu2[ti], y2[ti]
-            gb0, gp0 = boundary_height(hx0)
-            gb1, gp1 = boundary_height(hx1)
-            span = gp1 - gp0
-            sgn = np.sign(span).astype(np.int64)
-            abs_span = np.abs(span)
-            alive = np.ones(len(ti), dtype=bool)
-            # sweep the boundary pieces under each chord in travel order; a
-            # walker starts below, so it crosses inside the first piece whose
-            # exit point sits on or above the boundary
-            for j in range(int(abs_span.max()) + 1):
-                active = alive & (j <= abs_span)
-                if not np.any(active):
-                    break
-                cur = gp0 + sgn * j
-                per, frac_idx = np.divmod(cur, 2 * n)
-                exit_x = np.where(sgn >= 0,
-                                  2.0 * per + breaks[np.minimum(frac_idx + 1, 2 * n - 1)],
-                                  2.0 * per + breaks[frac_idx])
-                exit_x = np.where((sgn >= 0) & (frac_idx == 2 * n - 1),
-                                  2.0 * (per + 1), exit_x)
-                last = j == abs_span
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    sig_exit = np.where(last | (hx1 == hx0), 1.0,
-                                        (exit_x - hx0) / (hx1 - hx0))
-                sig_exit = np.clip(sig_exit, 0.0, 1.0)
-                ex = hx0 + sig_exit * (hx1 - hx0)
-                ey = hy0 + sig_exit * (hy1 - hy0)
-                gb_e = py0[frac_idx] + sl[frac_idx] * (ex - (2.0 * per + breaks[frac_idx]))
-                crossed = active & (ey - gb_e >= 0.0)
-                if np.any(crossed):
-                    hit_edge[ti[crossed]] = edge_ids[frac_idx[crossed]]
-                    alive &= ~crossed
-            # Brownian-bridge correction for chords that stayed below: the
-            # excursion may still have touched the boundary.  The endpoint
-            # gaps are perpendicular distances to each endpoint's own piece,
-            # which makes the correction exact for single-piece chords.
-            rem = np.nonzero(alive)[0]
-            if len(rem):
-                fr0 = np.mod(gp0[rem], 2 * n)
-                fr1 = np.mod(gp1[rem], 2 * n)
-                dp0 = (gb0[rem] - hy0[rem]) / np.sqrt(1.0 + sl[fr0] ** 2)
-                dp1 = (gb1[rem] - hy1[rem]) / np.sqrt(1.0 + sl[fr1] ** 2)
-                p_cross = np.exp(-2.0 * dp0 * dp1 / step[ti[rem]])
-                bridged = u_bridge[ti[rem]] < p_cross
-                edge_b = np.where(dp0 <= dp1, edge_ids[fr0], edge_ids[fr1])
-                if np.any(bridged):
-                    hit_edge[ti[rem[bridged]]] = edge_b[bridged]
-
-        hits = hit_edge >= 0
-        if np.any(hits):
-            counts += np.bincount(hit_edge[hits], minlength=n)
-        keep = ~hits
-        xu = xu2[keep]
-        y = y2[keep]
+        x[deep] += (y_min - y[deep]) * rng.standard_cauchy(int(deep.sum()))
+        y[deep] = y_min
+        x = _fold(x)
 
     w = counts / float(walkers)
     stderr = np.sqrt(w * (1.0 - w) / walkers)

@@ -337,10 +337,11 @@ def solve_prevertices_full(poly: WalkPolygon,
     Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
     matches each predicted relative side length |I_k| / sum|I_j| to the
     polygon's L_k / L_total.  The Newton step uses a finite-difference
-    Jacobian with backtracking damping.  When the direct solve stalls and
-    no initial_guess was supplied, the amplitude is ramped: the same walk
-    is solved at a fraction of beta where Newton converges and the result
-    carried upward as the next starting point.  Raises ScSolverError when
+    Jacobian with backtracking damping.  When the direct solve stalls,
+    whether it started from initial_guess or from the default start, the
+    amplitude is ramped: the same walk is solved from the default start at
+    a fraction of beta where Newton converges and the result carried
+    upward as the next starting point.  Raises ScSolverError when
     the walk has more than MAX_VERTICES finite vertices or when no route
     reaches RESIDUAL_ACCEPT.
     """
@@ -361,7 +362,7 @@ def solve_prevertices_full(poly: WalkPolygon,
 
     z, rel, iters, ok = _newton_side_solve(poly, z0)
     total = iters
-    if not ok and initial_guess is None and poly.beta > 0.0:
+    if not ok and poly.beta > 0.0:
         z2, rel2, extra, ok2 = _amplitude_continuation(poly)
         total += extra
         if ok2 or rel2 < rel:

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_bridge_walk
 from pathmin.harmonic import (
@@ -245,17 +247,22 @@ def test_guided_search_beats_uniform_bisection_on_average():
 
 
 def test_oracle_matches_flat_two_edge_split():
-    poly = flat_polygon([0.0, 0.5, 1.0])
-    em = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, seed=1)
-    assert em.stderr is not None
-    assert abs(em.weights.sum() - 1.0) < 1e-12
-    assert np.all(np.abs(em.weights - 0.5) < 3.5 * em.stderr)
+    for split in (0.5, 0.1, 0.93):
+        poly = flat_polygon([0.0, split, 1.0])
+        em = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, seed=1)
+        assert em.stderr is not None
+        assert abs(em.weights.sum() - 1.0) < 1e-12
+        assert np.all(np.abs(em.weights - [split, 1.0 - split]) < 3.5 * em.stderr)
 
 
 def test_oracle_matches_flat_uneven_widths():
-    t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
-    em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, seed=2)
-    assert np.all(np.abs(em.weights - np.diff(t)) < 3.5 * em.stderr)
+    # a flat walk's weights are its edge widths (the arcsine law telescopes)
+    for t in ([0.0, 0.2, 0.45, 0.7, 1.0],
+              [0.0, 0.05, 0.1, 0.9, 1.0],
+              [0.0, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0]):
+        t = np.array(t)
+        em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, seed=2)
+        assert np.all(np.abs(em.weights - np.diff(t)) < 3.5 * em.stderr)
 
 
 def test_oracle_matches_analytic_weights_on_a_walk():
@@ -263,6 +270,36 @@ def test_oracle_matches_analytic_weights_on_a_walk():
     mc = mc_hitting_oracle(poly, walkers=6000, dt=1e-4, seed=3)
     an = edge_measures(poly, solver="full")
     assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
+
+
+def test_oracle_matches_analytic_weights_on_a_steep_walk():
+    # beta = 1 on 16 edges: deep narrow troughs, and edges whose weight is
+    # far below one walker, so stderr is floored at one walker
+    walkers = 100_000
+    poly = make_bridge_walk(derive_seed(77, 16), 16, beta=1.0)
+    mc = mc_hitting_oracle(poly, walkers=walkers, dt=1e-4, seed=4)
+    an = edge_measures(poly, solver="full")
+    se = np.maximum(mc.stderr, 1.0 / walkers)
+    assert np.all(np.abs(mc.weights - an.weights) < 4.0 * se)
+
+
+def test_oracle_round_cap_raises():
+    poly = make_bridge_walk(77, 4, beta=0.4)
+    with pytest.raises(RuntimeError, match="still alive"):
+        mc_hitting_oracle(poly, walkers=100, seed=5, max_rounds=1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.floats(0.0, 1.5), st.integers(0, 2**31 - 1),
+       st.integers(1, 300))
+def test_oracle_counts_every_walker_once(n, beta, seed, walkers):
+    poly = make_bridge_walk(seed, n, beta=beta)
+    em = mc_hitting_oracle(poly, walkers=walkers, dt=1e-3, seed=seed)
+    counts = em.weights * walkers
+    assert np.all(em.weights >= 0.0)
+    assert abs(em.weights.sum() - 1.0) < 1e-12
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
+    assert int(np.round(counts).sum()) == walkers
 
 
 def test_oracle_is_deterministic_per_seed():

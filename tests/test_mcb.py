@@ -1,6 +1,8 @@
 """Monte-Carlo bisection: descent mechanics and grid search behaviour."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pathmin.mcb import McbParams, mcb_search
@@ -64,6 +66,30 @@ def test_search_query_count_is_g_plus_two():
     assert rep.queries == 39
     assert rep.method == "mcb"
     assert rep.params["unique_queries"] <= min(39, 2 ** 4 + 2)
+
+
+class ReadLog(np.ndarray):
+    """Grid values that log every index read through []."""
+
+    def __getitem__(self, idx):
+        self.reads.append(np.ravel(np.arange(len(self))[idx]))
+        return super().__getitem__(idx).view(np.ndarray)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 14).flatmap(lambda level: st.tuples(
+    st.just(level), st.integers(1, level), st.integers(1, 3000),
+    st.integers(0, 2**31 - 1))))
+def test_unique_queries_counts_distinct_indices_read(case):
+    level, r, g, seed = case
+    grid = fill_dyadic(seed, level)
+    logged = grid.values.view(ReadLog)
+    logged.reads = []
+    object.__setattr__(grid, "values", logged)
+    rep = mcb_search(grid, McbParams(r=r, g=g, seed=seed))
+    reads = np.concatenate(logged.reads)
+    assert len(reads) == rep.queries == g + 2
+    assert rep.params["unique_queries"] == len(np.unique(reads)) <= g + 2
 
 
 def test_search_is_deterministic_in_seed():

@@ -16,6 +16,7 @@ from pathmin.scmap import (
     ScSolverError,
     WalkPolygon,
     _abs_side_integrals,
+    _newton_side_solve,
     _z_from_log_gaps,
     lam_log_sin,
     sc_forward_map,
@@ -210,6 +211,17 @@ def test_perturbed_start_reaches_the_same_solution():
     assert np.all(np.diff(z0) > 0.0)
     again = solve_prevertices_full(poly, initial_guess=z0)
     assert np.max(np.abs(again.prevertices - sol.prevertices)) < 1e-6
+
+
+def test_stalled_warm_start_recovers_by_continuation():
+    # a guess crowded against z = 0 stalls Newton; the amplitude ramp from
+    # the default start still reaches the cold solution
+    poly = make_bridge_walk(3, 4, beta=1.0)
+    cold = solve_prevertices_full(poly)
+    crowded = np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0])
+    assert not _newton_side_solve(poly, crowded)[3]
+    warm = solve_prevertices_full(poly, initial_guess=crowded)
+    assert np.max(np.abs(warm.prevertices - cold.prevertices)) < 1e-9
 
 
 def test_vertex_cap_raises():
