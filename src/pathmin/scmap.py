@@ -14,9 +14,14 @@ the walk amplitude around the flat-strip solution sin^2(pi t / 2).
 The quadrature splits every panel at its midpoint and grades each half
 from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
 gap / 2), then Gauss-Legendre segments starting at head * 1.5^m, each half
-as long as its distance from that pre-vertex.  The forward map integrates
-from the nearest pre-vertex with the same rule.  Gauss-Jacobi rules are
-memoised per exponent at module level and shared by every solve.
+as long as its distance from that pre-vertex.  Node-to-pre-vertex
+distances are formed from pre-vertex differences plus the node offset, so
+crowding away from z = 0 costs no precision.  The Newton Jacobian is
+analytic and uses the same nodes: a pre-vertex off a panel contributes
+-p_j * int F / (x - z_j), and the panel's own end pre-vertices add the
+terms of the affine substitution x = z_k + g_k * s.  The forward map
+integrates from the nearest pre-vertex with the same rule.  Gauss-Jacobi
+rules are memoised per exponent at module level and shared by every solve.
 """
 from __future__ import annotations
 
@@ -33,7 +38,6 @@ NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
 RESIDUAL_TARGET = 1e-11      # Newton aims here ...
 RESIDUAL_ACCEPT = 1e-8       # ... and anything converged past this is accepted
-FD_STEP = 1e-7               # Jacobian finite-difference step in log-gap space
 LM_MU_MIN = 1e-8             # smallest nonzero Marquardt damping
 LM_TRIES = 25                # damping escalations per iteration before stalling
 PERT_BETA_MAX = 0.05         # amplitude below which the perturbative warm start is used
@@ -144,6 +148,13 @@ class PreVertexSolution:
     pre-vertices; the perturbative solver fills it in only when asked to
     check itself (nan otherwise).  c_constant is the first-order map
     constant of the small-amplitude expansion; zero for the full solver.
+
+    The full solver also reports why its direct Newton solve stopped
+    (stop_reason: 'converged', 'crowded', 'no_descent', 'stagnation' or
+    'budget'), how many side-length residuals it evaluated over all its
+    Newton solves, and whether amplitude continuation ran, which it does
+    exactly when the direct solve did not converge.  The perturbative
+    solver runs no Newton solve and leaves stop_reason empty.
     """
 
     prevertices: np.ndarray      # z_1 .. z_{n+1} with z_1 = 0, z_{n+1} = 1
@@ -152,6 +163,9 @@ class PreVertexSolution:
     iterations: int
     solver: str
     c_constant: float = 0.0
+    stop_reason: str = ""
+    residual_evals: int = 0
+    continuation: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -174,62 +188,115 @@ def _graded_rule(head, span, p_anchor):
     c_m = head * 1.5^m with length min(span - c_m, c_m / 2), each half
     its distance from the anchor, until span is covered.
 
-    Returns (owner, u, w): for every node, its half-panel, its offset from
-    the anchor and its weight.  The GJ_POINTS * len(head) Gauss-Jacobi
-    nodes come first, one half-panel after another.
+    Returns (owner, u, w, at_head): for every node, its half-panel, its
+    offset from the anchor, its weight and whether it is a Gauss-Jacobi
+    head node.  Nodes are grouped by half-panel, head first.
     """
     n_tail = np.ceil(np.log(span * (1.0 - 1e-14) / head) / math.log(1.5))
-    n_tail = np.maximum(n_tail, 0.0).astype(int)
-    seg_owner = np.repeat(np.arange(len(head)), n_tail)
-    m = np.arange(len(seg_owner)) - np.repeat(np.cumsum(n_tail) - n_tail, n_tail)
-    c = head[seg_owner] * 1.5 ** m
+    n_seg = 1 + np.maximum(n_tail, 0.0).astype(int)
+    seg_owner = np.repeat(np.arange(len(head)), n_seg)
+    m = np.arange(len(seg_owner)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+    at_head = m == 0
+    c = head[seg_owner] * 1.5 ** (m - 1.0)
     half = 0.5 * np.minimum(span[seg_owner] - c, 0.5 * c)
+    u = c[:, None] + half[:, None] * (_GL_X + 1.0)
+    w = half[:, None] * _GL_W
     rules = [_gj_rule(q) for q in p_anchor]
-    xi = np.stack([r[0] for r in rules])
-    w_gj = np.stack([r[1] for r in rules])
     head_half = 0.5 * head[:, None]
-    owner = np.repeat(np.concatenate([np.arange(len(head)), seg_owner]), GJ_POINTS)
-    u = np.concatenate([(head_half * (1.0 + xi)).ravel(),
-                        (c[:, None] + half[:, None] * (_GL_X + 1.0)).ravel()])
-    w = np.concatenate([(w_gj * head_half ** (p_anchor[:, None] + 1.0)).ravel(),
-                        (half[:, None] * _GL_W).ravel()])
-    return owner, u, w
+    u[at_head] = head_half * (1.0 + np.stack([r[0] for r in rules]))
+    w[at_head] = np.stack([r[1] for r in rules]) * head_half ** (p_anchor[:, None] + 1.0)
+    return (np.repeat(seg_owner, GJ_POINTS), u.ravel(), w.ravel(),
+            np.repeat(at_head, GJ_POINTS))
 
 
-def _abs_side_integrals(z, p) -> np.ndarray:
-    """integral over each panel [z_k, z_{k+1}] of prod_j |x - z_j|^{p_j}.
+def _side_nodes(z, p):
+    """Quadrature layout of the side integrals, grouped by panel.
 
-    Each panel splits at its midpoint into two half-panels, graded from
-    their end pre-vertices by _graded_rule: a Gauss-Jacobi head of length
-    min(span, nearest gap / 2), then Gauss-Legendre segments growing by
-    1.5, each half as long as its distance from that pre-vertex.  One
-    log-product matrix covers every node; the head weights absorb the end
-    factor, which is divided back out in log space.  The Gauss-Jacobi
-    rules are memoised per exponent at module level and shared by every
-    solve.
+    Each panel [z_k, z_{k+1}] splits at its midpoint into two half-panels,
+    graded from their end pre-vertices by _graded_rule: a Gauss-Jacobi
+    head of length min(span, nearest gap / 2), then Gauss-Legendre
+    segments growing by 1.5, each half as long as its distance from that
+    pre-vertex.  Distances to the pre-vertices are formed as
+    (z_anchor - z_j) + direction * u, never as x - z_j after rounding
+    x = z_anchor + direction * u, so crowded pre-vertices away from z = 0
+    keep full relative precision.
+
+    Returns (starts, d, w, log_f): the first node of each panel, the
+    matrix d[i, j] = x_i - z_j, the weights, and log prod_j |x - z_j|^{p_j}
+    at every node with the anchor factor taken out at the head nodes,
+    whose weights absorb it.
     """
     n_pan = len(z) - 1
     k = np.arange(n_pan)
     gaps = np.diff(z)
     near = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]]))
-    anchor = np.concatenate([k, k + 1])
-    span = np.tile(0.5 * gaps, 2)
+    anchor = np.stack([k, k + 1], axis=1).ravel()   # half-panels 2k and 2k + 1 make panel k
+    span = np.repeat(0.5 * gaps, 2)
     head = np.minimum(span, 0.5 * near[anchor])
     if not np.all(head > 0.0):
         raise ScSolverError("degenerate panel: coincident pre-vertices")
-    owner, u, w = _graded_rule(head, span, p[anchor])
-    direction = np.repeat([1.0, -1.0], n_pan)
-    x = z[anchor][owner] + direction[owner] * u
-    n_head = GJ_POINTS * len(head)
+    owner, u, w, at_head = _graded_rule(head, span, p[anchor])
+    a = anchor[owner]
+    direction = np.where(owner % 2 == 0, 1.0, -1.0)
+    d = (z[:, None] - z[None, :])[a] + (direction * u)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.log(np.abs(x[:, None] - z[None, :])) @ p
-        a = anchor[owner[:n_head]]
-        log_f[:n_head] -= p[a] * np.log(np.abs(x[:n_head] - z[a]))
-        out = np.bincount(np.tile(k, 2)[owner], weights=w * np.exp(log_f), minlength=n_pan)
+        log_f = np.log(np.abs(d)) @ p
+    log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
+    return np.searchsorted(owner, 2 * k), d, w, log_f
+
+
+def _require_finite(out):
     if not np.all(np.isfinite(out)):
         raise ScSolverError("quadrature node collided with a pre-vertex; "
                             "pre-vertices too crowded for float arithmetic")
     return out
+
+
+def _abs_side_integrals(z, p) -> np.ndarray:
+    """integral over each panel [z_k, z_{k+1}] of prod_j |x - z_j|^{p_j}.
+
+    One log-product over the nodes of _side_nodes, summed per panel.  The
+    Gauss-Jacobi rules are memoised per exponent at module level and
+    shared by every solve.
+    """
+    starts, _, w, log_f = _side_nodes(z, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _require_finite(np.add.reduceat(w * np.exp(log_f), starts))
+
+
+def _side_integrals_dz(z, p):
+    """(I, dI/dz): the side integrals and their analytic Jacobian.
+
+    With F = prod_j |x - z_j|^{p_j} and g_k = z_{k+1} - z_k, a pre-vertex
+    off panel k moves only the integrand, dI_k/dz_j = -p_j * int F / (x - z_j).
+    The end pre-vertices also move the panel; with x = z_k + g_k * s,
+    I_k = g_k^{1 + p_k + p_{k+1}} * int s^{p_k} (1 - s)^{p_{k+1}} (...) ds, so
+
+        dI_k/dz_k     = -(1 + p_k + p_{k+1}) I_k / g_k + int F (1 - s) S'
+        dI_k/dz_{k+1} = +(1 + p_k + p_{k+1}) I_k / g_k + int F s S'
+
+    where S' = sum of p_j / (x - z_j) over j outside {k, k + 1}.  Every
+    integrand keeps F's endpoint singularities, so the nodes of the
+    integrals serve them too.
+    """
+    starts, d, w, log_f = _side_nodes(z, p)
+    k = np.arange(len(z) - 1)
+    panel = np.repeat(k, np.diff(np.append(starts, len(w))))
+    node = np.arange(len(w))
+    gaps = np.diff(z)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wf = w * np.exp(log_f)
+        inv = 1.0 / d
+        inv[node, panel] = 0.0
+        inv[node, panel + 1] = 0.0
+        wf_s = wf * (inv @ p)                 # weighted F * S' at every node
+        a = np.add.reduceat(wf, starts)
+        jac = np.add.reduceat(wf[:, None] * inv, starts) * -p
+        ends = (1.0 + p[:-1] + p[1:]) * a / gaps
+        # 1 - s = -(x - z_{k+1}) / g_k and s = (x - z_k) / g_k
+        jac[k, k] = np.add.reduceat(wf_s * -d[node, panel + 1], starts) / gaps - ends
+        jac[k, k + 1] = np.add.reduceat(wf_s * d[node, panel], starts) / gaps + ends
+    return _require_finite(a), _require_finite(jac)
 
 
 def _z_from_log_gaps(y: np.ndarray) -> np.ndarray:
@@ -257,6 +324,23 @@ def _side_residual(z, p, targets):
     return (pred - targets)[:-1], rel
 
 
+def _residual_jacobian(z, p):
+    """Jacobian of the residual of _side_residual in the log-gap unknowns.
+
+    pred = I / sum(I) gives dpred = (dI - pred * sum_k dI_k) / sum(I), and
+    z_i = c_i / c_n with c the cumulative gaps gives
+    dz_i / dy_m = (z_{m+1} - z_m) * ([m < i] - z_i).  Scaling every z_j by
+    one factor scales every I_k by a common power of it, so pred does not
+    see the -z_i term, and it is left out.
+    """
+    a, da = _side_integrals_dz(z, p)
+    total = a.sum()
+    dpred = (da - np.outer(a / total, da.sum(axis=0))) / total
+    n = len(z) - 1
+    ahead = np.arange(n + 1)[:, None] > np.arange(n - 1)[None, :]
+    return dpred[:-1] @ (ahead * np.diff(z)[:-1])
+
+
 def _default_start(poly: WalkPolygon) -> np.ndarray:
     if poly.beta <= PERT_BETA_MAX:
         z = solve_prevertices_perturbative(poly).prevertices
@@ -268,32 +352,37 @@ def _default_start(poly: WalkPolygon) -> np.ndarray:
 def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     """Damped Newton on the side-length conditions from z0.
 
-    Returns (z, rel, iters, converged); converged means the max relative
-    side-length error fell below RESIDUAL_ACCEPT.  A rejected or
+    Each step takes the analytic Jacobian of _residual_jacobian, whose
+    panel-endpoint terms come from the affine substitution
+    x = z_k + g_k * s, on the nodes of the side integrals.  A rejected or
     unevaluable trial step raises the Marquardt damping instead of
     failing, so ill-conditioned Jacobians degrade toward gradient steps;
     only an unevaluable starting point raises.
+
+    Returns (z, rel, iters, residual_evals, stop_reason).  stop_reason is
+    'converged' when the max relative side-length error ended at or below
+    RESIDUAL_ACCEPT; otherwise it says why the iteration gave up:
+    'crowded' (the Jacobian could not be evaluated), 'no_descent' (no
+    damping gave a smaller residual), 'stagnation' (STAGNATION_LIMIT
+    sub-0.1% improvements in a row) or 'budget' (NEWTON_BUDGET steps).
     """
-    n = poly.n_edges
     p = turning_angles(poly).alpha[:-1] - 1.0
     lengths = poly.edge_lengths()
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
-    f, rel = _side_residual(_z_from_log_gaps(y), p, targets)
+    z = _z_from_log_gaps(y)
+    f, rel = _side_residual(z, p, targets)
+    evals = 1
     mu = 0.0
     iters = 0
     stagnant = 0
+    reason = "budget"
     while rel > RESIDUAL_TARGET and iters < NEWTON_BUDGET:
         iters += 1
-        jac = np.empty((n - 1, n - 1))
         try:
-            for j in range(n - 1):
-                y_j = y.copy()
-                y_j[j] += FD_STEP
-                f_j, _ = _side_residual(_z_from_log_gaps(y_j), p, targets)
-                jac[:, j] = (f_j - f) / FD_STEP
+            jac = _residual_jacobian(z, p)
         except ScSolverError:
-            # too crowded to differentiate at the current point
+            reason = "crowded"
             break
         base = float(np.linalg.norm(f))
         jtj = jac.T @ jac
@@ -310,24 +399,30 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
             else:
                 step = np.linalg.solve(jtj + mu * scale, -jtf)
             y_new = np.clip(y + step, -60.0, 60.0)
+            z_new = _z_from_log_gaps(y_new)
+            evals += 1
             try:
-                f_new, rel_new = _side_residual(_z_from_log_gaps(y_new), p, targets)
+                f_new, rel_new = _side_residual(z_new, p, targets)
             except ScSolverError:
                 mu = max(mu * 10.0, LM_MU_MIN)
                 continue
             if np.linalg.norm(f_new) < base:
-                y, f, rel = y_new, f_new, rel_new
+                y, z, f, rel = y_new, z_new, f_new, rel_new
                 improved = True
                 mu = 0.0 if mu <= LM_MU_MIN else mu / 3.0
                 break
             mu = max(mu * 10.0, LM_MU_MIN)
         if not improved:
+            reason = "no_descent"
             break
         # crowding stalls show up as a long grind of sub-0.1% improvements
         stagnant = stagnant + 1 if np.linalg.norm(f) > base * 0.999 else 0
         if stagnant >= STAGNATION_LIMIT:
+            reason = "stagnation"
             break
-    return _z_from_log_gaps(y), rel, iters, rel <= RESIDUAL_ACCEPT
+    if rel <= RESIDUAL_ACCEPT:
+        reason = "converged"
+    return z, rel, iters, evals, reason
 
 
 def solve_prevertices_full(poly: WalkPolygon,
@@ -336,14 +431,17 @@ def solve_prevertices_full(poly: WalkPolygon,
 
     Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
     matches each predicted relative side length |I_k| / sum|I_j| to the
-    polygon's L_k / L_total.  The Newton step uses a finite-difference
-    Jacobian with backtracking damping.  When the direct solve stalls,
-    whether it started from initial_guess or from the default start, the
-    amplitude is ramped: the same walk is solved from the default start at
-    a fraction of beta where Newton converges and the result carried
-    upward as the next starting point.  Raises ScSolverError when
-    the walk has more than MAX_VERTICES finite vertices or when no route
-    reaches RESIDUAL_ACCEPT.
+    polygon's L_k / L_total.  The Newton step uses the analytic Jacobian
+    of the side integrals, computed on the quadrature nodes of the
+    integrals themselves (panel-endpoint terms by the affine substitution
+    x = z_k + g_k * s), with Marquardt damping.  When the direct solve
+    stalls, whether it started from initial_guess or from the default
+    start, the amplitude is ramped: the same walk is solved from the
+    default start at a fraction of beta where Newton converges and the
+    result carried upward as the next starting point.  The solution's
+    stop_reason is the direct solve's, and continuation says whether the
+    ramp ran.  Raises ScSolverError when the walk has more than
+    MAX_VERTICES finite vertices or when no route reaches RESIDUAL_ACCEPT.
     """
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
@@ -351,7 +449,8 @@ def solve_prevertices_full(poly: WalkPolygon,
     alpha = turning_angles(poly).alpha[:-1]
     if n == 1:
         return PreVertexSolution(prevertices=np.array([0.0, 1.0]), alpha=alpha,
-                                 residual_norm=0.0, iterations=0, solver="full")
+                                 residual_norm=0.0, iterations=0, solver="full",
+                                 stop_reason="converged")
 
     if initial_guess is not None:
         z0 = np.asarray(initial_guess, dtype=float)
@@ -360,19 +459,23 @@ def solve_prevertices_full(poly: WalkPolygon,
     else:
         z0 = _default_start(poly)
 
-    z, rel, iters, ok = _newton_side_solve(poly, z0)
-    total = iters
-    if not ok and poly.beta > 0.0:
-        z2, rel2, extra, ok2 = _amplitude_continuation(poly)
-        total += extra
-        if ok2 or rel2 < rel:
-            z, rel, ok = z2, rel2, ok2
+    z, rel, iters, evals, reason = _newton_side_solve(poly, z0)
+    ok = reason == "converged"
+    ramped = not ok and poly.beta > 0.0
+    if ramped:
+        z2, rel2, extra, extra_evals, ok = _amplitude_continuation(poly)
+        iters += extra
+        evals += extra_evals
+        if ok:
+            z, rel = z2, rel2
     if not ok:
         raise ScSolverError(
-            f"side-length solve stalled at relative residual {rel:.3e}",
+            f"side-length solve stalled ({reason}"
+            f"{', continuation failed' if ramped else ''}) at relative residual {rel:.3e}",
             residual=rel)
-    return PreVertexSolution(prevertices=z, alpha=alpha,
-                             residual_norm=rel, iterations=total, solver="full")
+    return PreVertexSolution(prevertices=z, alpha=alpha, residual_norm=rel,
+                             iterations=iters, solver="full", stop_reason=reason,
+                             residual_evals=evals, continuation=ramped)
 
 
 def _amplitude_continuation(poly: WalkPolygon):
@@ -380,38 +483,42 @@ def _amplitude_continuation(poly: WalkPolygon):
 
     Halves the amplitude until the cold start converges, then repeatedly
     jumps toward the target amplitude, bisecting the jump on failure.
-    Returns (z, rel, iterations, converged); gives up when the ramp needs
-    more than CONTINUATION_SOLVES inner solves or the jump underflows.
+    Returns (z, rel, iterations, residual_evals, converged); gives up when
+    the ramp needs more than CONTINUATION_SOLVES inner solves or the jump
+    underflows.
     """
     total = 0
+    evals = 0
     f_lo, z_lo = None, None
     frac = 0.5
     for _ in range(8):
         sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, ok = _newton_side_solve(sub, _default_start(sub))
+        z, rel, iters, n_evals, reason = _newton_side_solve(sub, _default_start(sub))
         total += iters
-        if ok:
+        evals += n_evals
+        if reason == "converged":
             f_lo, z_lo = frac, z
             break
         frac *= 0.5
     if f_lo is None:
-        return None, math.inf, total, False
+        return None, math.inf, total, evals, False
 
     frac = 1.0
     for _ in range(CONTINUATION_SOLVES):
         sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, ok = _newton_side_solve(sub, z_lo)
+        z, rel, iters, n_evals, reason = _newton_side_solve(sub, z_lo)
         total += iters
-        if ok:
+        evals += n_evals
+        if reason == "converged":
             if frac == 1.0:
-                return z, rel, total, True
+                return z, rel, total, evals, True
             f_lo, z_lo = frac, z
             frac = 1.0
         else:
             frac = 0.5 * (f_lo + frac)
             if frac - f_lo < 1e-3:
                 break
-    return None, math.inf, total, False
+    return None, math.inf, total, evals, False
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +633,13 @@ def _complex_segment_integral(z, p, j, z_to):
     if span == 0.0:
         return 0.0 + 0.0j
     unit = direction / span
-    others = np.delete(z, j)
-    near = float(np.min(np.abs(others - z[j])))
-    _, u, w = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]), p[j:j + 1])
-    zeta = z[j] + unit * u
+    near = float(np.min(np.abs(np.delete(z, j) - z[j])))
+    _, u, w, at_head = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]),
+                                    p[j:j + 1])
+    # zeta - z_i formed as (z_j - z_i) + unit * u, like the side integrals
+    log_f = _branch_log((z[j] - z)[None, :] + (unit * u)[:, None]) @ p
     # (zeta - z_j)^{p_j} = u^{p_j} * unit^{p_j}; the head weights absorb u^{p_j}
-    log_f = _branch_log(zeta[:, None] - others[None, :]) @ np.delete(p, j)
-    log_f += p[j] * _branch_log(unit)
-    log_f[GJ_POINTS:] += p[j] * np.log(u[GJ_POINTS:])
+    log_f[at_head] -= p[j] * np.log(u[at_head])
     return unit * np.dot(w, np.exp(log_f))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import pathmin.scmap as scmap
 from conftest import make_bridge_walk
 from pathmin.scmap import (
     LAM_ONE,
@@ -17,6 +18,8 @@ from pathmin.scmap import (
     WalkPolygon,
     _abs_side_integrals,
     _newton_side_solve,
+    _residual_jacobian,
+    _side_integrals_dz,
     _z_from_log_gaps,
     lam_log_sin,
     sc_forward_map,
@@ -119,12 +122,17 @@ def _mp_half_panel(z, p, j, direction, span):
     return mpmath.quad(integrand, cuts) / (1 + q)
 
 
-def _mp_side_integrals(z, p):
+def _mp_integrals(z, p):
+    """Side integrals at the working precision; z may hold mpf values."""
     out = []
     for k in range(len(z) - 1):
         span = (mpmath.mpf(z[k + 1]) - mpmath.mpf(z[k])) / 2
         out.append(_mp_half_panel(z, p, k, 1, span) + _mp_half_panel(z, p, k + 1, -1, span))
-    return np.array([float(v) for v in out])
+    return out
+
+
+def _mp_side_integrals(z, p):
+    return np.array([float(v) for v in _mp_integrals(z, p)])
 
 
 def _origin_cluster(n, log_ratio, seed):
@@ -139,14 +147,18 @@ def _origin_cluster(n, log_ratio, seed):
 
 
 def test_side_integrals_match_mpmath_reference():
-    # Crowding away from z = 0 costs up to ~4e-9 at e^20 and ~4e-6 at e^30
-    # from rounding x = z_k + u alone, whatever the rule; clustering at
-    # z = 0 leaves the rule's own error, about 1e-13 on every set here.
+    # Clusters at z = 0 and mirrored to z = 1 (where float spacing does not
+    # shrink): distances formed from pre-vertex differences keep both at
+    # the rule's own error, about 1e-13.  Rounding the node x = z_k + u
+    # first would cost up to ~4e-9 at e^20 and ~4e-6 at e^30 at z = 1.
     walk = solve_prevertices_full(make_bridge_walk(5, 12, beta=1.0))
     cases = [(walk.prevertices, walk.alpha - 1.0)]
     for log_ratio in (10, 20, 30):
         p = turning_angles(make_bridge_walk(log_ratio, 10, beta=1.0)).alpha[:-1] - 1.0
         cases.append((_origin_cluster(10, log_ratio, log_ratio), p))
+    for log_ratio in (20, 30):
+        p = turning_angles(make_bridge_walk(log_ratio + 1, 10, beta=1.0)).alpha[:-1] - 1.0
+        cases.append((1.0 - _origin_cluster(10, log_ratio, log_ratio + 1)[::-1], p))
     with mpmath.workdps(20):
         for z, p in cases:
             ref = _mp_side_integrals(z, p)
@@ -168,6 +180,74 @@ def test_side_integrals_are_reflection_symmetric(case):
 
 
 # ---------------------------------------------------------------------------
+# Analytic Jacobian
+
+
+def _mp_central(fun, x, h):
+    """Central differences of fun (a list of mpf) in each entry of x."""
+    cols = []
+    for j in range(len(x)):
+        up, down = list(x), list(x)
+        up[j] += h[j]
+        down[j] -= h[j]
+        cols.append([(a - b) / (2 * h[j]) for a, b in zip(fun(up), fun(down))])
+    return np.array([[float(v) for v in col] for col in cols]).T
+
+
+def _mp_pred(y, p):
+    """Predicted side fractions I_k / sum I at mpf log-gaps y."""
+    cs = [mpmath.mpf(0)]
+    for g in [mpmath.e ** v for v in y] + [mpmath.mpf(1)]:
+        cs.append(cs[-1] + g)
+    ints = _mp_integrals([c / cs[-1] for c in cs], p)
+    return [v / sum(ints) for v in ints]
+
+
+def test_jacobian_matches_mpmath_central_differences():
+    # 30-digit integrals and relative steps of 1e-10 put the reference's
+    # own error near 1e-20; the analytic entries agree to about 1e-14 on
+    # the walk and 3e-11 on the cluster
+    sol = solve_prevertices_full(make_bridge_walk(5, 5, beta=1.0))
+    p_cluster = turning_angles(make_bridge_walk(10, 5, beta=1.0)).alpha[:-1] - 1.0
+    cases = [(sol.prevertices, sol.alpha - 1.0),
+             (1.0 - _origin_cluster(5, 10, 10)[::-1], p_cluster)]
+    with mpmath.workdps(30):
+        for z, p in cases:
+            gaps = np.diff(z)
+            near = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+            z_mp = [mpmath.mpf(v) for v in z]
+            ref = _mp_central(lambda x: _mp_integrals(x, p), z_mp,
+                              [mpmath.mpf(1e-10) * g for g in near])
+            assert np.max(np.abs(_side_integrals_dz(z, p)[1] / ref - 1.0)) < 1e-8
+            y_mp = [mpmath.log((z_mp[m + 1] - z_mp[m]) / (z_mp[-1] - z_mp[-2]))
+                    for m in range(len(z) - 2)]
+            ref = _mp_central(lambda x: _mp_pred(x, p)[:-1], y_mp,
+                              [mpmath.mpf(1e-10)] * len(y_mp))
+            assert np.max(np.abs(_residual_jacobian(z, p) / ref - 1.0)) < 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-8.0, 0.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(-0.95, 0.95), min_size=n + 1, max_size=n + 1))))
+def test_jacobian_matches_central_differences(case):
+    # central differences of the quadrature itself in the log-gap unknowns;
+    # each row (one side-length equation) is compared at its own scale
+    y, p = np.array(case[0]), np.array(case[1])
+    h = 1e-5
+
+    def pred(y):
+        a = _abs_side_integrals(_z_from_log_gaps(y), p)
+        return (a / a.sum())[:-1]
+
+    ref = np.column_stack([(pred(y + h * e) - pred(y - h * e)) / (2.0 * h)
+                           for e in np.eye(len(y))])
+    jac = _residual_jacobian(_z_from_log_gaps(y), p)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.max(np.abs(jac - ref) / scale) < 1e-5
+
+
+# ---------------------------------------------------------------------------
 # Full pre-vertex solver
 
 
@@ -176,6 +256,27 @@ def test_flat_prevertices_are_arcsine_points():
     sol = solve_prevertices_full(flat_polygon(t))
     assert np.max(np.abs(sol.prevertices - np.sin(0.5 * np.pi * t) ** 2)) < 1e-10
     assert sol.solver == "full"
+
+
+def test_cold_solve_reports_convergence():
+    sol = solve_prevertices_full(make_bridge_walk(2, 8, beta=1.0))
+    assert sol.stop_reason == "converged"
+    assert not sol.continuation
+    assert sol.iterations >= 1
+    assert sol.residual_evals > sol.iterations
+
+
+def test_residual_evals_counts_every_residual(monkeypatch):
+    calls = []
+    residual = scmap._side_residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(scmap, "_side_residual", counted)
+    sol = solve_prevertices_full(make_bridge_walk(7, 4, beta=1.0))
+    assert sol.residual_evals == len(calls) > 1
 
 
 def test_single_edge_walk_is_trivial():
@@ -219,8 +320,11 @@ def test_stalled_warm_start_recovers_by_continuation():
     poly = make_bridge_walk(3, 4, beta=1.0)
     cold = solve_prevertices_full(poly)
     crowded = np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0])
-    assert not _newton_side_solve(poly, crowded)[3]
+    reason = _newton_side_solve(poly, crowded)[4]
+    assert reason != "converged"
     warm = solve_prevertices_full(poly, initial_guess=crowded)
+    assert warm.continuation
+    assert warm.stop_reason == reason
     assert np.max(np.abs(warm.prevertices - cold.prevertices)) < 1e-9
 
 
