@@ -76,43 +76,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _search_path(args):
+    """The path a search runs on: the --path grid, or one simulated from
+    the seed (a lazy bridge for harmonic, a dyadic grid otherwise)."""
+    if args.method not in ("naive-gss", "iter-gss", "mcb", "harmonic"):
+        raise ValueError(f"unknown search method '{args.method}'")
+    if args.path:
+        return load_grid_csv(args.path)
+    seed = derive_seed(args.seed, 0)
+    if args.method == "harmonic":
+        return new_bridge(seed)
+    if args.method == "mcb":
+        _require_positive(args.l, "--l")
+        if KIND_ALIASES[args.kind] == BRIDGE:
+            return fill_dyadic(seed, args.l)
+        return simulate_cauchy(seed, args.l)
+    _require_positive(args.level, "--level")
+    return fill_dyadic(seed, args.level)
+
+
 def cmd_search(args) -> int:
-    extras: dict = {}
-    if args.method in ("naive-gss", "iter-gss"):
-        if args.path:
-            grid = load_grid_csv(args.path)
-        else:
-            _require_positive(args.level, "--level")
-            grid = fill_dyadic(derive_seed(args.seed, 0), args.level)
-        gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
-        if args.method == "naive-gss":
-            rep = golden_section(grid, (0.0, 1.0), gss, seed=args.seed)
-        else:
-            rep = iterative_gss(grid, args.m, gss, seed=args.seed)
-        gm = grid.grid_min
-        extras = {"grid_min": {"time": gm.time, "value": gm.value},
-                  "error_vs_grid_min": rep.min_value - gm.value}
-    elif args.method == "mcb":
-        if args.path:
-            grid = load_grid_csv(args.path)
-        else:
-            _require_positive(args.l, "--l")
-            kind = KIND_ALIASES[args.kind]
-            if kind == BRIDGE:
-                grid = fill_dyadic(derive_seed(args.seed, 0), args.l)
-            else:
-                grid = simulate_cauchy(derive_seed(args.seed, 0), args.l)
-        rep = mcb_search(grid, McbParams(r=args.r, g=args.g,
-                                         seed=derive_seed(args.seed, 1)))
-        rep.seed = args.seed
-        gm = grid.grid_min
-        extras = {"grid_min": {"time": gm.time, "value": gm.value},
-                  "error_vs_grid_min": rep.min_value - gm.value}
-    elif args.method == "harmonic":
-        if args.path:
-            path = load_grid_csv(args.path)
-        else:
-            path = new_bridge(derive_seed(args.seed, 0))
+    path = _search_path(args)
+    if args.method == "harmonic":
         strategy = STRATEGY_ALIASES.get(args.strategy, args.strategy)
         hp = HmcParams(beta=args.beta, strategy=strategy, solver=args.solver,
                        seed=derive_seed(args.seed, 1))
@@ -121,10 +106,21 @@ def cmd_search(args) -> int:
         if rep.params["fallbacks"]:
             print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
                   f"back to uniform weights", file=sys.stderr)
+    elif args.method == "mcb":
+        rep = mcb_search(path, McbParams(r=args.r, g=args.g,
+                                         seed=derive_seed(args.seed, 1)))
+        rep.seed = args.seed
     else:
-        raise ValueError(f"unknown search method '{args.method}'")
+        gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
+        if args.method == "naive-gss":
+            rep = golden_section(path, (0.0, 1.0), gss, seed=args.seed)
+        else:
+            rep = iterative_gss(path, args.m, gss, seed=args.seed)
     payload = rep.to_dict()
-    payload.update(extras)
+    if args.method != "harmonic":
+        gm = path.grid_min
+        payload.update({"grid_min": {"time": gm.time, "value": gm.value},
+                        "error_vs_grid_min": rep.min_value - gm.value})
     payload["meta"] = _meta(args)
     _write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "

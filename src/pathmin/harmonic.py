@@ -55,18 +55,16 @@ def _measures_from_solution(poly, sol) -> EdgeMeasures:
     return EdgeMeasures(times=poly.times.copy(), weights=w)
 
 
-def edge_measures(poly: WalkPolygon, solver: str = "full",
-                  initial_guess: np.ndarray | None = None) -> EdgeMeasures:
+def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
     """Harmonic-measure weight of each walk edge seen from deep below.
 
     weight_k = (2 / pi) * (asin sqrt(z_{k+1}) - asin sqrt(z_k)) over the
     solved pre-vertices, renormalised against float drift.  solver picks
-    the pre-vertex solve: 'full' (optionally warm-started from
-    initial_guess) or 'perturbative'.  Raises ScSolverError if the solve
-    fails or yields out-of-order pre-vertices.
+    the pre-vertex solve: 'full' or 'perturbative'.  Raises ScSolverError
+    if the solve fails or yields out-of-order pre-vertices.
     """
     if solver == "full":
-        sol = solve_prevertices_full(poly, initial_guess=initial_guess)
+        sol = solve_prevertices_full(poly)
     elif solver == "perturbative":
         sol = solve_prevertices_perturbative(poly)
     else:
@@ -106,11 +104,13 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     The path must be pinned (values 0 at both endpoints).  The first budget
     unit always queries t = 1/2; each later round rebuilds the walk polygon
     from every queried point at amplitude params.beta, weights its edges,
-    picks one by params.strategy and queries that edge's midpoint.  A
-    pre-vertex solve failure downgrades the round to uniform weights; such
-    rounds are counted in report.params['fallbacks'].  Total oracle
-    queries = budget + 2 (the two endpoints plus one query per budget
-    unit); report.params['midpoints'] lists the queried times in order.
+    picks one by params.strategy and queries that edge's midpoint.  The
+    full solver starts each round from the last solution it found, which
+    a failed round keeps.  A pre-vertex solve failure downgrades the round
+    to uniform weights; such rounds are counted in
+    report.params['fallbacks'].  Total oracle queries = budget + 2 (the
+    two endpoints plus one query per budget unit);
+    report.params['midpoints'] lists the queried times in order.
     The last round's walk has budget + 1 vertices, so the full solver
     takes budgets below MAX_VERTICES only; larger ones raise ValueError.
     """
@@ -144,29 +144,21 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     insert(0.5)
     used = 1
     fallbacks = 0
-    warm: tuple[np.ndarray, np.ndarray] | None = None
+    warm = None
     while used < budget:
         poly = WalkPolygon(times=np.array(times), values=np.array(values),
                            beta=params.beta)
-        guess = None
-        if warm is not None and params.solver == "full" and params.beta != 0.0:
-            # warm start: carry the previous round's pre-vertices over,
-            # placing the new node by monotone interpolation.  Skipped for a
-            # flat boundary, where the default arcsine start is already exact
-            # and keeps equal-width edge ties exact for the argmax rule.
-            guess = np.interp(poly.times, warm[0], warm[1])
         try:
             if params.solver == "full":
-                sol = solve_prevertices_full(poly, initial_guess=guess)
+                sol = solve_prevertices_full(poly, initial_guess=warm)
                 em = _measures_from_solution(poly, sol)
-                warm = (poly.times.copy(), sol.prevertices.copy())
+                warm = sol
             else:
                 em = edge_measures(poly, solver=params.solver)
         except ScSolverError:
             n = poly.n_edges
             em = EdgeMeasures(times=poly.times, weights=np.full(n, 1.0 / n))
             fallbacks += 1
-            warm = None
         k = choose_edge(em, params, rng)
         insert(0.5 * (times[k] + times[k + 1]))
         used += 1

@@ -188,25 +188,22 @@ def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
 
 
 def simulate_cauchy(seed: int, level: int) -> GridPath:
-    """Cauchy process on the dyadic grid, increments exact in law.
-
-    Each of the 2**level increments over a step h = 2**-level is
-    h * tan(pi * (U - 1/2)) with U uniform, the inverse CDF of the
-    Cauchy(0, h) law.
-    """
+    """Cauchy process on the dyadic grid: the one path of
+    simulate_cauchy_batch(seed, level, 1)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    rng = make_rng(seed)
-    n = 2 ** level
-    u = rng.random(n)
-    inc = np.tan(np.pi * (u - 0.5)) / n
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return GridPath(level=level, times=dyadic_times(level), values=values,
-                    kind=CAUCHY, seed=int(seed))
+    return GridPath(level=level, times=dyadic_times(level),
+                    values=simulate_cauchy_batch(seed, level, 1)[0], kind=CAUCHY,
+                    seed=int(seed))
 
 
 def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
-    """(count, 2**level + 1) array of independent Cauchy grid values."""
+    """(count, 2**level + 1) array of independent Cauchy grid values.
+
+    Increments are exact in law: each of the 2**level increments over a
+    step h = 2**-level is h * tan(pi * (U - 1/2)) with U uniform, the
+    inverse CDF of the Cauchy(0, h) law.
+    """
     rng = make_rng(seed)
     n = 2 ** level
     u = rng.random((count, n))

@@ -8,8 +8,10 @@ real pre-vertices 0 = z_1 < ... < z_{n+1} = 1 to the walk vertices
 w_k = t_{k-1} + i * beta * W_{k-1}, and infinity to the bottom of the
 walls.  solve_prevertices_full recovers the pre-vertices from the polygon
 side lengths by a damped Newton iteration on compound Gauss-Jacobi
-quadratures of |phi'|; solve_prevertices_perturbative linearises them in
-the walk amplitude around the flat-strip solution sin^2(pi t / 2).
+quadratures of |phi'|, reached by one ramp of the vertex heights from a
+solved start walk: the flat walk, or a previous solution whose nodes the
+walk contains.  solve_prevertices_perturbative linearises the pre-vertices
+in the walk amplitude around the flat-strip solution sin^2(pi t / 2).
 
 The quadrature splits every panel at its midpoint and grades each half
 from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
@@ -40,8 +42,7 @@ RESIDUAL_TARGET = 1e-11      # Newton aims here ...
 RESIDUAL_ACCEPT = 1e-8       # ... and anything converged past this is accepted
 LM_MU_MIN = 1e-8             # smallest nonzero Marquardt damping
 LM_TRIES = 25                # damping escalations per iteration before stalling
-PERT_BETA_MAX = 0.05         # amplitude below which the perturbative warm start is used
-CONTINUATION_SOLVES = 16     # inner-solve budget for the amplitude ramp
+CONTINUATION_SOLVES = 16     # Newton solves per height ramp, the direct attempt included
 GJ_POINTS = 24               # Gauss-Jacobi / Gauss-Legendre nodes per subsegment
 
 _GL_X, _GL_W = leggauss(GJ_POINTS)
@@ -144,19 +145,23 @@ def turning_angles(poly: WalkPolygon) -> TurningAngles:
 class PreVertexSolution:
     """Pre-vertices of the half-plane-to-walk-polygon map.
 
+    poly is the walk the pre-vertices belong to, so a solution can serve
+    as the start of a later solve (see solve_prevertices_full).
     residual_norm is the max relative side-length error of the returned
     pre-vertices; the perturbative solver fills it in only when asked to
     check itself (nan otherwise).  c_constant is the first-order map
     constant of the small-amplitude expansion; zero for the full solver.
 
-    The full solver also reports why its direct Newton solve stopped
-    (stop_reason: 'converged', 'crowded', 'no_descent', 'stagnation' or
-    'budget'), how many side-length residuals it evaluated over all its
-    Newton solves, and whether amplitude continuation ran, which it does
-    exactly when the direct solve did not converge.  The perturbative
-    solver runs no Newton solve and leaves stop_reason empty.
+    The full solver also reports why its direct Newton solve, the first
+    attempt at the full heights, stopped (stop_reason: 'converged',
+    'crowded', 'no_descent', 'stagnation' or 'budget'), how many
+    side-length residuals it evaluated over all its Newton solves, and
+    whether the height ramp ran more than that one solve (continuation),
+    which it does exactly when the direct solve did not converge.  The
+    perturbative solver runs no Newton solve and leaves stop_reason empty.
     """
 
+    poly: WalkPolygon
     prevertices: np.ndarray      # z_1 .. z_{n+1} with z_1 = 0, z_{n+1} = 1
     alpha: np.ndarray            # angle fractions at the finite vertices
     residual_norm: float
@@ -172,7 +177,7 @@ class PreVertexSolution:
 # Compound Gauss-Jacobi quadrature of the side integrals
 
 
-@functools.lru_cache(maxsize=4096)   # every exponent of a cold 63-vertex continuation
+@functools.lru_cache(maxsize=4096)   # every exponent of a 63-vertex height ramp
 def _gj_rule(p: float):
     # weight (1 + x)^p: singular behaviour absorbed at the left node
     return roots_jacobi(GJ_POINTS, 0.0, p)
@@ -238,9 +243,15 @@ def _side_nodes(z, p):
     owner, u, w, at_head = _graded_rule(head, span, p[anchor])
     a = anchor[owner]
     direction = np.where(owner % 2 == 0, 1.0, -1.0)
-    d = (z[:, None] - z[None, :])[a] + (direction * u)[:, None]
+    # node-by-pre-vertex arrays are updated in place: extra temporaries of
+    # that size let glibc malloc trim the heap when they are freed and
+    # page-fault it back in on the next residual
+    d = (z[:, None] - z[None, :])[a]
+    d += (direction * u)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.log(np.abs(d)) @ p
+        log_abs = np.abs(d)
+        np.log(log_abs, out=log_abs)
+        log_f = log_abs @ p
     log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
     return np.searchsorted(owner, 2 * k), d, w, log_f
 
@@ -291,7 +302,8 @@ def _side_integrals_dz(z, p):
         inv[node, panel + 1] = 0.0
         wf_s = wf * (inv @ p)                 # weighted F * S' at every node
         a = np.add.reduceat(wf, starts)
-        jac = np.add.reduceat(wf[:, None] * inv, starts) * -p
+        inv *= wf[:, None]
+        jac = np.add.reduceat(inv, starts) * -p
         ends = (1.0 + p[:-1] + p[1:]) * a / gaps
         # 1 - s = -(x - z_{k+1}) / g_k and s = (x - z_k) / g_k
         jac[k, k] = np.add.reduceat(wf_s * -d[node, panel + 1], starts) / gaps - ends
@@ -339,14 +351,6 @@ def _residual_jacobian(z, p):
     n = len(z) - 1
     ahead = np.arange(n + 1)[:, None] > np.arange(n - 1)[None, :]
     return dpred[:-1] @ (ahead * np.diff(z)[:-1])
-
-
-def _default_start(poly: WalkPolygon) -> np.ndarray:
-    if poly.beta <= PERT_BETA_MAX:
-        z = solve_prevertices_perturbative(poly).prevertices
-        if np.all(np.diff(z) > 0.0):
-            return z
-    return np.sin(0.5 * np.pi * poly.times) ** 2
 
 
 def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
@@ -426,7 +430,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
 
 
 def solve_prevertices_full(poly: WalkPolygon,
-                           initial_guess: np.ndarray | None = None) -> PreVertexSolution:
+                           initial_guess: PreVertexSolution | None = None) -> PreVertexSolution:
     """Pre-vertices from the side-length conditions, solved by damped Newton.
 
     Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
@@ -434,91 +438,70 @@ def solve_prevertices_full(poly: WalkPolygon,
     polygon's L_k / L_total.  The Newton step uses the analytic Jacobian
     of the side integrals, computed on the quadrature nodes of the
     integrals themselves (panel-endpoint terms by the affine substitution
-    x = z_k + g_k * s), with Marquardt damping.  When the direct solve
-    stalls, whether it started from initial_guess or from the default
-    start, the amplitude is ramped: the same walk is solved from the
-    default start at a fraction of beta where Newton converges and the
-    result carried upward as the next starting point.  The solution's
-    stop_reason is the direct solve's, and continuation says whether the
-    ramp ran.  Raises ScSolverError when the walk has more than
-    MAX_VERTICES finite vertices or when no route reaches RESIDUAL_ACCEPT.
+    x = z_k + g_k * s), with Marquardt damping.
+
+    Every solve is one ramp of the vertex heights h0 + s * (h1 - h0) from
+    a start walk (s = 0) to poly (s = 1).  Without initial_guess, or for
+    a flat poly, the start is the flat walk, whose pre-vertices
+    sin^2(pi t / 2) are exact.  Otherwise initial_guess must be a solution
+    of a walk whose nodes are all nodes of poly: its heights and
+    pre-vertices are interpolated onto poly's nodes, which puts the new
+    nodes on the start walk's chords.  Newton first tries s = 1 directly.
+    A step that fails is bisected toward the last converged s; one that
+    converges below s = 1 becomes the new start, and s = 1 is tried again.
+    The ramp gives up once the step falls below 1e-3 or after
+    CONTINUATION_SOLVES solves.  The solution's stop_reason is the direct
+    attempt's, and continuation says whether more solves ran.
+
+    Raises ValueError when initial_guess solves a walk with a node that
+    poly lacks, and ScSolverError when the walk has more than MAX_VERTICES
+    finite vertices or when the ramp does not reach RESIDUAL_ACCEPT.
     """
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
         raise ScSolverError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
     alpha = turning_angles(poly).alpha[:-1]
     if n == 1:
-        return PreVertexSolution(prevertices=np.array([0.0, 1.0]), alpha=alpha,
+        return PreVertexSolution(poly=poly, prevertices=np.array([0.0, 1.0]), alpha=alpha,
                                  residual_norm=0.0, iterations=0, solver="full",
                                  stop_reason="converged")
 
-    if initial_guess is not None:
-        z0 = np.asarray(initial_guess, dtype=float)
-        if len(z0) != n + 1:
-            raise ValueError("initial_guess must supply all n + 1 pre-vertices")
+    h1 = poly.scaled_values()
+    if initial_guess is None or not np.any(h1):
+        h0 = np.zeros(n + 1)
+        z_lo = np.sin(0.5 * np.pi * poly.times) ** 2
     else:
-        z0 = _default_start(poly)
+        start = initial_guess.poly
+        if not np.all(np.isin(start.times, poly.times)):
+            raise ValueError("initial_guess must solve a walk whose nodes are all nodes of poly")
+        h0 = np.interp(poly.times, start.times, start.scaled_values())
+        z_lo = np.interp(poly.times, start.times, initial_guess.prevertices)
 
-    z, rel, iters, evals, reason = _newton_side_solve(poly, z0)
-    ok = reason == "converged"
-    ramped = not ok and poly.beta > 0.0
-    if ramped:
-        z2, rel2, extra, extra_evals, ok = _amplitude_continuation(poly)
-        iters += extra
-        evals += extra_evals
-        if ok:
-            z, rel = z2, rel2
-    if not ok:
-        raise ScSolverError(
-            f"side-length solve stalled ({reason}"
-            f"{', continuation failed' if ramped else ''}) at relative residual {rel:.3e}",
-            residual=rel)
-    return PreVertexSolution(prevertices=z, alpha=alpha, residual_norm=rel,
-                             iterations=iters, solver="full", stop_reason=reason,
-                             residual_evals=evals, continuation=ramped)
-
-
-def _amplitude_continuation(poly: WalkPolygon):
-    """Solve at a reduced amplitude, then ramp beta back up.
-
-    Halves the amplitude until the cold start converges, then repeatedly
-    jumps toward the target amplitude, bisecting the jump on failure.
-    Returns (z, rel, iterations, residual_evals, converged); gives up when
-    the ramp needs more than CONTINUATION_SOLVES inner solves or the jump
-    underflows.
-    """
-    total = 0
-    evals = 0
-    f_lo, z_lo = None, None
-    frac = 0.5
-    for _ in range(8):
-        sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, n_evals, reason = _newton_side_solve(sub, _default_start(sub))
-        total += iters
+    s_lo, s = 0.0, 1.0
+    iters = evals = solves = 0
+    while solves < CONTINUATION_SOLVES:
+        # s = 1 solves poly itself, so a direct attempt sees its exact heights
+        walk = poly if s == 1.0 else WalkPolygon(times=poly.times, values=h0 + s * (h1 - h0))
+        z, rel, n_iters, n_evals, why = _newton_side_solve(walk, z_lo)
+        iters += n_iters
         evals += n_evals
-        if reason == "converged":
-            f_lo, z_lo = frac, z
-            break
-        frac *= 0.5
-    if f_lo is None:
-        return None, math.inf, total, evals, False
-
-    frac = 1.0
-    for _ in range(CONTINUATION_SOLVES):
-        sub = WalkPolygon(times=poly.times, values=poly.values, beta=frac * poly.beta)
-        z, rel, iters, n_evals, reason = _newton_side_solve(sub, z_lo)
-        total += iters
-        evals += n_evals
-        if reason == "converged":
-            if frac == 1.0:
-                return z, rel, total, evals, True
-            f_lo, z_lo = frac, z
-            frac = 1.0
+        solves += 1
+        if solves == 1:
+            reason, direct_rel = why, rel
+        if why == "converged":
+            if s == 1.0:
+                return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha,
+                                         residual_norm=rel, iterations=iters, solver="full",
+                                         stop_reason=reason, residual_evals=evals,
+                                         continuation=solves > 1)
+            s_lo, z_lo, s = s, z, 1.0
         else:
-            frac = 0.5 * (f_lo + frac)
-            if frac - f_lo < 1e-3:
+            s = 0.5 * (s_lo + s)
+            if s - s_lo < 1e-3:
                 break
-    return None, math.inf, total, evals, False
+    raise ScSolverError(
+        f"side-length solve stalled ({reason}, continuation failed) "
+        f"at relative residual {direct_rel:.3e}", residual=direct_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +587,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
         else:
             _, residual = _side_residual(z, alpha - 1.0,
                                          poly.edge_lengths() / poly.edge_lengths().sum())
-    return PreVertexSolution(prevertices=z, alpha=alpha, residual_norm=residual,
+    return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha, residual_norm=residual,
                              iterations=0, solver="perturbative", c_constant=c)
 
 

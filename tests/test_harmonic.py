@@ -19,7 +19,7 @@ from pathmin.harmonic import (
 )
 from pathmin.paths import as_oracle, new_bridge
 from pathmin.rng import derive_seed, make_rng
-from pathmin.scmap import MAX_VERTICES, ScSolverError, WalkPolygon
+from pathmin.scmap import MAX_VERTICES, ScSolverError, WalkPolygon, solve_prevertices_full
 
 
 def flat_polygon(times):
@@ -77,14 +77,6 @@ def test_perturbative_weights_match_full_at_small_amplitude():
         w_full = edge_measures(poly, solver="full").weights
         w_pert = edge_measures(poly, solver="perturbative").weights
         assert np.max(np.abs(w_full - w_pert)) < 20.0 * beta ** 2
-
-
-def test_edge_measures_accepts_warm_start():
-    poly = make_bridge_walk(11, 6, beta=0.5)
-    cold = edge_measures(poly, solver="full")
-    z = np.sin(0.5 * np.pi * poly.times) ** 2
-    warm = edge_measures(poly, solver="full", initial_guess=z)
-    assert np.max(np.abs(cold.weights - warm.weights)) < 1e-9
 
 
 def test_unknown_solver_raises():
@@ -197,6 +189,42 @@ def test_solver_failure_falls_back_to_uniform_weights(monkeypatch):
     assert rep.params["midpoints"] == [0.5, 0.25, 0.125, 0.0625]
 
 
+def test_failed_round_keeps_the_last_good_start(monkeypatch):
+    real = solve_prevertices_full
+    starts, solutions = [], []
+
+    def flaky(poly, initial_guess=None):
+        starts.append(initial_guess)
+        if len(starts) == 3:
+            raise ScSolverError("forced failure")
+        solutions.append(real(poly, initial_guess=initial_guess))
+        return solutions[-1]
+
+    monkeypatch.setattr("pathmin.harmonic.solve_prevertices_full", flaky)
+    rep = harmonic_bisection_search(new_bridge(2), 5, HmcParams(beta=0.7, solver="full"))
+    assert rep.params["fallbacks"] == 1
+    assert starts[0] is None
+    assert starts[1] is solutions[0]
+    # the round after the failure starts from the round before it
+    assert starts[2] is starts[3] is solutions[1]
+
+
+def test_search_midpoints_are_pinned():
+    # budget-16 full searches at beta = 1: a solver change that moves any
+    # round's argmax shows here
+    pinned = {
+        3: [1/2, 1/4, 3/4, 5/8, 11/16, 7/8, 23/32, 47/64, 93/128, 1/8,
+            187/256, 13/16, 1/16, 375/512, 27/32, 53/64],
+        1: [1/2, 1/4, 3/8, 1/8, 3/4, 5/16, 3/16, 7/8, 9/32, 1/16, 15/16,
+            13/16, 27/32, 3/32, 7/64, 55/64],
+    }
+    for bridge, midpoints in pinned.items():
+        rep = harmonic_bisection_search(new_bridge(bridge), 16,
+                                        HmcParams(beta=1.0, solver="full"))
+        assert rep.params["fallbacks"] == 0
+        assert rep.params["midpoints"] == midpoints
+
+
 def test_report_tracks_best_queried_point():
     path = new_bridge(13)
     rep = harmonic_bisection_search(path, 12, HmcParams(beta=0.5, seed=1))
@@ -263,6 +291,16 @@ def test_oracle_matches_flat_uneven_widths():
         t = np.array(t)
         em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, seed=2)
         assert np.all(np.abs(em.weights - np.diff(t)) < 3.5 * em.stderr)
+
+
+def test_oracle_matches_flat_walk_with_one_low_vertex():
+    # the walk's lowest point is one interior vertex, so walkers start off
+    # the graph and sphere jumps and Cauchy re-entries run
+    poly = WalkPolygon(times=np.array([0.0, 0.2, 0.45, 0.7, 1.0]),
+                       values=np.array([0.0, 0.0, -1.0, 0.0, 0.0]))
+    mc = mc_hitting_oracle(poly, walkers=20_000, dt=1e-4, seed=6)
+    an = edge_measures(poly, solver="full")
+    assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
 
 
 def test_oracle_matches_analytic_weights_on_a_walk():

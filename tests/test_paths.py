@@ -20,6 +20,7 @@ from pathmin.paths import (
     simulate_cauchy,
     simulate_cauchy_batch,
 )
+from pathmin.rng import make_rng
 
 N_MOMENT_PATHS = 4000
 
@@ -171,9 +172,16 @@ def test_cauchy_tail_dwarfs_median():
 
 
 def test_batch_cauchy_matches_single():
-    single = simulate_cauchy(21, 5)
-    batch = simulate_cauchy_batch(21, 5, 1)
-    assert np.array_equal(batch[0], single.values)
+    # the single path is the first row of the batch, and both keep the
+    # stream of one uniform draw per increment, cumulated from 0
+    for seed in range(50):
+        for level in (0, 1, 5, 10, 14):
+            n = 2 ** level
+            u = make_rng(seed).random(n)
+            ref = np.concatenate([[0.0], np.cumsum(np.tan(np.pi * (u - 0.5)) / n)])
+            batch = simulate_cauchy_batch(seed, level, 1)
+            assert np.array_equal(batch[0], ref)
+            assert np.array_equal(simulate_cauchy(seed, level).values, ref)
 
 
 def test_as_oracle_dispatch():

@@ -1,4 +1,5 @@
 """Conformal map machinery: angles, pre-vertex solvers, forward map."""
+import dataclasses
 import math
 
 import mpmath
@@ -296,33 +297,40 @@ def test_solver_output_structure_on_random_walks():
         assert np.array_equal(again.prevertices, z)
 
 
+def sub_walk(poly, keep):
+    """The walk through the nodes of poly at the indices keep."""
+    return WalkPolygon(times=poly.times[keep], values=poly.values[keep], beta=poly.beta)
+
+
 def test_warm_start_accepts_the_solution():
     poly = make_bridge_walk(3, 6, beta=0.6)
     sol = solve_prevertices_full(poly)
-    warm = solve_prevertices_full(poly, initial_guess=sol.prevertices)
+    assert sol.poly is poly
+    warm = solve_prevertices_full(poly, initial_guess=sol)
     assert warm.iterations <= 2
     assert np.max(np.abs(warm.prevertices - sol.prevertices)) < 1e-9
 
 
 def test_perturbed_start_reaches_the_same_solution():
+    # start from the walk with every other node dropped: the dropped nodes
+    # begin on its chords and their heights ramp up
     poly = make_bridge_walk(4, 6, beta=0.5)
     sol = solve_prevertices_full(poly)
-    z0 = sol.prevertices.copy()
-    z0[1:-1] += 1e-3 * np.array([1, -1, 1, -1, 1])
-    assert np.all(np.diff(z0) > 0.0)
-    again = solve_prevertices_full(poly, initial_guess=z0)
+    start = solve_prevertices_full(sub_walk(poly, slice(None, None, 2)))
+    again = solve_prevertices_full(poly, initial_guess=start)
     assert np.max(np.abs(again.prevertices - sol.prevertices)) < 1e-6
 
 
 def test_stalled_warm_start_recovers_by_continuation():
-    # a guess crowded against z = 0 stalls Newton; the amplitude ramp from
-    # the default start still reaches the cold solution
-    poly = make_bridge_walk(3, 4, beta=1.0)
+    # Newton from the interpolated start stalls; ramping node 1's height
+    # up from the start walk's chord still reaches the cold solution
+    poly = make_bridge_walk(19, 5, beta=3.0)
     cold = solve_prevertices_full(poly)
-    crowded = np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0])
-    reason = _newton_side_solve(poly, crowded)[4]
+    start = solve_prevertices_full(sub_walk(poly, [0, 2, 3, 4, 5]))
+    guess = np.interp(poly.times, start.poly.times, start.prevertices)
+    reason = _newton_side_solve(poly, guess)[4]
     assert reason != "converged"
-    warm = solve_prevertices_full(poly, initial_guess=crowded)
+    warm = solve_prevertices_full(poly, initial_guess=start)
     assert warm.continuation
     assert warm.stop_reason == reason
     assert np.max(np.abs(warm.prevertices - cold.prevertices)) < 1e-9
@@ -335,9 +343,13 @@ def test_vertex_cap_raises():
 
 def test_unsorted_guess_raises():
     poly = make_bridge_walk(5, 4, beta=0.3)
-    bad = np.array([0.0, 0.6, 0.4, 0.8, 1.0])
+    sol = solve_prevertices_full(poly)
+    bad = dataclasses.replace(sol, prevertices=np.array([0.0, 0.6, 0.4, 0.8, 1.0]))
     with pytest.raises(ScSolverError):
         solve_prevertices_full(poly, initial_guess=bad)
+    # a start walk must not have a node the target lacks
+    with pytest.raises(ValueError, match="nodes"):
+        solve_prevertices_full(sub_walk(poly, [0, 1, 3, 4]), initial_guess=sol)
 
 
 # ---------------------------------------------------------------------------
