@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -12,6 +11,7 @@ from .golden import GssParams, golden_section, iterative_gss
 from .mcb import McbParams, mcb_search
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, simulate_bridge_batch,
                     simulate_cauchy, simulate_cauchy_batch)
+from .report import write_json
 from .rng import derive_seed
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
@@ -51,26 +51,35 @@ class BenchRow:
     flagged: bool
 
 
-def _one_trial(grid: TrialGrid, cell: dict, tseed: int):
-    """(error, wall_time, queries) for a single benchmark trial."""
-    path_seed = derive_seed(tseed, 0)
-    aux_seed = derive_seed(tseed, 1)
-    if grid.method == "naive-gss":
-        path = fill_dyadic(path_seed, grid.level)
-        rep = golden_section(path, (0.0, 1.0), grid.gss, seed=tseed)
-    elif grid.method == "iter-gss":
-        path = fill_dyadic(path_seed, grid.level)
-        rep = iterative_gss(path, cell["m"], grid.gss, seed=tseed)
-    elif grid.method == "mcb":
-        path = fill_dyadic(path_seed, cell["l"])
-        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"], seed=aux_seed))
-    elif grid.method == "mcb-cauchy":
-        path = simulate_cauchy(path_seed, cell["l"])
-        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"], seed=aux_seed))
+def run_trial(method: str, cell: dict, seed: int, level: int = 10,
+              gss: GssParams | None = None, path=None):
+    """One search of a benchmark cell: (report, path searched).
+
+    Seed contract: unless a path is given, it is simulated from
+    derive_seed(seed, 0), as a level-`level` bridge grid for the GSS
+    methods and a level-cell['l'] bridge or Cauchy grid for 'mcb' and
+    'mcb-cauchy'; the MCB descents draw from derive_seed(seed, 1); the GSS
+    reports carry seed itself.  `pathmin search --seed S` with a grid
+    method runs run_trial(..., S), and run_grid runs trial t of cell c at
+    derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss and 'l',
+    'r', 'g' for the MCB methods; other keys are ignored.
+    """
+    if method in ("naive-gss", "iter-gss"):
+        if path is None:
+            path = fill_dyadic(derive_seed(seed, 0), level)
+        if method == "naive-gss":
+            rep = golden_section(path, (0.0, 1.0), gss, seed=seed)
+        else:
+            rep = iterative_gss(path, cell["m"], gss, seed=seed)
+    elif method in ("mcb", "mcb-cauchy"):
+        if path is None:
+            simulate = fill_dyadic if method == "mcb" else simulate_cauchy
+            path = simulate(derive_seed(seed, 0), cell["l"])
+        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"],
+                                         seed=derive_seed(seed, 1)))
     else:
-        raise ValueError(f"unknown benchmark method '{grid.method}'")
-    error = rep.min_value - path.grid_min.value
-    return error, rep.wall_time, rep.queries
+        raise ValueError(f"unknown benchmark method '{method}'")
+    return rep, path
 
 
 def run_grid(grid: TrialGrid) -> list[BenchRow]:
@@ -108,8 +117,10 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
 
 
 def _guarded_trial(grid, cell, tseed):
+    """(error, wall_time, queries) of one trial, or None on a numerical failure."""
     try:
-        return _one_trial(grid, cell, tseed)
+        rep, path = run_trial(grid.method, cell, tseed, grid.level, grid.gss)
+        return rep.min_value - path.grid_min.value, rep.wall_time, rep.queries
     except (RuntimeError, FloatingPointError):
         return None
 
@@ -211,10 +222,7 @@ def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
 
 def save_bench_json(rows: list[BenchRow], out_path: str,
                     meta: dict[str, Any] | None = None) -> None:
-    payload = {"meta": meta or {}, "rows": [asdict(r) for r in rows]}
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path, {"meta": meta or {}, "rows": [asdict(r) for r in rows]})
 
 
 def save_range_csv(rd: RangeDistribution, out_path: str) -> None:

@@ -1,8 +1,10 @@
 """Command-line front end: simulate, search, measure, bench, range.
 
-Every command requires an explicit --seed and writes its outputs next to
-a '<out>.meta.json' sidecar recording the tool version, the seed and the
-resolved parameters, so a run can be reproduced from its artifacts alone.
+Every command requires an explicit --seed and records the tool version,
+the seed and the resolved parameters ('meta'), so a run can be reproduced
+from its artifacts alone: search embeds meta in its JSON report, and the
+other commands write a '<out>.meta.json' sidecar (bench also puts meta in
+'<out>.json').
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -14,14 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (TrialGrid, mcb_grid, range_distribution, run_grid,
+from .bench import (TrialGrid, mcb_grid, range_distribution, run_grid, run_trial,
                     save_bench_csv, save_bench_json, save_range_csv)
-from .golden import GssParams, golden_section, iterative_gss
+from .golden import GssParams
 from .harmonic import (HmcParams, edge_measures, harmonic_bisection_search,
                        mc_hitting_oracle, save_measures_csv)
-from .mcb import McbParams, mcb_search
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
+from .report import write_json
 from .rng import derive_seed
 from .scmap import ScSolverError, WalkPolygon
 
@@ -56,12 +58,6 @@ def _meta(args, **extra) -> dict:
     return meta
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_simulate(args) -> int:
     _require_positive(args.level, "--level")
     kind = KIND_ALIASES[args.kind]
@@ -76,53 +72,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _search_path(args):
-    """The path a search runs on: the --path grid, or one simulated from
-    the seed (a lazy bridge for harmonic, a dyadic grid otherwise)."""
-    if args.method not in ("naive-gss", "iter-gss", "mcb", "harmonic"):
-        raise ValueError(f"unknown search method '{args.method}'")
-    if args.path:
-        return load_grid_csv(args.path)
-    seed = derive_seed(args.seed, 0)
-    if args.method == "harmonic":
-        return new_bridge(seed)
-    if args.method == "mcb":
-        _require_positive(args.l, "--l")
-        if KIND_ALIASES[args.kind] == BRIDGE:
-            return fill_dyadic(seed, args.l)
-        return simulate_cauchy(seed, args.l)
-    _require_positive(args.level, "--level")
-    return fill_dyadic(seed, args.level)
-
-
 def cmd_search(args) -> int:
-    path = _search_path(args)
+    path = load_grid_csv(args.path) if args.path else None
     if args.method == "harmonic":
+        if path is None:
+            path = new_bridge(derive_seed(args.seed, 0))
         strategy = STRATEGY_ALIASES.get(args.strategy, args.strategy)
         hp = HmcParams(beta=args.beta, strategy=strategy, solver=args.solver,
                        seed=derive_seed(args.seed, 1))
         rep = harmonic_bisection_search(path, args.budget, hp)
-        rep.seed = args.seed
         if rep.params["fallbacks"]:
             print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
                   f"back to uniform weights", file=sys.stderr)
-    elif args.method == "mcb":
-        rep = mcb_search(path, McbParams(r=args.r, g=args.g,
-                                         seed=derive_seed(args.seed, 1)))
-        rep.seed = args.seed
     else:
+        if path is None:
+            if args.method == "mcb":
+                _require_positive(args.l, "--l")
+            else:
+                _require_positive(args.level, "--level")
+        cauchy = args.method == "mcb" and KIND_ALIASES[args.kind] == CAUCHY
+        method = "mcb-cauchy" if cauchy else args.method
+        cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g}
         gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
-        if args.method == "naive-gss":
-            rep = golden_section(path, (0.0, 1.0), gss, seed=args.seed)
-        else:
-            rep = iterative_gss(path, args.m, gss, seed=args.seed)
+        rep, path = run_trial(method, cell, args.seed, args.level, gss, path)
+    rep.seed = args.seed
     payload = rep.to_dict()
     if args.method != "harmonic":
         gm = path.grid_min
         payload.update({"grid_min": {"time": gm.time, "value": gm.value},
                         "error_vs_grid_min": rep.min_value - gm.value})
     payload["meta"] = _meta(args)
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
           f"({rep.queries} queries) -> {args.out}")
     return 0
@@ -177,7 +157,7 @@ def cmd_bench(args) -> int:
     rows = run_grid(grid)
     save_bench_csv(rows, args.out)
     save_bench_json(rows, f"{args.out}.json", meta=_meta(args))
-    _write_json(f"{args.out}.meta.json", _meta(args))
+    write_json(f"{args.out}.meta.json", _meta(args))
     flagged = sum(r.flagged for r in rows)
     print(f"{args.method}: {len(rows)} cells x {args.trials} trials"
           + (f", {flagged} flagged" if flagged else "") + f" -> {args.out}")
@@ -191,14 +171,14 @@ def cmd_range(args) -> int:
                             seed=args.seed)
     save_range_csv(rd, args.out)
     med = float(np.median(rd.ranges))
-    _write_json(f"{args.out}.meta.json",
-                _meta(args, mean_range=rd.mean_range, median_range=med))
+    write_json(f"{args.out}.meta.json",
+               _meta(args, mean_range=rd.mean_range, median_range=med))
     print(f"{kind} level {args.level}: {args.paths} paths, mean range "
           f"{rd.mean_range:.6g}, median {med:.6g} -> {args.out}")
     return 0
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathmin",
         description="Query-budgeted minimum search on stochastic paths.")
@@ -210,7 +190,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                        help="root seed; all randomness derives from it")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--config", default=None,
-                       help="JSON file of defaults; explicit flags win")
+                       help="JSON file of option values, read as flags; "
+                            "explicit flags win")
 
     p = sub.add_parser("simulate", help="simulate one grid path and write it as CSV")
     common(p)
@@ -275,22 +256,19 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=60)
     p.set_defaults(func=cmd_range)
 
-    if defaults:
-        # subparsers parse into a fresh namespace, so config-supplied
-        # defaults must be installed on every one of them; argparse checks
-        # required options before it applies defaults, so an option the
-        # config supplies stops being required
-        parser.set_defaults(**defaults)
-        for sp in sub.choices.values():
-            sp.set_defaults(**defaults)
-            for action in sp._actions:
-                if action.required and action.dest in defaults:
-                    action.required = False
-    parser.commands = sub.choices   # name -> subparser, to check --config keys
+    parser.commands = sub.choices   # name -> subparser, to map --config keys
     return parser
 
 
-def _extract_config(argv: list[str]) -> dict:
+def _config_flags(argv: list[str], commands: dict) -> list[str]:
+    """argv with the --config file's entries inserted as '--option=value'
+    tokens right after the subcommand, so argparse checks them as it checks
+    any flag, and the command line's own flags, which come later, win.
+
+    A null value leaves its option unset.  A file that holds no JSON
+    object, or a key that names no option of the subcommand, raises
+    ValueError.
+    """
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
@@ -299,32 +277,37 @@ def _extract_config(argv: list[str]) -> dict:
             path = tok.split("=", 1)[1]
             break
     else:
-        return {}
+        return argv
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
+        config = json.load(fh)
+    if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
-    return {k.replace("-", "_"): v for k, v in cfg.items()}
+    config = {k.replace("-", "_"): v for k, v in config.items()}
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
+    if at is None or argv[at] not in commands:
+        return argv     # argparse reports the missing or unknown subcommand
+    options = {a.dest: a.option_strings[-1] for a in commands[argv[at]]._actions
+               if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ValueError(f"--config key(s) {', '.join(unknown)} name no option of "
+                         f"'pathmin {argv[at]}'")
+    flags = [f"{options[k]}={v}" for k, v in config.items() if v is not None]
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
     try:
-        config = _extract_config(argv)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        argv = _config_flags(argv, parser.commands)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser(config or None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    options = {a.dest for a in parser.commands[args.command]._actions if a.option_strings}
-    unknown = sorted(set(config) - options - {"help"})
-    if unknown:
-        print(f"error: --config key(s) {', '.join(unknown)} name no option of "
-              f"'pathmin {args.command}'", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import as_oracle
-from .report import SearchReport
+from .report import SearchReport, write_json
 from .rng import make_rng
 from .scmap import (MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
@@ -112,9 +111,14 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     two endpoints plus one query per budget unit);
     report.params['midpoints'] lists the queried times in order.
     The last round's walk has budget + 1 vertices, so the full solver
-    takes budgets below MAX_VERTICES only; larger ones raise ValueError.
+    takes budgets below MAX_VERTICES only; larger ones raise ValueError,
+    as does an unknown solver or strategy, before any query.
     """
     params = params or HmcParams()
+    if params.solver not in ("full", "perturbative"):
+        raise ValueError(f"unknown solver '{params.solver}'")
+    if params.strategy not in ("max_measure", "sample_measure"):
+        raise ValueError(f"unknown strategy '{params.strategy}'")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if params.solver == "full" and budget >= MAX_VERTICES:
@@ -285,6 +289,4 @@ def save_measures_csv(
                 row += [f"{oracle.weights[k]:.17g}", ose]
             w.writerow(row)
     if extra_meta is not None:
-        with open(f"{out_path}.meta.json", "w") as fh:
-            json.dump(extra_meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(f"{out_path}.meta.json", extra_meta)

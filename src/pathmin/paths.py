@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
+from .report import write_json
 from .rng import make_rng
 
 BRIDGE = "brownian_bridge"
@@ -305,9 +306,7 @@ def save_grid_csv(grid: GridPath, out_path: str, extra_meta: dict | None = None)
     meta = {"seed": grid.seed, "level": grid.level, "kind": grid.kind}
     if extra_meta:
         meta.update(extra_meta)
-    with open(f"{out_path}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{out_path}.meta.json", meta)
 
 
 def load_grid_csv(path: str) -> GridPath:

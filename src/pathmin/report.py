@@ -1,4 +1,5 @@
-"""Search result record shared by every search strategy."""
+"""Search result record shared by every search strategy, and the JSON
+artifact format every writer uses."""
 from __future__ import annotations
 
 import json
@@ -25,7 +26,9 @@ class SearchReport:
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    def to_json(self, **extra: Any) -> str:
-        d = self.to_dict()
-        d.update(extra)
-        return json.dumps(d, indent=2, sort_keys=True)
+
+def write_json(path: str, payload: dict[str, Any]) -> None:
+    """Write payload as indent-2, sorted-key JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

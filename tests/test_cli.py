@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pathmin.bench import run_trial
 from pathmin.cli import main
+from pathmin.golden import GssParams
 
 
 def run(tmp_path, *argv):
@@ -122,6 +124,25 @@ def test_search_accepts_saved_grid(tmp_path):
                "--g", "64", "--seed", "3", "--out", str(tmp_path / "rep2.json")])
     assert rc == 0
     assert json.loads((tmp_path / "rep2.json").read_text())["queries"] == 66
+
+
+@pytest.mark.parametrize("flags, method, cell", [
+    (["--method", "mcb", "--l", "6", "--r", "5", "--g", "32"],
+     "mcb", {"l": 6, "r": 5, "g": 32}),
+    (["--method", "mcb", "--kind", "cauchy", "--l", "6", "--r", "5", "--g", "32"],
+     "mcb-cauchy", {"l": 6, "r": 5, "g": 32}),
+    (["--method", "naive-gss", "--level", "7"], "naive-gss", {}),
+    (["--method", "iter-gss", "--level", "7", "--m", "2"], "iter-gss", {"m": 2}),
+])
+def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
+    rc, out = run(tmp_path, "search", *flags, "--seed", "13")
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    trial, path = run_trial(method, cell, 13, level=7, gss=GssParams())
+    assert rep["min_value"] == trial.min_value
+    assert rep["argmin_t"] == trial.argmin_t
+    assert rep["queries"] == trial.queries
+    assert rep["error_vs_grid_min"] == trial.min_value - path.grid_min.value
 
 
 def test_search_harmonic_rejects_unpinned_grid(tmp_path):
@@ -256,6 +277,56 @@ def test_config_with_dashed_keys(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "r.json").read_text())
     assert rep["params"]["iterations"] == 5
+
+
+def test_config_null_leaves_option_at_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": None, "kind": None}))
+    rc = main(["simulate", "--seed", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "a.csv")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    assert meta["params"]["level"] == 10
+    assert meta["params"]["kind"] == "bridge"
+
+
+@pytest.mark.parametrize("argv", [["search", "--method", "mcb"], ["simulate"]])
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "levy"}))
+    rc = main(argv + ["--seed", "3", "--config", str(cfg),
+                      "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'levy'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_are_typed_like_flags(tmp_path):
+    def rows(name, *extra):
+        argv = ["bench", "--method", "mcb", "--trials", "2", "--seed", "0",
+                "--out", str(tmp_path / name), *extra]
+        assert main(argv) == 0
+        # every column but the wall time is deterministic
+        return [r[:7] + r[8:] for r in csv.reader((tmp_path / name).open())]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4}))
+    assert rows("c.csv", "--config", str(cfg)) == rows("f.csv", "--n", "4")
+
+    def meta(name, *extra):
+        argv = ["search", "--method", "naive-gss", "--level", "4", "--seed", "1",
+                "--out", str(tmp_path / name), *extra]
+        assert main(argv) == 0
+        params = json.loads((tmp_path / name).read_text())["meta"]["params"]
+        params.pop("out")
+        return params
+
+    cfg.write_text(json.dumps({"beta": 1}))
+    by_config = meta("c.json", "--config", str(cfg))
+    assert by_config == meta("f.json", "--beta", "1")
+    assert isinstance(by_config["beta"], float)
 
 
 def test_bad_config_is_usage_error(tmp_path, capsys):

@@ -169,6 +169,17 @@ def test_full_solver_budget_past_vertex_cap_raises():
     assert rep.queries == MAX_VERTICES + 2
 
 
+@pytest.mark.parametrize("field", ["solver", "strategy"])
+@pytest.mark.parametrize("budget", [1, 2])
+def test_unknown_solver_or_strategy_raises_before_any_query(field, budget):
+    # a budget of 1 never reaches the solver or choose_edge, so without an
+    # up-front check "bogus" would pass silently
+    path = new_bridge(1)
+    with pytest.raises(ValueError, match=f"unknown {field} 'bogus'"):
+        harmonic_bisection_search(path, budget, HmcParams(beta=0.0, **{field: "bogus"}))
+    assert path.n_sampled == 2
+
+
 def test_search_is_deterministic_per_seed():
     params = HmcParams(beta=1.0, strategy="sample_measure", solver="full", seed=3)
     a = harmonic_bisection_search(new_bridge(8), 8, params)
