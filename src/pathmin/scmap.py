@@ -15,15 +15,19 @@ in the walk amplitude around the flat-strip solution sin^2(pi t / 2).
 
 The quadrature splits every panel at its midpoint and grades each half
 from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
-gap / 2), then Gauss-Legendre segments starting at head * 1.5^m, each half
-as long as its distance from that pre-vertex.  Node-to-pre-vertex
+gap / 2), then Gauss-Legendre segments [c, 2c] starting at c = head * 2^m,
+each as long as its distance from that pre-vertex.  Node-to-pre-vertex
 distances are formed from pre-vertex differences plus the node offset, so
 crowding away from z = 0 costs no precision.  The Newton Jacobian is
 analytic and uses the same nodes: a pre-vertex off a panel contributes
 -p_j * int F / (x - z_j), and the panel's own end pre-vertices add the
-terms of the affine substitution x = z_k + g_k * s.  The forward map
-integrates from the nearest pre-vertex with the same rule.  Gauss-Jacobi
-rules are memoised per exponent at module level and shared by every solve.
+terms of the affine substitution x = z_k + g_k * s.  Each accepted Newton
+point builds its node layout once, in the residual, and the Jacobian
+takes it from there; Newton stops once a step no longer cuts the residual
+tenfold below RESIDUAL_ACCEPT, where only the rule's own error is left.
+The forward map integrates from the nearest pre-vertex with the same
+rule.  Gauss-Jacobi rules are memoised per exponent at module level and
+shared by every solve.
 """
 from __future__ import annotations
 
@@ -38,8 +42,8 @@ from scipy.special import roots_jacobi
 MAX_VERTICES = 64            # finite-vertex cap: crowding makes larger solves unreliable
 NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
-RESIDUAL_TARGET = 1e-11      # Newton aims here ...
-RESIDUAL_ACCEPT = 1e-8       # ... and anything converged past this is accepted
+RESIDUAL_TARGET = 1e-11      # Newton always stops here ...
+RESIDUAL_ACCEPT = 1e-8       # ... below this once a step cuts |f| < 10x; accepted
 LM_MU_MIN = 1e-8             # smallest nonzero Marquardt damping
 LM_TRIES = 25                # damping escalations per iteration before stalling
 CONTINUATION_SOLVES = 16     # Newton solves per height ramp, the direct attempt included
@@ -190,20 +194,21 @@ def _graded_rule(head, span, p_anchor):
     toward a point no nearer to any other pre-vertex, so every point of
     it has the anchor as its nearest pre-vertex.  Its Gauss-Jacobi head
     [0, head] absorbs u^{p_anchor}; Gauss-Legendre segments follow at
-    c_m = head * 1.5^m with length min(span - c_m, c_m / 2), each half
-    its distance from the anchor, until span is covered.
+    c_m = head * 2^m with length min(span - c_m, c_m), each as long as
+    its distance from the anchor, until span is covered, so a half-panel
+    takes 1 + ceil(log2(span / head)) segments.
 
     Returns (owner, u, w, at_head): for every node, its half-panel, its
     offset from the anchor, its weight and whether it is a Gauss-Jacobi
     head node.  Nodes are grouped by half-panel, head first.
     """
-    n_tail = np.ceil(np.log(span * (1.0 - 1e-14) / head) / math.log(1.5))
+    n_tail = np.ceil(np.log2(span * (1.0 - 1e-14) / head))
     n_seg = 1 + np.maximum(n_tail, 0.0).astype(int)
     seg_owner = np.repeat(np.arange(len(head)), n_seg)
     m = np.arange(len(seg_owner)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
     at_head = m == 0
-    c = head[seg_owner] * 1.5 ** (m - 1.0)
-    half = 0.5 * np.minimum(span[seg_owner] - c, 0.5 * c)
+    c = head[seg_owner] * 2.0 ** (m - 1.0)
+    half = 0.5 * np.minimum(span[seg_owner] - c, c)
     u = c[:, None] + half[:, None] * (_GL_X + 1.0)
     w = half[:, None] * _GL_W
     rules = [_gj_rule(q) for q in p_anchor]
@@ -220,16 +225,18 @@ def _side_nodes(z, p):
     Each panel [z_k, z_{k+1}] splits at its midpoint into two half-panels,
     graded from their end pre-vertices by _graded_rule: a Gauss-Jacobi
     head of length min(span, nearest gap / 2), then Gauss-Legendre
-    segments growing by 1.5, each half as long as its distance from that
+    segments doubling in length, each as long as its distance from that
     pre-vertex.  Distances to the pre-vertices are formed as
-    (z_anchor - z_j) + direction * u, never as x - z_j after rounding
-    x = z_anchor + direction * u, so crowded pre-vertices away from z = 0
-    keep full relative precision.
+    (z_anchor - z_j) + offset by _distances, never as x - z_j after
+    rounding x = z_anchor + offset, so crowded pre-vertices away from
+    z = 0 keep full relative precision.
 
-    Returns (starts, d, w, log_f): the first node of each panel, the
-    matrix d[i, j] = x_i - z_j, the weights, and log prod_j |x - z_j|^{p_j}
-    at every node with the anchor factor taken out at the head nodes,
-    whose weights absorb it.
+    Returns the layout (starts, a, offset, w, log_f): the first node of
+    each panel, every node's anchor pre-vertex and signed offset from it,
+    the weights, and log prod_j |x - z_j|^{p_j} at every node with the
+    anchor factor taken out at the head nodes, whose weights absorb it.
+    The layout holds no node-by-pre-vertex array, so it costs little to
+    keep for a Jacobian at the same point.
     """
     n_pan = len(z) - 1
     k = np.arange(n_pan)
@@ -242,18 +249,25 @@ def _side_nodes(z, p):
         raise ScSolverError("degenerate panel: coincident pre-vertices")
     owner, u, w, at_head = _graded_rule(head, span, p[anchor])
     a = anchor[owner]
-    direction = np.where(owner % 2 == 0, 1.0, -1.0)
-    # node-by-pre-vertex arrays are updated in place: extra temporaries of
-    # that size let glibc malloc trim the heap when they are freed and
-    # page-fault it back in on the next residual
-    d = (z[:, None] - z[None, :])[a]
-    d += (direction * u)[:, None]
+    offset = np.where(owner % 2 == 0, u, -u)
+    log_abs = _distances(z, a, offset)          # becomes log|x - z_j| in place
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = np.abs(d)
+        np.abs(log_abs, out=log_abs)
         np.log(log_abs, out=log_abs)
         log_f = log_abs @ p
     log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
-    return np.searchsorted(owner, 2 * k), d, w, log_f
+    return np.searchsorted(owner, 2 * k), a, offset, w, log_f
+
+
+def _distances(z, a, offset):
+    """d[i, j] = x_i - z_j for the nodes x_i = z_{a_i} + offset_i, formed
+    as (z_{a_i} - z_j) + offset_i.  The only node-by-pre-vertex array of
+    a residual or a Jacobian, so that glibc malloc does not trim the heap
+    when a second one is freed and page-fault it back in on the next call.
+    """
+    d = (z[:, None] - z[None, :])[a]
+    d += offset[:, None]
+    return d
 
 
 def _require_finite(out):
@@ -263,19 +277,20 @@ def _require_finite(out):
     return out
 
 
-def _abs_side_integrals(z, p) -> np.ndarray:
+def _abs_side_integrals(z, p, layout=None) -> np.ndarray:
     """integral over each panel [z_k, z_{k+1}] of prod_j |x - z_j|^{p_j}.
 
-    One log-product over the nodes of _side_nodes, summed per panel.  The
-    Gauss-Jacobi rules are memoised per exponent at module level and
-    shared by every solve.
+    One log-product over the nodes of _side_nodes, summed per panel; a
+    layout already built at (z, p) is used as it is.  The Gauss-Jacobi
+    rules are memoised per exponent at module level and shared by every
+    solve.
     """
-    starts, _, w, log_f = _side_nodes(z, p)
+    starts, _, _, w, log_f = _side_nodes(z, p) if layout is None else layout
     with np.errstate(over="ignore", invalid="ignore"):
         return _require_finite(np.add.reduceat(w * np.exp(log_f), starts))
 
 
-def _side_integrals_dz(z, p):
+def _side_integrals_dz(z, p, layout):
     """(I, dI/dz): the side integrals and their analytic Jacobian.
 
     With F = prod_j |x - z_j|^{p_j} and g_k = z_{k+1} - z_k, a pre-vertex
@@ -288,16 +303,18 @@ def _side_integrals_dz(z, p):
 
     where S' = sum of p_j / (x - z_j) over j outside {k, k + 1}.  Every
     integrand keeps F's endpoint singularities, so the nodes of the
-    integrals serve them too.
+    integrals, the layout of _side_nodes at (z, p), serve them too.
     """
-    starts, d, w, log_f = _side_nodes(z, p)
+    starts, a, offset, w, log_f = layout
     k = np.arange(len(z) - 1)
     panel = np.repeat(k, np.diff(np.append(starts, len(w))))
     node = np.arange(len(w))
     gaps = np.diff(z)
+    d = _distances(z, a, offset)
+    d_lo, d_hi = d[node, panel], d[node, panel + 1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wf = w * np.exp(log_f)
-        inv = 1.0 / d
+        inv = np.reciprocal(d, out=d)
         inv[node, panel] = 0.0
         inv[node, panel + 1] = 0.0
         wf_s = wf * (inv @ p)                 # weighted F * S' at every node
@@ -306,8 +323,8 @@ def _side_integrals_dz(z, p):
         jac = np.add.reduceat(inv, starts) * -p
         ends = (1.0 + p[:-1] + p[1:]) * a / gaps
         # 1 - s = -(x - z_{k+1}) / g_k and s = (x - z_k) / g_k
-        jac[k, k] = np.add.reduceat(wf_s * -d[node, panel + 1], starts) / gaps - ends
-        jac[k, k + 1] = np.add.reduceat(wf_s * d[node, panel], starts) / gaps + ends
+        jac[k, k] = np.add.reduceat(wf_s * -d_hi, starts) / gaps - ends
+        jac[k, k + 1] = np.add.reduceat(wf_s * d_lo, starts) / gaps + ends
     return _require_finite(a), _require_finite(jac)
 
 
@@ -325,18 +342,21 @@ def _log_gaps_from_z(z: np.ndarray) -> np.ndarray:
 
 
 def _side_residual(z, p, targets):
-    """(residual vector, max relative error) of the side-length conditions.
+    """(residual vector, max relative error, layout) of the side-length
+    conditions.
 
     Predicted and target fractions both sum to one, so the last equation
     is redundant and the residual keeps only the first n - 1 components.
+    layout is the _side_nodes layout at z, for a Jacobian at the same point.
     """
-    a = _abs_side_integrals(z, p)
+    layout = _side_nodes(z, p)
+    a = _abs_side_integrals(z, p, layout)
     pred = a / a.sum()
     rel = float(np.max(np.abs(pred / targets - 1.0)))
-    return (pred - targets)[:-1], rel
+    return (pred - targets)[:-1], rel, layout
 
 
-def _residual_jacobian(z, p):
+def _residual_jacobian(z, p, layout):
     """Jacobian of the residual of _side_residual in the log-gap unknowns.
 
     pred = I / sum(I) gives dpred = (dI - pred * sum_k dI_k) / sum(I), and
@@ -345,7 +365,7 @@ def _residual_jacobian(z, p):
     one factor scales every I_k by a common power of it, so pred does not
     see the -z_i term, and it is left out.
     """
-    a, da = _side_integrals_dz(z, p)
+    a, da = _side_integrals_dz(z, p, layout)
     total = a.sum()
     dpred = (da - np.outer(a / total, da.sum(axis=0))) / total
     n = len(z) - 1
@@ -358,10 +378,18 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
 
     Each step takes the analytic Jacobian of _residual_jacobian, whose
     panel-endpoint terms come from the affine substitution
-    x = z_k + g_k * s, on the nodes of the side integrals.  A rejected or
-    unevaluable trial step raises the Marquardt damping instead of
-    failing, so ill-conditioned Jacobians degrade toward gradient steps;
-    only an unevaluable starting point raises.
+    x = z_k + g_k * s, on the nodes of the side integrals.  The accepted
+    residual hands its node layout to that Jacobian, so every residual
+    evaluation builds one layout and the Jacobian builds none.  A
+    rejected or unevaluable trial step raises the Marquardt damping
+    instead of failing, so ill-conditioned Jacobians degrade toward
+    gradient steps; only an unevaluable starting point raises.
+
+    The iteration stops at the quadrature's noise floor: once the max
+    relative side-length error is at most RESIDUAL_ACCEPT and the last
+    accepted step cut the residual norm by less than 10x, further steps
+    only move the pre-vertices within the rule's own error.  Reaching
+    RESIDUAL_TARGET stops it as well.
 
     Returns (z, rel, iters, residual_evals, stop_reason).  stop_reason is
     'converged' when the max relative side-length error ended at or below
@@ -375,7 +403,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
     z = _z_from_log_gaps(y)
-    f, rel = _side_residual(z, p, targets)
+    f, rel, layout = _side_residual(z, p, targets)
     evals = 1
     mu = 0.0
     iters = 0
@@ -384,7 +412,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     while rel > RESIDUAL_TARGET and iters < NEWTON_BUDGET:
         iters += 1
         try:
-            jac = _residual_jacobian(z, p)
+            jac = _residual_jacobian(z, p, layout)
         except ScSolverError:
             reason = "crowded"
             break
@@ -406,7 +434,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
             z_new = _z_from_log_gaps(y_new)
             evals += 1
             try:
-                f_new, rel_new = _side_residual(z_new, p, targets)
+                f_new, rel_new, layout = _side_residual(z_new, p, targets)
             except ScSolverError:
                 mu = max(mu * 10.0, LM_MU_MIN)
                 continue
@@ -419,8 +447,12 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
         if not improved:
             reason = "no_descent"
             break
+        norm = float(np.linalg.norm(f))
+        # at the quadrature's noise floor a step no longer cuts |f| tenfold
+        if rel <= RESIDUAL_ACCEPT and norm > 0.1 * base:
+            break
         # crowding stalls show up as a long grind of sub-0.1% improvements
-        stagnant = stagnant + 1 if np.linalg.norm(f) > base * 0.999 else 0
+        stagnant = stagnant + 1 if norm > base * 0.999 else 0
         if stagnant >= STAGNATION_LIMIT:
             reason = "stagnation"
             break
@@ -585,8 +617,8 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
         if np.any(np.diff(z) <= 0.0):
             residual = math.inf
         else:
-            _, residual = _side_residual(z, alpha - 1.0,
-                                         poly.edge_lengths() / poly.edge_lengths().sum())
+            _, residual, _ = _side_residual(z, alpha - 1.0,
+                                            poly.edge_lengths() / poly.edge_lengths().sum())
     return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha, residual_norm=residual,
                              iterations=0, solver="perturbative", c_constant=c)
 
