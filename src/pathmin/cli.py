@@ -29,12 +29,19 @@ from .scmap import ScSolverError, WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
+MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
 
 
 def _require_positive(value: int, flag: str) -> None:
     # grids need at least one dyadic split; level 0 is a usage error
     if value < 1:
         raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
+def _require_level(value: int, flag: str) -> None:
+    _require_positive(value, flag)
+    if value > MAX_LEVEL:
+        raise ValueError(f"{flag} must be <= {MAX_LEVEL}, got {value}")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -59,7 +66,7 @@ def _meta(args, **extra) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    _require_positive(args.level, "--level")
+    _require_level(args.level, "--level")
     kind = KIND_ALIASES[args.kind]
     if kind == BRIDGE:
         grid = fill_dyadic(args.seed, args.level)
@@ -87,9 +94,9 @@ def cmd_search(args) -> int:
     else:
         if path is None:
             if args.method == "mcb":
-                _require_positive(args.l, "--l")
+                _require_level(args.l, "--l")
             else:
-                _require_positive(args.level, "--level")
+                _require_level(args.level, "--level")
         cauchy = args.method == "mcb" and KIND_ALIASES[args.kind] == CAUCHY
         method = "mcb-cauchy" if cauchy else args.method
         cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g}
@@ -145,13 +152,18 @@ def cmd_bench(args) -> int:
     if args.method in ("mcb", "mcb-cauchy"):
         if not args.n:
             raise ValueError("--n is required for bisection benchmarks")
-        cells = mcb_grid(_parse_int_list(args.n)).cells
-    elif args.method == "iter-gss":
-        if not args.m:
-            raise ValueError("--m is required for iter-gss benchmarks")
-        cells = [{"m": m} for m in _parse_int_list(args.m)]
+        ns = _parse_int_list(args.n)
+        for n in ns:
+            _require_level(n, "--n entry (grid level and descent depth)")
+        cells = mcb_grid(ns).cells
     else:
-        cells = [{}]
+        _require_level(args.level, "--level")
+        if args.method == "naive-gss":
+            cells = [{}]
+        elif not args.m:
+            raise ValueError("--m is required for iter-gss benchmarks")
+        else:
+            cells = [{"m": m} for m in _parse_int_list(args.m)]
     grid = TrialGrid(method=args.method, cells=cells, trials=args.trials,
                      seed=args.seed, level=args.level, gss=gss)
     rows = run_grid(grid)
@@ -165,7 +177,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_range(args) -> int:
-    _require_positive(args.level, "--level")
+    _require_level(args.level, "--level")
     kind = KIND_ALIASES[args.kind]
     rd = range_distribution(kind, args.level, args.paths, bins=args.bins,
                             seed=args.seed)

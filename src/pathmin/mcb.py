@@ -21,13 +21,15 @@ class McbParams:
 def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
     """Monte-Carlo bisection minimum search on a grid path.
 
-    Each of the g descents consumes r fair bits and lands on a depth-r
-    cell midpoint.  For r < level that midpoint is itself a grid node; for
-    r = level it falls mid-cell and the cell's left node stands in as the
-    evaluated candidate.  The endpoints are evaluated first, so the search
-    makes g + 2 oracle queries (repeat visits are queried again; the
-    distinct count is reported in params['unique_queries']).  Ties keep
-    the earliest candidate.
+    Each of the g descents draws one cell index k, uniform on the 2^r
+    depth-r cells; its r binary digits, most significant first, are the
+    descent's fair bits (left or right at each level), and it lands on the
+    cell midpoint (2k + 1) / 2^(r+1).  For r < level that midpoint is
+    itself a grid node; for r = level it falls mid-cell and the cell's
+    left node stands in as the evaluated candidate.  The endpoints are
+    evaluated first, so the search makes g + 2 oracle queries (repeat
+    visits are queried again; the distinct count is reported in
+    params['unique_queries']).  Ties keep the earliest candidate.
     """
     if params.r < 1:
         raise ValueError("descent depth r must be >= 1")
@@ -37,13 +39,10 @@ def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
         raise ValueError(f"descent depth {params.r} exceeds grid level {path.level}")
     rng = make_rng(params.seed)
     t0 = time.perf_counter()
-    bits = rng.integers(0, 2, size=(params.g, params.r))
-    idx = np.zeros(params.g, dtype=np.int64)
-    for j in range(params.r):
-        idx = 2 * idx + bits[:, j]
-    mids = (2 * idx + 1) / 2.0 ** (params.r + 1)
+    cells = rng.integers(0, 2 ** params.r, size=params.g)
+    # node floor((2k + 1) / 2^(r+1) * 2^level): the midpoint, or the left node
+    nodes = ((2 * cells + 1) << path.level) >> (params.r + 1)
     n = 2 ** path.level
-    nodes = np.floor(mids * n).astype(np.int64)   # exact: left node, or the midpoint itself
     cand = np.concatenate([[0, n], nodes])
     vals = path.values[cand]
     best = int(np.argmin(vals))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathmin.bench import run_trial
-from pathmin.cli import main
+from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
 
 
@@ -41,6 +41,26 @@ def test_simulate_level_zero_is_usage_error(tmp_path, capsys):
     rc, _ = run(tmp_path, "simulate", "--seed", "1", "--level", "0")
     assert rc == 2
     assert "--level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["search", "--method", "mcb", "--l", "40", "--r", "1", "--g", "1"], "--l"),
+    (["search", "--method", "mcb", "--l", "30", "--r", "1", "--g", "1"], "--l"),
+    (["search", "--method", "naive-gss", "--level", "25"], "--level"),
+    (["simulate", "--level", "25"], "--level"),
+    (["range", "--level", "25", "--paths", "1"], "--level"),
+    (["bench", "--method", "mcb", "--n", "1,25", "--trials", "1"], "--n"),
+    (["bench", "--method", "naive-gss", "--level", "25", "--trials", "1"], "--level"),
+])
+def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
+    # a level-L grid holds 2**L + 1 values; above MAX_LEVEL nothing is built
+    assert MAX_LEVEL == 24
+    rc, out = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert flag in err and f"<= {MAX_LEVEL}" in err
+    assert not out.exists()
 
 
 def test_simulate_reruns_byte_identical(tmp_path):

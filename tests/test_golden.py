@@ -1,6 +1,8 @@
 """Golden-section search mechanics and its partitioned variant."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmin.golden import (
     INV_PHI,
@@ -9,7 +11,7 @@ from pathmin.golden import (
     golden_section,
     iterative_gss,
 )
-from pathmin.paths import fill_dyadic
+from pathmin.paths import fill_dyadic, new_bridge
 
 
 def recording(fn, log):
@@ -42,6 +44,21 @@ def test_probe_positions_respect_subinterval():
 def test_one_new_call_per_iteration_after_setup(iters):
     log = []
     rep = golden_section(recording(lambda t: (t - 0.3) ** 2, log), (0.0, 1.0),
+                         GssParams(epsilon=0.0, max_iters=iters))
+    assert rep.params["iterations"] == iters
+    assert rep.queries == iters + 3
+    assert len(log) == rep.queries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.one_of(
+    st.floats(0.0, 1.0).map(lambda c: lambda t: (t - c) ** 2),
+    st.integers(0, 2**31 - 1).map(lambda seed: new_bridge(seed).query)))
+def test_one_new_call_per_iteration_any_oracle(iters, oracle):
+    # any oracle, a quadratic or a lazy bridge: the two endpoints and the
+    # two golden probes, then one new query per iteration
+    log = []
+    rep = golden_section(recording(oracle, log), (0.0, 1.0),
                          GssParams(epsilon=0.0, max_iters=iters))
     assert rep.params["iterations"] == iters
     assert rep.queries == iters + 3

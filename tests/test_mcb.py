@@ -1,4 +1,6 @@
 """Monte-Carlo bisection: descent mechanics and grid search behaviour."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,17 +28,32 @@ def descent_midpoint(r, seed):
     return mcb_search(descent_grid(r), McbParams(r=r, g=1, seed=seed)).argmin_t
 
 
+def descent_cell(r, seed):
+    """The depth-r cell index the search draws for one descent at seed."""
+    return int(make_rng(seed).integers(0, 2 ** r, size=1)[0])
+
+
 def test_descent_bit_zero_goes_left():
+    digits = set()
     for seed in range(20):
-        bit = make_rng(seed).integers(0, 2, size=(1, 1))[0, 0]
+        bit = descent_cell(1, seed)
+        digits.add(bit)
         assert descent_midpoint(1, seed) == (0.25 if bit == 0 else 0.75)
+    assert digits == {0, 1}
 
 
 def test_descent_two_bits():
-    # the first bit picks the half, the second the quarter inside it
+    # the cell index's leading binary digit picks the half, the next the
+    # quarter inside it, and the midpoint is (2k + 1) / 2^(r+1)
+    cells = set()
     for seed in range(20):
-        b0, b1 = make_rng(seed).integers(0, 2, size=(1, 2))[0]
-        assert descent_midpoint(2, seed) == (2 * (2 * b0 + b1) + 1) / 8.0
+        k = descent_cell(2, seed)
+        cells.add(k)
+        mid = descent_midpoint(2, seed)
+        assert mid == (2 * k + 1) / 8.0
+        assert (mid > 0.5) == bool(k >> 1)
+        assert (mid % 0.5 > 0.25) == bool(k & 1)
+    assert cells == {0, 1, 2, 3}
 
 
 def test_descent_reaches_every_cell_midpoint():
@@ -76,20 +93,64 @@ class ReadLog(np.ndarray):
         return super().__getitem__(idx).view(np.ndarray)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 14).flatmap(lambda level: st.tuples(
-    st.just(level), st.integers(1, level), st.integers(1, 3000),
-    st.integers(0, 2**31 - 1))))
-def test_unique_queries_counts_distinct_indices_read(case):
-    level, r, g, seed = case
-    grid = fill_dyadic(seed, level)
+def logged_search(grid, params):
+    """(report, every grid index the search read, in order)."""
     logged = grid.values.view(ReadLog)
     logged.reads = []
     object.__setattr__(grid, "values", logged)
-    rep = mcb_search(grid, McbParams(r=r, g=g, seed=seed))
-    reads = np.concatenate(logged.reads)
+    rep = mcb_search(grid, params)
+    return rep, np.concatenate(logged.reads)
+
+
+search_cases = st.integers(1, 14).flatmap(lambda level: st.tuples(
+    st.just(level), st.integers(1, level), st.integers(1, 3000),
+    st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(search_cases)
+def test_unique_queries_counts_distinct_indices_read(case):
+    level, r, g, seed = case
+    rep, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g, seed=seed))
     assert len(reads) == rep.queries == g + 2
     assert rep.params["unique_queries"] == len(np.unique(reads)) <= g + 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(search_cases)
+def test_descents_read_the_nodes_of_their_drawn_cells(case):
+    # reference: the float midpoint (2k + 1) / 2^(r+1) of each drawn cell,
+    # scaled to the grid and floored onto its node
+    level, r, g, seed = case
+    _, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g, seed=seed))
+    k = make_rng(seed).integers(0, 2 ** r, size=g)
+    mids = (2 * k + 1) / 2.0 ** (r + 1)
+    assert reads[:2].tolist() == [0, 2 ** level]
+    np.testing.assert_array_equal(reads[2:], np.floor(mids * 2 ** level))
+
+
+def test_deep_descent_cells_are_uniform():
+    # r = l: every descent reads its own cell's left node, so the reads
+    # after the two endpoints are the drawn cell indices themselves
+    r = 12
+    _, reads = logged_search(fill_dyadic(4, r), McbParams(r=r, g=2 ** 16, seed=4))
+    assert len(reads) == 2 ** 16 + 2
+    counts = np.bincount(reads[2:], minlength=2 ** r)
+    assert len(counts) == 2 ** r
+    _, p = stats.chisquare(counts)
+    assert p > 0.001
+
+
+def test_search_allocates_no_bit_matrix():
+    # one (g, r) int64 bit matrix would take 7.3 MB here on its own
+    grid = fill_dyadic(5, 14)
+    tracemalloc.start()
+    try:
+        mcb_search(grid, McbParams(r=14, g=2 ** 16, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_search_is_deterministic_in_seed():

@@ -1,6 +1,8 @@
 """Path samplers: lazy bridge, dyadic grids, Cauchy process and bridge law."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pathmin.paths import (
@@ -40,13 +42,22 @@ def test_query_outside_unit_interval_raises():
         path.query(-0.1)
 
 
-def test_requery_returns_stored_value():
-    path = new_bridge(7)
-    v = path.query(0.3)
-    assert path.query(0.3) == v
-    assert path.value_at(0.3) == v
-    with pytest.raises(KeyError):
-        path.value_at(0.31)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.floats(0.0, 1.0))
+def test_requery_returns_stored_value(seed, times, probe):
+    # after every query, each time queried so far still reads its first value
+    path = new_bridge(seed)
+    seen = {0.0: 0.0, 1.0: 0.0}
+    for t in times:
+        seen.setdefault(t, path.query(t))
+        for s, v in seen.items():
+            assert path.query(s) == v
+            assert path.value_at(s) == v
+        assert path.n_sampled == len(seen)
+    if probe not in seen:
+        with pytest.raises(KeyError):
+            path.value_at(probe)
 
 
 def test_same_seed_same_query_sequence_same_path():
