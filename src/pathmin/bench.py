@@ -1,7 +1,6 @@
 """Benchmark harness: accuracy/runtime grids and path range statistics."""
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -9,13 +8,14 @@ import numpy as np
 
 from .golden import GssParams, golden_section, iterative_gss
 from .mcb import McbParams, mcb_search
-from .paths import (BRIDGE, CAUCHY, fill_dyadic, simulate_bridge_batch,
+from .paths import (BRIDGE, CAUCHY, dyadic_times, fill_dyadic, simulate_bridge_batch,
                     simulate_cauchy, simulate_cauchy_batch)
-from .report import write_json
+from .report import write_csv, write_json
 from .rng import derive_seed
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
 _BATCH_PATHS = 4096            # internal chunk size for range statistics
+MAX_BATCH_VALUES = 2 ** 27     # largest range batch in grid values: 1 GiB of float64
 
 
 @dataclass
@@ -162,15 +162,20 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
 
     Paths are simulated in fixed-size internal batches, each on its own
     seed sub-stream, so the result depends only on (kind, level, n_paths,
-    seed).
+    seed).  A batch over MAX_BATCH_VALUES grid values raises ValueError
+    before anything is simulated.
     """
     if kind not in (BRIDGE, CAUCHY):
         raise ValueError(f"unknown path kind '{kind}'")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    batch = min(n_paths, _BATCH_PATHS)
+    if batch * (2 ** level + 1) > MAX_BATCH_VALUES:
+        raise ValueError(f"a batch of {batch} level-{level} paths exceeds the limit "
+                         f"of {MAX_BATCH_VALUES} grid values (1 GiB)")
     ranges = np.empty(n_paths)
     gaps = np.empty(n_paths)
-    times = np.arange(2 ** level + 1) / float(2 ** level)
+    times = dyadic_times(level)
     done = 0
     chunk_idx = 0
     while done < n_paths:
@@ -206,18 +211,11 @@ _BENCH_COLUMNS = ["method", "m", "l", "r", "g", "mean_error", "stderr_error",
 
 def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
     """Long-format CSV, one row per cell; absent cell parameters stay blank."""
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_BENCH_COLUMNS)
-        for r in rows:
-            w.writerow([
-                r.method,
-                r.cell.get("m", ""), r.cell.get("l", ""), r.cell.get("r", ""),
-                r.cell.get("g", ""),
-                f"{r.mean_error:.17g}", f"{r.stderr_error:.17g}",
-                f"{r.mean_wall_time:.17g}", f"{r.mean_queries:.17g}",
-                r.trials, r.failures, int(r.flagged),
-            ])
+    write_csv(out_path, _BENCH_COLUMNS, (
+        [r.method, r.cell.get("m", ""), r.cell.get("l", ""), r.cell.get("r", ""),
+         r.cell.get("g", ""), r.mean_error, r.stderr_error, r.mean_wall_time,
+         r.mean_queries, r.trials, r.failures, int(r.flagged)]
+        for r in rows))
 
 
 def save_bench_json(rows: list[BenchRow], out_path: str,
@@ -227,14 +225,6 @@ def save_bench_json(rows: list[BenchRow], out_path: str,
 
 def save_range_csv(rd: RangeDistribution, out_path: str) -> None:
     """Per-path 'range,time_gap' rows; histogram goes to '<out>.hist.csv'."""
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["range", "time_gap"])
-        for r, gp in zip(rd.ranges, rd.arg_gaps):
-            w.writerow([f"{r:.17g}", f"{gp:.17g}"])
-    with open(f"{out_path}.hist.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_left", "bin_right", "density"])
-        for i in range(len(rd.density)):
-            w.writerow([f"{rd.bin_edges[i]:.17g}", f"{rd.bin_edges[i + 1]:.17g}",
-                        f"{rd.density[i]:.17g}"])
+    write_csv(out_path, ["range", "time_gap"], zip(rd.ranges, rd.arg_gaps))
+    write_csv(f"{out_path}.hist.csv", ["bin_left", "bin_right", "density"],
+              zip(rd.bin_edges[:-1], rd.bin_edges[1:], rd.density))

@@ -74,7 +74,7 @@ def cmd_simulate(args) -> int:
         grid = simulate_cauchy(args.seed, args.level)
     save_grid_csv(grid, args.out, extra_meta=_meta(args))
     gm = grid.grid_min
-    print(f"{kind} level {args.level}: {len(grid.times)} points, "
+    print(f"{kind} level {args.level}: {len(grid.values)} points, "
           f"grid min {gm.value:.6g} at t = {gm.time:.6g} -> {args.out}")
     return 0
 

@@ -12,20 +12,16 @@ route.
 from __future__ import annotations
 
 import bisect
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import as_oracle
-from .report import SearchReport, write_json
+from .report import SearchReport, write_csv, write_json
 from .rng import make_rng
 from .scmap import (MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
-
-# endpoint values this close to zero still count as pinned
-PIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,16 +96,16 @@ class HmcParams:
 def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None) -> SearchReport:
     """Bisect the edge carrying the most harmonic measure until out of budget.
 
-    The path must be pinned (values 0 at both endpoints).  The first budget
-    unit always queries t = 1/2; each later round rebuilds the walk polygon
-    from every queried point at amplitude params.beta, weights its edges,
-    picks one by params.strategy and queries that edge's midpoint.  The
-    full solver starts each round from the last solution it found, which
-    a failed round keeps.  A pre-vertex solve failure downgrades the round
-    to uniform weights; such rounds are counted in
-    report.params['fallbacks'].  Total oracle queries = budget + 2 (the
-    two endpoints plus one query per budget unit);
-    report.params['midpoints'] lists the queried times in order.
+    The path must be pinned (values exactly 0 at both endpoints, checked
+    before any other query).  The first budget unit always queries t = 1/2;
+    each later round rebuilds the walk polygon from every queried point at
+    amplitude params.beta, weights its edges, picks one by params.strategy
+    and queries that edge's midpoint.  The full solver starts each round
+    from the last solution it found, which a failed round keeps.  A
+    pre-vertex solve failure downgrades the round to uniform weights; such
+    rounds are counted in report.params['fallbacks'].  Total oracle
+    queries = budget + 2 (the two endpoints plus one query per budget
+    unit); report.params['midpoints'] lists the queried times in order.
     The last round's walk has budget + 1 vertices, so the full solver
     takes budgets below MAX_VERTICES only; larger ones raise ValueError,
     as does an unknown solver or strategy, before any query.
@@ -129,9 +125,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     t0 = time.perf_counter()
     v0 = fn(0.0)
     v1 = fn(1.0)
-    if abs(v0) > PIN_TOL or abs(v1) > PIN_TOL:
+    if v0 != 0.0 or v1 != 0.0:
         raise ValueError("harmonic bisection needs a pinned path "
-                         "(zero at both endpoints)")
+                         "(exactly zero at both endpoints)")
     times = [0.0, 1.0]
     values = [v0, v1]
     rng = make_rng(params.seed)
@@ -277,16 +273,11 @@ def save_measures_csv(
     header = ["k", "t_left", "t_right", "weight", "stderr"]
     if oracle is not None:
         header += ["mc_weight", "mc_stderr"]
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(len(em.weights)):
-            se = "" if em.stderr is None else f"{em.stderr[k]:.17g}"
-            row = [k + 1, f"{em.times[k]:.17g}", f"{em.times[k + 1]:.17g}",
-                   f"{em.weights[k]:.17g}", se]
-            if oracle is not None:
-                ose = "" if oracle.stderr is None else f"{oracle.stderr[k]:.17g}"
-                row += [f"{oracle.weights[k]:.17g}", ose]
-            w.writerow(row)
+    n = len(em.weights)
+    cols = [range(1, n + 1), em.times[:-1], em.times[1:], em.weights,
+            [""] * n if em.stderr is None else em.stderr]
+    if oracle is not None:
+        cols += [oracle.weights, [""] * n if oracle.stderr is None else oracle.stderr]
+    write_csv(out_path, header, zip(*cols))
     if extra_meta is not None:
         write_json(f"{out_path}.meta.json", extra_meta)

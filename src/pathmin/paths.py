@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .report import write_json
+from .report import write_csv, write_json
 from .rng import make_rng
 
 BRIDGE = "brownian_bridge"
@@ -99,24 +100,27 @@ def new_bridge(seed: int, pinned: bool = True) -> LazyBridgePath:
 
 @dataclass(frozen=True)
 class GridPath:
-    """A path realised on the dyadic grid of 2**level + 1 uniform points."""
+    """A path's values at the 2**level + 1 dyadic times k / 2**level; the
+    times derive from the level (dyadic_times) and are not stored."""
 
     level: int
-    times: np.ndarray
     values: np.ndarray
     kind: str
     seed: int | None = None
 
     def __post_init__(self):
         n = 2 ** self.level
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.times) != n + 1 or len(self.values) != n + 1:
+        if len(self.values) != n + 1:
             raise ValueError(f"level {self.level} grid needs {n + 1} points")
         if self.values[0] != 0.0:
             raise ValueError("grid paths start at 0")
         if self.kind == BRIDGE and self.values[-1] != 0.0:
             raise ValueError("bridge grid paths are pinned to 0 at t = 1")
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return dyadic_times(self.level)
 
     @property
     def grid_min(self) -> GridMin:
@@ -139,12 +143,12 @@ class GridPath:
 
 
 def dyadic_times(level: int) -> np.ndarray:
-    # exact binary floats k / 2**level
+    """The 2**level + 1 grid times k / 2**level, exact binary floats."""
     return np.arange(2 ** level + 1) / float(2 ** level)
 
 
 def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
-    """Sample every time k/2**level of a pinned bridge and snapshot the grid.
+    """Sample every time k/2**level of a pinned bridge and snapshot its values.
 
     Given an int seed the grid is simulate_bridge_batch(seed, level, 1)[0],
     a pure function of the seed.  Given a LazyBridgePath the fill goes
@@ -157,11 +161,10 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    times = dyadic_times(level)
     if not isinstance(path_or_seed, LazyBridgePath):
         seed = int(path_or_seed)
         values = simulate_bridge_batch(seed, level, 1)[0]
-        return GridPath(level=level, times=times, values=values, kind=BRIDGE, seed=seed)
+        return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
     path = path_or_seed
     if not path.pinned:
         raise ValueError("dyadic grid snapshots require a pinned bridge")
@@ -169,8 +172,8 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
         scale = 2.0 ** (-d)
         for k in range(2 ** (d - 1)):
             path.query((2 * k + 1) * scale)
-    values = np.array([path.value_at(t) for t in times])
-    return GridPath(level=level, times=times, values=values, kind=BRIDGE, seed=path.seed)
+    values = np.array([path.value_at(t) for t in dyadic_times(level)])
+    return GridPath(level=level, values=values, kind=BRIDGE, seed=path.seed)
 
 
 def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
@@ -193,9 +196,8 @@ def simulate_cauchy(seed: int, level: int) -> GridPath:
     simulate_cauchy_batch(seed, level, 1)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return GridPath(level=level, times=dyadic_times(level),
-                    values=simulate_cauchy_batch(seed, level, 1)[0], kind=CAUCHY,
-                    seed=int(seed))
+    return GridPath(level=level, values=simulate_cauchy_batch(seed, level, 1)[0],
+                    kind=CAUCHY, seed=int(seed))
 
 
 def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
@@ -298,11 +300,7 @@ def save_grid_csv(grid: GridPath, out_path: str, extra_meta: dict | None = None)
     The sidecar lands at '<out_path>.meta.json' and carries at least
     {seed, level, kind}; extra_meta entries are merged on top.
     """
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, v in zip(grid.times, grid.values):
-            w.writerow([f"{t:.17g}", f"{v:.17g}"])
+    write_csv(out_path, ["t", "value"], zip(grid.times, grid.values))
     meta = {"seed": grid.seed, "level": grid.level, "kind": grid.kind}
     if extra_meta:
         meta.update(extra_meta)
@@ -310,12 +308,16 @@ def save_grid_csv(grid: GridPath, out_path: str, extra_meta: dict | None = None)
 
 
 def load_grid_csv(path: str) -> GridPath:
-    """Read a grid CSV written by save_grid_csv (sidecar required)."""
+    """Read a grid CSV written by save_grid_csv (sidecar required); times
+    other than dyadic_times(level) raise ValueError naming the file."""
     times, values = load_walk_csv(path)
     with open(f"{path}.meta.json") as fh:
         meta = json.load(fh)
-    return GridPath(level=int(meta["level"]), times=times, values=values,
-                    kind=meta["kind"], seed=meta.get("seed"))
+    level = int(meta["level"])
+    # the length test first, so a corrupt sidecar level allocates nothing
+    if len(times) != 2 ** level + 1 or not np.array_equal(times, dyadic_times(level)):
+        raise ValueError(f"{path}: times are not the level-{level} grid k / 2**{level}")
+    return GridPath(level=level, values=values, kind=meta["kind"], seed=meta.get("seed"))
 
 
 def load_walk_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
-"""Search result record shared by every search strategy, and the JSON
-artifact format every writer uses."""
+"""Search result record shared by every search strategy, and the JSON and
+CSV artifact formats every writer uses."""
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
+
+import numpy as np
 
 
 @dataclass
@@ -32,3 +35,14 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header row, then each row: floats (Python or numpy) at 17
+    significant digits, ints, strings and "" as they are."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{x:.17g}" if isinstance(x, (float, np.floating)) else x
+                        for x in row])

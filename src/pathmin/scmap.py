@@ -153,8 +153,7 @@ class PreVertexSolution:
     as the start of a later solve (see solve_prevertices_full).
     residual_norm is the max relative side-length error of the returned
     pre-vertices; the perturbative solver fills it in only when asked to
-    check itself (nan otherwise).  c_constant is the first-order map
-    constant of the small-amplitude expansion; zero for the full solver.
+    check itself (nan otherwise).
 
     The full solver also reports why its direct Newton solve, the first
     attempt at the full heights, stopped (stop_reason: 'converged',
@@ -171,7 +170,6 @@ class PreVertexSolution:
     residual_norm: float
     iterations: int
     solver: str
-    c_constant: float = 0.0
     stop_reason: str = ""
     residual_evals: int = 0
     continuation: bool = False
@@ -493,11 +491,6 @@ def solve_prevertices_full(poly: WalkPolygon,
     if n + 1 > MAX_VERTICES:
         raise ScSolverError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
     alpha = turning_angles(poly).alpha[:-1]
-    if n == 1:
-        return PreVertexSolution(poly=poly, prevertices=np.array([0.0, 1.0]), alpha=alpha,
-                                 residual_norm=0.0, iterations=0, solver="full",
-                                 stop_reason="converged")
-
     h1 = poly.scaled_values()
     if initial_guess is None or not np.any(h1):
         h0 = np.zeros(n + 1)
@@ -620,7 +613,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
             _, residual, _ = _side_residual(z, alpha - 1.0,
                                             poly.edge_lengths() / poly.edge_lengths().sum())
     return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha, residual_norm=residual,
-                             iterations=0, solver="perturbative", c_constant=c)
+                             iterations=0, solver="perturbative")
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,25 @@ def test_range_validates_inputs():
         range_distribution("cauchy", 4, 0)
 
 
+@pytest.mark.parametrize("kind", ["brownian_bridge", "cauchy"])
+def test_range_rejects_batches_past_memory_cap(monkeypatch, kind):
+    class Simulated(Exception):
+        pass
+
+    def stop(*args):
+        raise Simulated
+
+    monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", stop)
+    monkeypatch.setattr(pathmin.bench, "simulate_cauchy_batch", stop)
+    # a batch holds min(n_paths, 4096) paths of 2**level + 1 values
+    for level, n_paths in [(20, 4096), (15, 4096), (15, 10_000), (27, 1)]:
+        with pytest.raises(ValueError, match="limit"):
+            range_distribution(kind, level, n_paths)
+    for level, n_paths in [(15, 4095), (14, 10_000)]:
+        with pytest.raises(Simulated):
+            range_distribution(kind, level, n_paths)
+
+
 def test_bench_csv_layout(tmp_path):
     rows = [BenchRow(method="naive-gss", cell={}, mean_error=0.1,
                      stderr_error=0.01, mean_wall_time=0.002, mean_queries=18.0,

@@ -146,6 +146,20 @@ def test_search_accepts_saved_grid(tmp_path):
     assert json.loads((tmp_path / "rep2.json").read_text())["queries"] == 66
 
 
+@pytest.mark.parametrize("method", ["mcb", "naive-gss"])
+def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
+    grid_file = tmp_path / "grid.csv"
+    assert main(["simulate", "--seed", "3", "--level", "3",
+                 "--out", str(grid_file)]) == 0
+    text = grid_file.read_text()
+    grid_file.write_text(text.replace("\n0.125,", "\n0.041,", 1))
+    rc, out = run(tmp_path, "search", "--method", method, "--path", str(grid_file),
+                  "--l", "3", "--r", "3", "--g", "8", "--seed", "3")
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, method, cell", [
     (["--method", "mcb", "--l", "6", "--r", "5", "--g", "32"],
      "mcb", {"l": 6, "r": 5, "g": 32}),
@@ -257,6 +271,17 @@ def test_range_command(tmp_path):
     meta = json.loads((tmp_path / "out.meta.json").read_text())
     assert 0.0 < meta["mean_range"] < 3.0
     assert (tmp_path / "out.hist.csv").exists()
+
+
+def test_range_batch_past_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an oversized batch must be rejected before simulating")
+
+    monkeypatch.setattr("pathmin.bench.simulate_bridge_batch", never)
+    rc, out = run(tmp_path, "range", "--seed", "1", "--level", "20", "--paths", "4096")
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):

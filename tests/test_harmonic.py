@@ -158,6 +158,23 @@ def test_search_rejects_bad_budget_and_unpinned_paths():
         harmonic_bisection_search(lambda t: t, 3)
 
 
+def test_search_requires_exact_zeros_before_any_solve(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an unpinned path must be rejected before any solve")
+
+    monkeypatch.setattr("pathmin.harmonic.solve_prevertices_full", never)
+    for budget in (1, 2):
+        queried = []
+
+        def oracle(t):
+            queried.append(t)
+            return 1e-13 if t == 0.0 else 0.0
+
+        with pytest.raises(ValueError, match="pinned"):
+            harmonic_bisection_search(oracle, budget)
+        assert queried == [0.0, 1.0]
+
+
 def test_full_solver_budget_past_vertex_cap_raises():
     # the last round's walk would have budget + 1 > MAX_VERTICES vertices
     path = new_bridge(1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pathmin.mcb import McbParams, mcb_search
-from pathmin.paths import CAUCHY, GridPath, dyadic_times, fill_dyadic
+from pathmin.paths import CAUCHY, GridPath, fill_dyadic
 from pathmin.rng import make_rng
 
 
@@ -21,7 +21,7 @@ def descent_grid(r):
     """
     n = 2 ** (r + 1)
     values = np.concatenate([[0.0], -1.0 - np.arange(n - 1) / n, [0.0]])
-    return GridPath(level=r + 1, times=dyadic_times(r + 1), values=values, kind=CAUCHY)
+    return GridPath(level=r + 1, values=values, kind=CAUCHY)
 
 
 def descent_midpoint(r, seed):
@@ -175,7 +175,7 @@ def test_search_estimate_never_beats_grid_minimum():
 def test_full_depth_midpoints_evaluate_left_node():
     # r = level puts descent midpoints mid-cell; the left grid node stands in
     values = np.array([0.0, -3.0, 1.0, 2.0, 0.0])
-    grid = GridPath(level=2, times=dyadic_times(2), values=values, kind=CAUCHY)
+    grid = GridPath(level=2, values=values, kind=CAUCHY)
     rep = mcb_search(grid, McbParams(r=2, g=64, seed=1))
     # with 64 descents every cell is hit; best left node is -3 at t = 1/4
     assert rep.min_value == -3.0

@@ -126,16 +126,13 @@ def test_fill_rejects_unpinned_path():
 
 def test_grid_path_validates_shape_and_pinning():
     with pytest.raises(ValueError):
-        GridPath(level=2, times=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]),
-                 kind=BRIDGE)
+        GridPath(level=2, values=np.array([0.0, 0.0]), kind=BRIDGE)
     with pytest.raises(ValueError):
-        GridPath(level=1, times=dyadic_times(1), values=np.array([0.0, 1.0, 2.0]),
-                 kind=BRIDGE)
+        GridPath(level=1, values=np.array([0.0, 1.0, 2.0]), kind=BRIDGE)
 
 
 def test_grid_min_takes_earliest_tie():
-    grid = GridPath(level=1, times=dyadic_times(1),
-                    values=np.array([0.0, -1.0, -1.0]), kind=CAUCHY)
+    grid = GridPath(level=1, values=np.array([0.0, -1.0, -1.0]), kind=CAUCHY)
     assert grid.grid_min.time == 0.5
     assert grid.grid_min.value == -1.0
 
@@ -274,6 +271,21 @@ def test_grid_csv_roundtrip(tmp_path):
     assert back.kind == grid.kind
     assert back.level == grid.level
     assert back.seed == grid.seed
+
+
+def test_grid_csv_rejects_non_dyadic_times(tmp_path):
+    grid = fill_dyadic(2, 3)
+    out = str(tmp_path / "grid.csv")
+    save_grid_csv(grid, out)
+    lines = open(out).read().splitlines(keepends=True)
+    lines[2] = lines[2].replace("0.125,", "0.041,", 1)
+    open(out, "w").write("".join(lines))
+    with pytest.raises(ValueError, match="grid.csv: times are not the level-3 grid"):
+        load_grid_csv(out)
+    # a sidecar level that does not match the row count is rejected unbuilt
+    save_grid_csv(grid, out, extra_meta={"level": 40})
+    with pytest.raises(ValueError, match="level-40"):
+        load_grid_csv(out)
 
 
 def test_walk_csv_errors_name_the_line(tmp_path):
