@@ -5,12 +5,17 @@ the seed and the resolved parameters ('meta'), so a run can be reproduced
 from its artifacts alone: search embeds meta in its JSON report, and the
 other commands write a '<out>.meta.json' sidecar (bench also puts meta in
 '<out>.json').
+Each option's valid range is declared once, on the option, by its argparse
+type (_bounded for ints, MAX_LEVEL capping grid levels and panel
+exponents), so flags and --config entries are checked alike before any
+command runs.  search and bench share the grid method names.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,49 +34,56 @@ from .scmap import ScSolverError, WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
+GRID_METHODS = ["naive-gss", "iter-gss", "mcb", "mcb-cauchy"]   # run_trial's methods
 MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
 
 
-def _require_positive(value: int, flag: str) -> None:
-    # grids need at least one dyadic split; level 0 is a usage error
-    if value < 1:
-        raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
-def _require_level(value: int, flag: str) -> None:
-    _require_positive(value, flag)
-    if value > MAX_LEVEL:
-        raise ValueError(f"{flag} must be <= {MAX_LEVEL}, got {value}")
-
-
-def _parse_int_list(text: str) -> list[int]:
-    """'1..8' -> [1, ..., 8]; '1,3,5' -> [1, 3, 5]; '4' -> [4]."""
+def _parse_int_list(text: str):
+    """'1..8' -> range(1, 9); '1,3,5' -> [1, 3, 5]; '4' -> [4]."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split("..", 1))
         if hi < lo:
-            raise ValueError(f"empty range '{text}'")
-        return list(range(lo, hi + 1))
+            raise argparse.ArgumentTypeError(f"empty range '{text}'")
+        return range(lo, hi + 1)
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _bounded(what: str, lo: int, hi: float = math.inf, listed: bool = False):
+    """argparse type of an int option that runs from lo to hi.  A listed
+    option holds a list of them ('1..8', '2,4,6' or '4'), checked up to the
+    first entry out of range and kept as typed, so meta records the text."""
+    def parse(text: str):
+        values = _parse_int_list(text) if listed else [int(text)]
+        for value in values:
+            if not lo <= value <= hi:
+                upper = f" and <= {hi}" if hi < math.inf else ""
+                raise argparse.ArgumentTypeError(f"{what} must be >= {lo}{upper}, got {value}")
+        return text if listed else values[0]
+    parse.__name__ = "int list" if listed else "int"   # argparse's "invalid int value"
+    return parse
+
+
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+_finite_positive.__name__ = "float"
+_grid_level = _bounded("grid level", 1, MAX_LEVEL)
+
+
 def _meta(args, **extra) -> dict:
-    skip = {"func", "config"}
-    params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    meta = {"tool": "pathmin", "version": __version__, "command": args.command,
-            "seed": args.seed, "params": params}
-    meta.update(extra)
-    return meta
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+    return {"tool": "pathmin", "version": __version__, "command": args.command,
+            "seed": args.seed, "params": params, **extra}
 
 
 def cmd_simulate(args) -> int:
-    _require_level(args.level, "--level")
     kind = KIND_ALIASES[args.kind]
-    if kind == BRIDGE:
-        grid = fill_dyadic(args.seed, args.level)
-    else:
-        grid = simulate_cauchy(args.seed, args.level)
+    grid = (fill_dyadic if kind == BRIDGE else simulate_cauchy)(args.seed, args.level)
     save_grid_csv(grid, args.out, extra_meta=_meta(args))
     gm = grid.grid_min
     print(f"{kind} level {args.level}: {len(grid.values)} points, "
@@ -92,16 +104,9 @@ def cmd_search(args) -> int:
             print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
                   f"back to uniform weights", file=sys.stderr)
     else:
-        if path is None:
-            if args.method == "mcb":
-                _require_level(args.l, "--l")
-            else:
-                _require_level(args.level, "--level")
-        cauchy = args.method == "mcb" and KIND_ALIASES[args.kind] == CAUCHY
-        method = "mcb-cauchy" if cauchy else args.method
         cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g}
         gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
-        rep, path = run_trial(method, cell, args.seed, args.level, gss, path)
+        rep, path = run_trial(args.method, cell, args.seed, args.level, gss, path)
     rep.seed = args.seed
     payload = rep.to_dict()
     if args.method != "harmonic":
@@ -120,8 +125,6 @@ def _load_polygon(args) -> WalkPolygon:
         times, values = load_walk_csv(args.walk)
     else:
         n = args.walk_nodes
-        if n < 2:
-            raise ValueError("--walk-nodes must be >= 2")
         path = new_bridge(derive_seed(args.seed, 100))
         times = np.arange(n + 1) / float(n)
         values = np.array([path.query(t) for t in times])
@@ -133,7 +136,6 @@ def cmd_measure(args) -> int:
     em = edge_measures(poly, solver=args.solver)
     oracle = None
     if args.oracle is not None:
-        _require_positive(args.oracle, "--oracle")
         oracle = mc_hitting_oracle(poly, walkers=args.oracle, dt=args.dt,
                                    seed=derive_seed(args.seed, 1))
     save_measures_csv(em, args.out, extra_meta=_meta(args), oracle=oracle)
@@ -152,18 +154,13 @@ def cmd_bench(args) -> int:
     if args.method in ("mcb", "mcb-cauchy"):
         if not args.n:
             raise ValueError("--n is required for bisection benchmarks")
-        ns = _parse_int_list(args.n)
-        for n in ns:
-            _require_level(n, "--n entry (grid level and descent depth)")
-        cells = mcb_grid(ns).cells
+        cells = mcb_grid(_parse_int_list(args.n)).cells
+    elif args.method == "naive-gss":
+        cells = [{}]
+    elif not args.m:
+        raise ValueError("--m is required for iter-gss benchmarks")
     else:
-        _require_level(args.level, "--level")
-        if args.method == "naive-gss":
-            cells = [{}]
-        elif not args.m:
-            raise ValueError("--m is required for iter-gss benchmarks")
-        else:
-            cells = [{"m": m} for m in _parse_int_list(args.m)]
+        cells = [{"m": m} for m in _parse_int_list(args.m)]
     grid = TrialGrid(method=args.method, cells=cells, trials=args.trials,
                      seed=args.seed, level=args.level, gss=gss)
     rows = run_grid(grid)
@@ -177,7 +174,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_range(args) -> int:
-    _require_level(args.level, "--level")
     kind = KIND_ALIASES[args.kind]
     rd = range_distribution(kind, args.level, args.paths, bins=args.bins,
                             seed=args.seed)
@@ -191,82 +187,82 @@ def cmd_range(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: main prints an out-of-range value as one 'error:' line
     parser = argparse.ArgumentParser(
-        prog="pathmin",
+        prog="pathmin", exit_on_error=False,
         description="Query-budgeted minimum search on stochastic paths.")
     parser.add_argument("--version", action="version", version=f"pathmin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=int, required=True,
                        help="root seed; all randomness derives from it")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--config", default=None,
-                       help="JSON file of option values, read as flags; "
-                            "explicit flags win")
+                       help="JSON file of option values, read as flags; explicit flags win")
+        return p
 
-    p = sub.add_parser("simulate", help="simulate one grid path and write it as CSV")
-    common(p)
+    levels = f"1..{MAX_LEVEL}"
+    p = command("simulate", cmd_simulate, "simulate one grid path and write it as CSV")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge")
-    p.add_argument("--level", type=int, default=10, help="dyadic grid level")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--level", type=_grid_level, default=10, help=f"dyadic grid level, {levels}")
 
-    p = sub.add_parser("search", help="run one budgeted minimum search")
-    common(p)
-    p.add_argument("--method", choices=["naive-gss", "iter-gss", "mcb", "harmonic"],
-                   required=True)
+    p = command("search", cmd_search, "run one budgeted minimum search")
+    p.add_argument("--method", choices=GRID_METHODS + ["harmonic"], required=True,
+                   help="mcb-cauchy simulates a Cauchy path, the others a bridge")
     p.add_argument("--path", default=None,
-                   help="grid CSV to search instead of simulating one")
-    p.add_argument("--level", type=int, default=10, help="grid level for GSS methods")
-    p.add_argument("--m", type=int, default=3, help="iter-gss: 2**m panels")
+                   help="grid CSV to search instead of simulating a path")
+    p.add_argument("--level", type=_grid_level, default=10,
+                   help=f"grid level for GSS methods, {levels}")
+    p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
+                   help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge",
-                   help="mcb: path kind")
-    p.add_argument("--l", type=int, default=10, help="mcb: grid level")
-    p.add_argument("--r", type=int, default=10, help="mcb: descent depth")
-    p.add_argument("--g", type=int, default=1024, help="mcb: descent count")
+    p.add_argument("--l", type=_grid_level, default=10, help=f"mcb: grid level, {levels}")
+    p.add_argument("--r", type=int, default=10, help="mcb: descent depth, 1..l")
+    p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
+                   help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
     p.add_argument("--budget", type=int, default=33, help="harmonic: query budget")
     p.add_argument("--beta", type=float, default=1.0, help="harmonic: amplitude")
     p.add_argument("--strategy", default="max_measure",
                    choices=["max_measure", "sample_measure", "max", "sample"])
     p.add_argument("--solver", choices=["full", "perturbative"], default="full",
                    help="harmonic: pre-vertex solver")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("measure", help="harmonic edge weights of a walk polygon")
-    common(p)
+    p = command("measure", cmd_measure, "harmonic edge weights of a walk polygon")
     p.add_argument("--walk", default=None, help="CSV of walk nodes (t,value)")
-    p.add_argument("--walk-nodes", type=int, default=6,
-                   help="edges of a synthetic bridge walk when --walk is absent")
+    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2), default=6,
+                   help="edges (>= 2) of a synthetic bridge walk when --walk is absent")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--solver", choices=["full", "perturbative"], default="full")
-    p.add_argument("--oracle", type=int, default=None, metavar="N",
-                   help="also run the random-walk oracle with N walkers and "
+    p.add_argument("--oracle", type=_bounded("walker count", 1), default=None, metavar="N",
+                   help="also run the random-walk oracle with N >= 1 walkers and "
                         "append mc_weight,mc_stderr columns")
-    p.add_argument("--dt", type=float, default=1e-4, help="oracle absorption shell width")
-    p.set_defaults(func=cmd_measure)
+    p.add_argument("--dt", type=_finite_positive, default=1e-4,
+                   help="oracle absorption shell width, finite and > 0")
 
-    p = sub.add_parser("bench", help="accuracy/runtime grid over one method")
-    common(p)
-    p.add_argument("--method", choices=["naive-gss", "iter-gss", "mcb", "mcb-cauchy"],
-                   required=True)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--level", type=int, default=10, help="grid level for GSS methods")
-    p.add_argument("--n", default=None,
-                   help="mcb cells, e.g. '1..8' or '2,4,6' (l = r = n, g = 2**n)")
-    p.add_argument("--m", default=None, help="iter-gss cells, e.g. '0..4'")
+    p = command("bench", cmd_bench, "accuracy/runtime grid over one method")
+    p.add_argument("--method", choices=GRID_METHODS, required=True)
+    p.add_argument("--trials", type=_bounded("trial count", 1), default=500,
+                   help="trials per cell, >= 1")
+    p.add_argument("--level", type=_grid_level, default=10,
+                   help=f"grid level for GSS methods, {levels}")
+    p.add_argument("--n", type=_bounded("grid level and descent depth", 1, MAX_LEVEL, True),
+                   help=f"mcb cells, e.g. '1..8' or '2,4,6' (l = r = n, g = 2**n), "
+                        f"each in {levels}")
+    p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL, True),
+                   help=f"iter-gss cells, e.g. '0..4', each in 0..{MAX_LEVEL}")
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--max-iters", type=int, default=200)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("range", help="range statistics of simulated paths")
-    common(p)
+    p = command("range", cmd_range, "range statistics of simulated paths")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge")
-    p.add_argument("--level", type=int, default=10)
+    p.add_argument("--level", type=_grid_level, default=10, help=f"dyadic grid level, {levels}")
     p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--bins", type=int, default=60)
-    p.set_defaults(func=cmd_range)
+    p.add_argument("--bins", type=_bounded("bin count", 1), default=60,
+                   help="histogram bins, >= 1")
 
     parser.commands = sub.choices   # name -> subparser, to map --config keys
     return parser
@@ -312,17 +308,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        argv = _config_flags(argv, parser.commands)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parser.parse_args(_config_flags(argv, parser.commands))
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except SystemExit as exc:   # argparse's own usage errors, --help and --version
+        return int(exc.code or 0)
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScSolverError, RuntimeError) as exc:

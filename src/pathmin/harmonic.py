@@ -23,6 +23,8 @@ from .rng import make_rng
 from .scmap import (MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
+MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges: about 50 B each at peak, 800 MiB
+
 
 @dataclass(frozen=True)
 class EdgeMeasures:
@@ -214,12 +216,17 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     edge; this absorption shell is the only source of bias.
 
     Returns EdgeMeasures with binomial standard errors.  Raises
-    RuntimeError if any walker survives max_rounds rounds.
+    ValueError, before drawing anything, when walkers < 1, walkers x edges
+    > MAX_WALKER_EDGES or dt is not finite and positive, and RuntimeError
+    if any walker survives max_rounds rounds.
     """
     if walkers < 1:
         raise ValueError("need at least one walker")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if walkers * poly.n_edges > MAX_WALKER_EDGES:
+        raise ValueError(f"{walkers} walkers on {poly.n_edges} edges exceed the oracle's "
+                         f"limit of {MAX_WALKER_EDGES} walker-edges")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     t = poly.times
     yb = poly.scaled_values()
     n = poly.n_edges

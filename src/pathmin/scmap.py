@@ -229,10 +229,10 @@ def _side_nodes(z, p):
     rounding x = z_anchor + offset, so crowded pre-vertices away from
     z = 0 keep full relative precision.
 
-    Returns the layout (starts, a, offset, w, log_f): the first node of
-    each panel, every node's anchor pre-vertex and signed offset from it,
-    the weights, and log prod_j |x - z_j|^{p_j} at every node with the
-    anchor factor taken out at the head nodes, whose weights absorb it.
+    Returns the layout (starts, a, offset, wf): the first node of each
+    panel, every node's anchor pre-vertex and signed offset from it, and
+    the weighted integrand w * prod_j |x - z_j|^{p_j} at every node, with
+    the anchor factor taken out at the head nodes, whose weights absorb it.
     The layout holds no node-by-pre-vertex array, so it costs little to
     keep for a Jacobian at the same point.
     """
@@ -249,12 +249,13 @@ def _side_nodes(z, p):
     a = anchor[owner]
     offset = np.where(owner % 2 == 0, u, -u)
     log_abs = _distances(z, a, offset)          # becomes log|x - z_j| in place
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.abs(log_abs, out=log_abs)
         np.log(log_abs, out=log_abs)
         log_f = log_abs @ p
-    log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
-    return np.searchsorted(owner, 2 * k), a, offset, w, log_f
+        log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
+        wf = w * np.exp(log_f)
+    return np.searchsorted(owner, 2 * k), a, offset, wf
 
 
 def _distances(z, a, offset):
@@ -283,9 +284,9 @@ def _abs_side_integrals(z, p, layout=None) -> np.ndarray:
     rules are memoised per exponent at module level and shared by every
     solve.
     """
-    starts, _, _, w, log_f = _side_nodes(z, p) if layout is None else layout
+    starts, _, _, wf = _side_nodes(z, p) if layout is None else layout
     with np.errstate(over="ignore", invalid="ignore"):
-        return _require_finite(np.add.reduceat(w * np.exp(log_f), starts))
+        return _require_finite(np.add.reduceat(wf, starts))
 
 
 def _side_integrals_dz(z, p, layout):
@@ -303,15 +304,14 @@ def _side_integrals_dz(z, p, layout):
     integrand keeps F's endpoint singularities, so the nodes of the
     integrals, the layout of _side_nodes at (z, p), serve them too.
     """
-    starts, a, offset, w, log_f = layout
+    starts, a, offset, wf = layout
     k = np.arange(len(z) - 1)
-    panel = np.repeat(k, np.diff(np.append(starts, len(w))))
-    node = np.arange(len(w))
+    panel = np.repeat(k, np.diff(np.append(starts, len(wf))))
+    node = np.arange(len(wf))
     gaps = np.diff(z)
     d = _distances(z, a, offset)
     d_lo, d_hi = d[node, panel], d[node, panel + 1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wf = w * np.exp(log_f)
         inv = np.reciprocal(d, out=d)
         inv[node, panel] = 0.0
         inv[node, panel + 1] = 0.0

@@ -63,6 +63,39 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["bench", "--method", "naive-gss", "--trials", "0"], "--trials", ">= 1"),
+    (["bench", "--method", "naive-gss", "--trials", "-3"], "--trials", ">= 1"),
+    (["range", "--bins", "0"], "--bins", ">= 1"),
+    (["search", "--method", "iter-gss", "--m", "25"], "--m", "<= 24"),
+    (["bench", "--method", "iter-gss", "--m", "0..25"], "--m", "<= 24"),
+    (["bench", "--method", "iter-gss", "--m", "0..10000000000"], "--m", "<= 24"),
+    (["search", "--method", "mcb", "--g", "16777217"], "--g", "<= 16777216"),
+    (["measure", "--walk-nodes", "4", "--oracle", "10", "--dt", "nan"], "--dt", "> 0"),
+    (["measure", "--walk-nodes", "4", "--oracle", "10", "--dt", "inf"], "--dt", "finite"),
+    (["measure", "--walk-nodes", "4", "--oracle", "0"], "--oracle", ">= 1"),
+    (["measure", "--walk-nodes", "1"], "--walk-nodes", ">= 2"),
+    # search takes bench's method names: a Cauchy MCB search is mcb-cauchy
+    (["search", "--method", "naive-gss", "--kind", "cauchy"], "--kind", None),
+])
+def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
+                                            bound):
+    def never(*args, **kwargs):
+        raise AssertionError("an invalid option must be rejected before any work")
+
+    for name in ("fill_dyadic", "new_bridge", "run_trial", "run_grid", "edge_measures",
+                 "mc_hitting_oracle", "range_distribution"):
+        monkeypatch.setattr(f"pathmin.cli.{name}", never)
+    rc, out = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 2
+    assert not out.exists()
+    first = capsys.readouterr().err.splitlines()[0]
+    if bound is None and not first.startswith("error: "):
+        return   # argparse reported the unknown option itself, as up to Python 3.12
+    assert first.startswith("error: ")
+    assert flag in first and (bound or "") in first
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     rc, first = main(["simulate", "--seed", "9", "--level", "4",
                       "--out", str(tmp_path / "a.csv")]), tmp_path / "a.csv"
@@ -163,7 +196,7 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
 @pytest.mark.parametrize("flags, method, cell", [
     (["--method", "mcb", "--l", "6", "--r", "5", "--g", "32"],
      "mcb", {"l": 6, "r": 5, "g": 32}),
-    (["--method", "mcb", "--kind", "cauchy", "--l", "6", "--r", "5", "--g", "32"],
+    (["--method", "mcb-cauchy", "--l", "6", "--r", "5", "--g", "32"],
      "mcb-cauchy", {"l": 6, "r": 5, "g": 32}),
     (["--method", "naive-gss", "--level", "7"], "naive-gss", {}),
     (["--method", "iter-gss", "--level", "7", "--m", "2"], "iter-gss", {"m": 2}),
@@ -335,10 +368,11 @@ def test_config_null_leaves_option_at_default(tmp_path):
     assert meta["params"]["kind"] == "bridge"
 
 
-@pytest.mark.parametrize("argv", [["search", "--method", "mcb"], ["simulate"]])
+@pytest.mark.parametrize("argv", [["search", "--method", "harmonic"], ["simulate"]])
 def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, argv):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "levy"}))
+    option = "strategy" if argv[0] == "search" else "kind"
+    cfg.write_text(json.dumps({option: "levy"}))
     rc = main(argv + ["--seed", "3", "--config", str(cfg),
                       "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -1,6 +1,7 @@
 """Edge harmonic measures, bisection strategies and the walker oracle."""
 import bisect
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_bridge_walk
 from pathmin.harmonic import (
+    MAX_WALKER_EDGES,
     EdgeMeasures,
     HmcParams,
     choose_edge,
@@ -353,6 +355,32 @@ def test_oracle_round_cap_raises():
     poly = make_bridge_walk(77, 4, beta=0.4)
     with pytest.raises(RuntimeError, match="still alive"):
         mc_hitting_oracle(poly, walkers=100, seed=5, max_rounds=1)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-4])
+def test_oracle_rejects_dt_that_is_not_finite_and_positive(dt):
+    # a nan shell absorbs no walker and an infinite one absorbs every walker
+    poly = make_bridge_walk(77, 4, beta=0.4)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        mc_hitting_oracle(poly, walkers=10, dt=dt, seed=5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_rejects_walker_edges_past_memory_cap(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def stop(*args):
+        raise Drawn
+
+    monkeypatch.setattr("pathmin.harmonic.make_rng", stop)
+    poly = flat_polygon(np.linspace(0.0, 1.0, 7))   # 6 edges
+    for walkers in (MAX_WALKER_EDGES // 6 + 1, 10**10):
+        with pytest.raises(ValueError, match="limit"):
+            mc_hitting_oracle(poly, walkers=walkers)
+    with pytest.raises(Drawn):
+        mc_hitting_oracle(poly, walkers=MAX_WALKER_EDGES // 6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
