@@ -30,7 +30,7 @@ from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
 from .rng import derive_seed
-from .scmap import ScSolverError, WalkPolygon
+from .scmap import MAX_PERTURBATIVE_EDGES, ScSolverError, WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("measure", cmd_measure, "harmonic edge weights of a walk polygon")
     p.add_argument("--walk", default=None, help="CSV of walk nodes (t,value)")
-    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2), default=6,
-                   help="edges (>= 2) of a synthetic bridge walk when --walk is absent")
+    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_PERTURBATIVE_EDGES),
+                   default=6, help=f"edges, 2..{MAX_PERTURBATIVE_EDGES}, of a synthetic "
+                                   f"bridge walk when --walk is absent")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--solver", choices=["full", "perturbative"], default="full")
     p.add_argument("--oracle", type=_bounded("walker count", 1), default=None, metavar="N",

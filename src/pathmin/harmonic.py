@@ -20,7 +20,7 @@ import numpy as np
 from .paths import as_oracle
 from .report import SearchReport, write_csv, write_json
 from .rng import make_rng
-from .scmap import (MAX_VERTICES, ScSolverError, WalkPolygon,
+from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
 MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges: about 50 B each at peak, 800 MiB
@@ -45,9 +45,8 @@ def _measures_from_solution(poly, sol) -> EdgeMeasures:
     if np.any(np.diff(z) <= 0.0):
         raise ScSolverError("pre-vertices out of order; amplitude too large "
                             "for the chosen solver")
+    # asin(sqrt(clip(z))) is non-decreasing, so ordered z give w >= 0
     w = (2.0 / np.pi) * np.diff(np.arcsin(np.sqrt(np.clip(z, 0.0, 1.0))))
-    if np.any(w < 0.0):
-        raise ScSolverError("negative edge weight from pre-vertex solve")
     w = w / w.sum()
     return EdgeMeasures(times=poly.times.copy(), weights=w)
 
@@ -108,8 +107,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     rounds are counted in report.params['fallbacks'].  Total oracle
     queries = budget + 2 (the two endpoints plus one query per budget
     unit); report.params['midpoints'] lists the queried times in order.
-    The last round's walk has budget + 1 vertices, so the full solver
-    takes budgets below MAX_VERTICES only; larger ones raise ValueError,
+    The last round's walk has budget edges and budget + 1 vertices, so the
+    full solver takes budgets below MAX_VERTICES only and the perturbative
+    one budgets up to MAX_PERTURBATIVE_EDGES; larger ones raise ValueError,
     as does an unknown solver or strategy, before any query.
     """
     params = params or HmcParams()
@@ -123,6 +123,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
         raise ValueError(f"budget {budget} needs walks of up to {budget + 1} vertices; "
                          f"the full solver caps at {MAX_VERTICES}, so use a budget "
                          f"below {MAX_VERTICES} or solver 'perturbative'")
+    if params.solver == "perturbative" and budget > MAX_PERTURBATIVE_EDGES:
+        raise ValueError(f"budget {budget} needs walks of up to {budget} edges; the "
+                         f"perturbative solver caps at {MAX_PERTURBATIVE_EDGES}")
     fn = as_oracle(path)
     t0 = time.perf_counter()
     v0 = fn(0.0)

@@ -37,11 +37,9 @@ class GridMin(NamedTuple):
 class LazyBridgePath:
     """Brownian bridge on [0, 1], sampled lazily.
 
-    The path starts at (0, 0).  When `pinned` the right endpoint is fixed
-    at (1, 0); otherwise the endpoint value W is a standard normal draw
-    made at construction.  A query at an unsampled time t finds the
-    nearest sampled neighbours t_l < t < t_r with values v_l, v_r and
-    draws from the conditional bridge law
+    The path is pinned at (0, 0) and (1, 0).  A query at an unsampled
+    time t finds the nearest sampled neighbours t_l < t < t_r with values
+    v_l, v_r and draws from the conditional bridge law
 
         mean = v_l + (t - t_l) * (v_r - v_l) / (t_r - t_l)
         var  = (t - t_l) * (t_r - t) / (t_r - t_l)
@@ -50,13 +48,11 @@ class LazyBridgePath:
     the realisation is a function of the seed and the query sequence only.
     """
 
-    def __init__(self, seed: int, pinned: bool = True):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.pinned = bool(pinned)
         self.rng = make_rng(seed)
-        w = 0.0 if pinned else float(self.rng.standard_normal())
         self._times = [0.0, 1.0]
-        self._values = [0.0, w]
+        self._values = [0.0, 0.0]
 
     @property
     def n_sampled(self) -> int:
@@ -92,9 +88,9 @@ class LazyBridgePath:
         return self._values[i]
 
 
-def new_bridge(seed: int, pinned: bool = True) -> LazyBridgePath:
+def new_bridge(seed: int) -> LazyBridgePath:
     """Fresh lazily-sampled Brownian bridge."""
-    return LazyBridgePath(seed, pinned=pinned)
+    return LazyBridgePath(seed)
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,6 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
         values = simulate_bridge_batch(seed, level, 1)[0]
         return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
     path = path_or_seed
-    if not path.pinned:
-        raise ValueError("dyadic grid snapshots require a pinned bridge")
     for d in range(1, level + 1):
         scale = 2.0 ** (-d)
         for k in range(2 ** (d - 1)):
@@ -204,14 +198,18 @@ def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
 
     Increments are exact in law: each of the 2**level increments over a
     step h = 2**-level is h * tan(pi * (U - 1/2)) with U uniform, the
-    inverse CDF of the Cauchy(0, h) law.
+    inverse CDF of the Cauchy(0, h) law.  The increments are formed in
+    place in the uniforms' array, so a batch peaks at twice its result.
     """
     rng = make_rng(seed)
     n = 2 ** level
     u = rng.random((count, n))
-    inc = np.tan(np.pi * (u - 0.5)) / n
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
+    u /= n
     out = np.zeros((count, n + 1))
-    np.cumsum(inc, axis=1, out=out[:, 1:])
+    np.cumsum(u, axis=1, out=out[:, 1:])
     return out
 
 
@@ -257,15 +255,6 @@ class CauchyBridgeCdf:
         log_term = np.log1p(4.0 * u * v / ((u - v) ** 2 + 1.0))
         atan_term = 2.0 * u * (np.arctan(u + v) - np.arctan(u - v))
         out = (log_term + atan_term) / (4.0 * np.pi * u) + 0.5
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(self, v):
-        u = self.u
-        v = np.asarray(v, dtype=float)
-        f1p = 1.0 / (np.pi * (1.0 + (u + v) ** 2))
-        f1m = 1.0 / (np.pi * (1.0 + (u - v) ** 2))
-        f2 = 2.0 / (np.pi * (4.0 + (2.0 * u) ** 2))
-        out = f1p * f1m / f2
         return float(out) if out.ndim == 0 else out
 
     def ppf(self, p: float) -> float:

@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 MAX_VERTICES = 64            # finite-vertex cap: crowding makes larger solves unreliable
+MAX_PERTURBATIVE_EDGES = 512  # perturbative cap: its kernel takes about 1.9 KB x n^2, 0.5 GiB
 NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
 RESIDUAL_TARGET = 1e-11      # Newton always stops here ...
@@ -55,11 +56,7 @@ LAM_ONE = -math.log(2.0)     # integral_0^1 log|sin(pi u / 2)| du
 
 
 class ScSolverError(RuntimeError):
-    """Pre-vertex solve failure; carries the best residual reached."""
-
-    def __init__(self, msg: str, residual: float | None = None):
-        super().__init__(msg)
-        self.residual = residual
+    """Pre-vertex solve failure."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,8 @@ class PreVertexSolution:
     poly is the walk the pre-vertices belong to, so a solution can serve
     as the start of a later solve (see solve_prevertices_full).
     residual_norm is the max relative side-length error of the returned
-    pre-vertices; the perturbative solver fills it in only when asked to
-    check itself (nan otherwise).
+    pre-vertices; the perturbative solver does not evaluate it and leaves
+    it nan.
 
     The full solver also reports why its direct Newton solve, the first
     attempt at the full heights, stopped (stop_reason: 'converged',
@@ -166,7 +163,6 @@ class PreVertexSolution:
 
     poly: WalkPolygon
     prevertices: np.ndarray      # z_1 .. z_{n+1} with z_1 = 0, z_{n+1} = 1
-    alpha: np.ndarray            # angle fractions at the finite vertices
     residual_norm: float
     iterations: int
     solver: str
@@ -490,7 +486,6 @@ def solve_prevertices_full(poly: WalkPolygon,
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
         raise ScSolverError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
-    alpha = turning_angles(poly).alpha[:-1]
     h1 = poly.scaled_values()
     if initial_guess is None or not np.any(h1):
         h0 = np.zeros(n + 1)
@@ -515,8 +510,8 @@ def solve_prevertices_full(poly: WalkPolygon,
             reason, direct_rel = why, rel
         if why == "converged":
             if s == 1.0:
-                return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha,
-                                         residual_norm=rel, iterations=iters, solver="full",
+                return PreVertexSolution(poly=poly, prevertices=z, residual_norm=rel,
+                                         iterations=iters, solver="full",
                                          stop_reason=reason, residual_evals=evals,
                                          continuation=solves > 1)
             s_lo, z_lo, s = s, z, 1.0
@@ -526,7 +521,7 @@ def solve_prevertices_full(poly: WalkPolygon,
                 break
     raise ScSolverError(
         f"side-length solve stalled ({reason}, continuation failed) "
-        f"at relative residual {direct_rel:.3e}", residual=direct_rel)
+        f"at relative residual {direct_rel:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +567,7 @@ def slope_jumps(poly: WalkPolygon) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], slopes, [0.0]]))
 
 
-def solve_prevertices_perturbative(poly: WalkPolygon,
-                                   check_residual: bool = False) -> PreVertexSolution:
+def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
     """First-order pre-vertices in the walk amplitude.
 
     Expands around the flat-strip pre-vertices z0_k = sin^2(pi t_{k-1} / 2).
@@ -587,13 +581,15 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
         xi = -(sin(pi tau) / 2) * (pi c tau + sum_k D_k K_k(tau))
 
     at tau = t_{l-1} for l = 2 .. n, while xi_1 = xi_{n+1} = 0 keeps the
-    endpoints exactly.  Valid to O(beta^2); never raises, but only fills
-    residual_norm (via the quadrature of the full solver) when
-    check_residual is set.
+    endpoints exactly.  Valid to O(beta^2).  The kernel K is an n x n
+    array expanded by the 48 nodes of lam_log_sin, so walks of more than
+    MAX_PERTURBATIVE_EDGES edges raise ValueError before it is built.
     """
     t = poly.times
     n = poly.n_edges
-    alpha = turning_angles(poly).alpha[:-1]
+    if n > MAX_PERTURBATIVE_EDGES:
+        raise ValueError(f"walk has {n} edges; the perturbative solver caps at "
+                         f"{MAX_PERTURBATIVE_EDGES}")
     z0 = np.sin(0.5 * np.pi * t) ** 2
     d = slope_jumps(poly)
     kk1 = lam_log_sin(1.0 - t) + lam_log_sin(1.0 + t)
@@ -605,14 +601,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon,
         s = d @ kk
         xi = -(np.sin(np.pi * tau) / 2.0) * (math.pi * c * tau + s)
         z[1:-1] = z0[1:-1] + xi
-    residual = math.nan
-    if check_residual:
-        if np.any(np.diff(z) <= 0.0):
-            residual = math.inf
-        else:
-            _, residual, _ = _side_residual(z, alpha - 1.0,
-                                            poly.edge_lengths() / poly.edge_lengths().sum())
-    return PreVertexSolution(poly=poly, prevertices=z, alpha=alpha, residual_norm=residual,
+    return PreVertexSolution(poly=poly, prevertices=z, residual_norm=math.nan,
                              iterations=0, solver="perturbative")
 
 
@@ -651,46 +640,35 @@ def _complex_segment_integral(z, p, j, z_to):
     return unit * np.dot(w, np.exp(log_f))
 
 
-class _ForwardMap:
-    """phi(z) = A + C * integral_0^z prod (zeta - z_k)^{alpha_k - 1} dzeta
-    normalised so the first and last pre-vertices map to 0 and 1."""
-
-    def __init__(self, sol: PreVertexSolution):
-        self.z = np.asarray(sol.prevertices, dtype=float)
-        self.p = np.asarray(sol.alpha, dtype=float) - 1.0
-        a = _abs_side_integrals(self.z, self.p)
-        # phase of the integrand is constant on each panel: -pi * sum of the
-        # exponents of the pre-vertices still ahead
-        tail = np.cumsum(self.p[::-1])[::-1]
-        phases = np.exp(-1j * np.pi * np.concatenate([tail[1:], [0.0]]))
-        self.panel_integrals = a * phases[:len(a)]
-        total = np.sum(self.panel_integrals)
-        self.scale = 1.0 / total
-        self.vertex_images = self.scale * np.concatenate([[0.0], np.cumsum(self.panel_integrals)])
-
-    def at(self, z_point: complex) -> complex:
-        z_point = complex(z_point)
-        if z_point.imag > 1e-12:
-            raise ValueError("the map is defined on the closed lower half-plane")
-        hit = np.nonzero(self.z == z_point)[0]
-        if len(hit):
-            return complex(self.vertex_images[hit[0]])
-        # anchor at the nearest pre-vertex, so the graded rule applies
-        j = int(np.argmin(np.abs(self.z - z_point)))
-        part = _complex_segment_integral(self.z, self.p, j, z_point)
-        return complex(self.vertex_images[j] + self.scale * part)
-
-
 def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
     """Evaluate the solved map at points of the closed lower half-plane.
 
-    Real points inside [z_1, z_{n+1}] land on the walk graph; the first
-    and last pre-vertices map to 0 and 1 exactly.  Accepts a scalar or an
-    array and matches the input shape.
+    phi(z) = C * integral_0^z prod (zeta - z_k)^{alpha_k - 1} dzeta, with C
+    set so the first and last pre-vertices map to 0 and 1 exactly; real
+    points inside [z_1, z_{n+1}] land on the walk graph.  Accepts a scalar
+    or an array and matches the input shape.
     """
-    fm = _ForwardMap(sol)
+    z = sol.prevertices
+    p = turning_angles(sol.poly).alpha[:-1] - 1.0
+    # phase of the integrand is constant on each panel: -pi * sum of the
+    # exponents of the pre-vertices still ahead
+    tail = np.cumsum(p[::-1])[::-1]
+    panels = _abs_side_integrals(z, p) * np.exp(-1j * np.pi * tail[1:])
+    scale = 1.0 / np.sum(panels)
+    images = scale * np.concatenate([[0.0], np.cumsum(panels)])
+
+    def at(z_point: complex) -> complex:
+        if z_point.imag > 1e-12:
+            raise ValueError("the map is defined on the closed lower half-plane")
+        hit = np.nonzero(z == z_point)[0]
+        if len(hit):
+            return complex(images[hit[0]])
+        # anchor at the nearest pre-vertex, so the graded rule applies
+        j = int(np.argmin(np.abs(z - z_point)))
+        return complex(images[j] + scale * _complex_segment_integral(z, p, j, z_point))
+
     zs = np.asarray(z_points, dtype=complex)
     if zs.ndim == 0:
-        return fm.at(complex(zs))
-    out = np.array([fm.at(zp) for zp in zs.ravel()], dtype=complex)
+        return at(complex(zs))
+    out = np.array([at(complex(zp)) for zp in zs.ravel()], dtype=complex)
     return out.reshape(zs.shape)

@@ -77,6 +77,7 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     (["measure", "--walk-nodes", "1"], "--walk-nodes", ">= 2"),
     # search takes bench's method names: a Cauchy MCB search is mcb-cauchy
     (["search", "--method", "naive-gss", "--kind", "cauchy"], "--kind", None),
+    (["measure", "--walk-nodes", "513"], "--walk-nodes", "<= 512"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -260,6 +261,18 @@ def test_measure_numerical_failure_exits_three(tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_measure_perturbative_walk_past_edge_cap_is_usage_error(tmp_path, capsys):
+    # 600 edges would need about 0.7 GiB of perturbative kernel
+    walk = tmp_path / "walk.csv"
+    t = np.linspace(0.0, 1.0, 601)
+    walk.write_text("t,value\n" + "".join(f"{x},0\n" for x in t))
+    rc = main(["measure", "--walk", str(walk), "--solver", "perturbative", "--seed", "1",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: walk has 600 edges")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_bench_small_grid(tmp_path):

@@ -21,7 +21,8 @@ from pathmin.harmonic import (
 )
 from pathmin.paths import as_oracle, new_bridge
 from pathmin.rng import derive_seed, make_rng
-from pathmin.scmap import MAX_VERTICES, ScSolverError, WalkPolygon, solve_prevertices_full
+from pathmin.scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
+                           solve_prevertices_full)
 
 
 def flat_polygon(times):
@@ -186,6 +187,15 @@ def test_full_solver_budget_past_vertex_cap_raises():
     rep = harmonic_bisection_search(lambda t: 0.0, MAX_VERTICES,
                                     HmcParams(beta=0.0, solver="perturbative"))
     assert rep.queries == MAX_VERTICES + 2
+
+
+def test_perturbative_budget_past_edge_cap_raises():
+    # the last round's walk would have budget > MAX_PERTURBATIVE_EDGES edges
+    path = new_bridge(1)
+    with pytest.raises(ValueError, match="caps at"):
+        harmonic_bisection_search(path, MAX_PERTURBATIVE_EDGES + 1,
+                                  HmcParams(solver="perturbative"))
+    assert path.n_sampled == 2   # rejected before any query
 
 
 @pytest.mark.parametrize("field", ["solver", "strategy"])

@@ -1,4 +1,6 @@
 """Path samplers: lazy bridge, dyadic grids, Cauchy process and bridge law."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,13 +90,6 @@ def test_refinement_is_conditionally_gaussian():
     assert abs(resid.var() - 1.0) < 4 * np.sqrt(2.0 / (N_MOMENT_PATHS - 1))
 
 
-def test_unpinned_endpoint_is_standard_normal():
-    vals = np.array([new_bridge(s, pinned=False).query(1.0)
-                     for s in range(N_MOMENT_PATHS)])
-    assert abs(vals.mean()) < 4 / np.sqrt(N_MOMENT_PATHS)
-    assert abs(vals.var() - 1.0) < 4 * np.sqrt(2.0 / (N_MOMENT_PATHS - 1))
-
-
 def test_dyadic_times_exact():
     assert np.array_equal(dyadic_times(3), np.arange(9) / 8.0)
     assert np.array_equal(dyadic_times(0), np.array([0.0, 1.0]))
@@ -117,11 +112,6 @@ def test_fills_nest_across_levels():
     coarse = fill_dyadic(3, 2)
     fine = fill_dyadic(3, 3)
     assert np.array_equal(fine.values[::2], coarse.values)
-
-
-def test_fill_rejects_unpinned_path():
-    with pytest.raises(ValueError):
-        fill_dyadic(new_bridge(1, pinned=False), 2)
 
 
 def test_grid_path_validates_shape_and_pinning():
@@ -192,6 +182,19 @@ def test_batch_cauchy_matches_single():
             assert np.array_equal(simulate_cauchy(seed, level).values, ref)
 
 
+def test_cauchy_batch_peaks_at_twice_its_result():
+    # the increments are built in the uniforms' array, so the batch holds
+    # that array and its result at once, and no temporary beside them
+    simulate_cauchy_batch(0, 1, 1)
+    tracemalloc.start()
+    try:
+        out = simulate_cauchy_batch(3, 10, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * out.nbytes
+
+
 def test_as_oracle_dispatch():
     grid = fill_dyadic(2, 2)
     assert as_oracle(grid)(0.5) == grid.interp(0.5)
@@ -230,12 +233,6 @@ def test_cdf_limits_and_monotonicity():
         assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
         grid = np.linspace(-50.0, 50.0, 2001)
         assert np.all(np.diff(law.cdf(grid)) >= 0.0)
-
-
-def test_pdf_integrates_to_cdf_increment():
-    law = CauchyBridgeCdf(1.3)
-    val, _ = quad(law.pdf, -2.0, 1.5, epsabs=1e-12, epsrel=1e-12)
-    assert abs(val - (law.cdf(1.5) - law.cdf(-2.0))) < 1e-10
 
 
 def test_ppf_roundtrip():

@@ -27,10 +27,9 @@ def test_substreams_are_independent_addresses():
     assert isinstance(s1, int)
 
 
-def test_stream_arguments_address_distinct_generators():
-    base = make_rng(7).standard_normal(4)
-    sub = make_rng(7, 3).standard_normal(4)
-    assert not np.array_equal(base, sub)
-    again = make_rng(7, 3).standard_normal(4)
-    assert np.array_equal(sub, again)
-    assert not np.array_equal(make_rng(7, 2).standard_normal(4), sub)
+def test_make_rng_stream_is_pinned():
+    # every fixed-seed result in the package rests on these bits
+    assert make_rng(7).standard_normal(4).tolist() == [
+        -1.4035643350339762, 0.8484195143593849, 1.3086802652913172, -1.2232638292156024]
+    assert make_rng(7).random(3).tolist() == [
+        0.46881748695593284, 0.42614583623918467, 0.3629817008336008]

@@ -15,6 +15,7 @@ from pathmin.paths import new_bridge
 from pathmin.rng import derive_seed
 from pathmin.scmap import (
     LAM_ONE,
+    MAX_PERTURBATIVE_EDGES,
     MAX_VERTICES,
     RESIDUAL_ACCEPT,
     ScSolverError,
@@ -180,7 +181,7 @@ def test_side_integrals_match_mpmath_reference():
     # Rounding the node x = z_k + u first would cost up to ~4e-9 at e^20
     # and ~4e-6 at e^30 at z = 1.
     walk = solve_prevertices_full(make_bridge_walk(5, 12, beta=1.0))
-    cases = [(walk.prevertices, walk.alpha - 1.0)]
+    cases = [(walk.prevertices, turning_angles(walk.poly).alpha[:-1] - 1.0)]
     for log_ratio in (10, 20, 30):
         p = turning_angles(make_bridge_walk(log_ratio, 10, beta=1.0)).alpha[:-1] - 1.0
         cases.append((_origin_cluster(10, log_ratio, log_ratio), p))
@@ -240,7 +241,7 @@ def test_jacobian_matches_mpmath_central_differences():
     # the walk and 3e-11 on the cluster
     sol = solve_prevertices_full(make_bridge_walk(5, 5, beta=1.0))
     p_cluster = turning_angles(make_bridge_walk(10, 5, beta=1.0)).alpha[:-1] - 1.0
-    cases = [(sol.prevertices, sol.alpha - 1.0),
+    cases = [(sol.prevertices, turning_angles(sol.poly).alpha[:-1] - 1.0),
              (1.0 - _origin_cluster(5, 10, 10)[::-1], p_cluster)]
     with mpmath.workdps(30):
         for z, p in cases:
@@ -461,11 +462,29 @@ def test_perturbative_agrees_with_full_at_small_amplitude():
 
 
 def test_perturbative_residual_check_fills_norm():
+    # the perturbative solver leaves residual_norm nan; the full solver's
+    # side-length residual checks its pre-vertices instead
     poly = make_bridge_walk(2, 6, beta=0.02)
-    bare = solve_prevertices_perturbative(poly)
-    checked = solve_prevertices_perturbative(poly, check_residual=True)
-    assert math.isnan(bare.residual_norm)
-    assert checked.residual_norm < 1e-2
+    sol = solve_prevertices_perturbative(poly)
+    assert math.isnan(sol.residual_norm)
+    p = turning_angles(poly).alpha[:-1] - 1.0
+    targets = poly.edge_lengths() / poly.edge_lengths().sum()
+    _, rel, _ = scmap._side_residual(sol.prevertices, p, targets)
+    assert rel < 1e-2
+
+
+def test_perturbative_walk_past_edge_cap_raises_before_allocating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the cap must stop the solve before its kernel")
+
+    n = MAX_PERTURBATIVE_EDGES + 1
+    poly = WalkPolygon(times=np.arange(n + 1) / n, values=np.zeros(n + 1))
+    monkeypatch.setattr(scmap, "lam_log_sin", never)
+    with pytest.raises(ValueError, match=f"caps at {MAX_PERTURBATIVE_EDGES}"):
+        solve_prevertices_perturbative(poly)
+    small = WalkPolygon(times=np.linspace(0.0, 1.0, 4), values=np.zeros(4))
+    with pytest.raises(AssertionError, match="kernel"):
+        solve_prevertices_perturbative(small)
 
 
 # ---------------------------------------------------------------------------
