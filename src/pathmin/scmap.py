@@ -26,18 +26,18 @@ point builds its node layout once, in the residual, and the Jacobian
 takes it from there; Newton stops once a step no longer cuts the residual
 tenfold below RESIDUAL_ACCEPT, where only the rule's own error is left.
 The forward map integrates from the nearest pre-vertex with the same
-rule.  Gauss-Jacobi rules are memoised per exponent at module level and
-shared by every solve.
+rule.  The Gauss-Jacobi heads come from numpy alone, by the Golub-Welsch
+eigenvalue method with one Newton polish (_gj_rule); they are kept in a
+bounded module-level table keyed by exponent and shared by every solve,
+and each layout builds the exponents the table lacks in one batch.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 MAX_VERTICES = 64            # finite-vertex cap: crowding makes larger solves unreliable
 MAX_PERTURBATIVE_EDGES = 512  # perturbative cap: its kernel takes about 1.9 KB x n^2, 0.5 GiB
@@ -175,10 +175,78 @@ class PreVertexSolution:
 # Compound Gauss-Jacobi quadrature of the side integrals
 
 
-@functools.lru_cache(maxsize=4096)   # every exponent of a 63-vertex height ramp
-def _gj_rule(p: float):
-    # weight (1 + x)^p: singular behaviour absorbed at the left node
-    return roots_jacobi(GJ_POINTS, 0.0, p)
+def _jacobi_recurrence(x, diag, off):
+    """Orthonormal Jacobi recurrence at the nodes x (one row per rule),
+    started from phat_0 = 1: returns sum_{k < n} phat_k(x)^2, phat_n(x)
+    and phat_n'(x).  off[:, k] is sqrt(beta_k), with off[:, 0] = 0.
+    """
+    a, b = diag.T[:, :, None], off.T[:, :, None]
+    prev = np.zeros((2,) + x.shape)             # (phat_{k-1}, phat_{k-1}')
+    cur = np.zeros((2,) + x.shape)              # (phat_k, phat_k')
+    cur[0] = 1.0
+    total = np.zeros_like(x)
+    for k in range(GJ_POINTS):
+        total += cur[0] * cur[0]
+        nxt = (x - a[k]) * cur
+        nxt[1] += cur[0]
+        nxt -= b[k] * prev
+        nxt /= b[k + 1]
+        prev, cur = cur, nxt
+    return total, cur[0], cur[1]
+
+
+def _gj_rule(p):
+    """Gauss-Jacobi rules on [-1, 1] for the weights (1 + x)^p_i, one row
+    of GJ_POINTS nodes and weights per exponent (Golub & Welsch 1969).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the recurrence
+    for a = 0, b = p, polished by one Newton step on phat_n; the weights
+    are 1 / sum_k phat_k(x)^2 from the same recurrence, which has no
+    1 - x^2 to cancel as p -> -1, rescaled to the exact moment
+    2^(p+1) / (p+1).  Every step acts row by row, so a rule is
+    bit-identical whether built alone or in a batch.
+    """
+    q = p[:, None]
+    k = np.arange(1.0, GJ_POINTS + 1.0)
+    s = 2.0 * k + q
+    diag = np.concatenate([q / (q + 2.0), q * q / (s[:, :-1] * (s[:, :-1] + 2.0))], axis=1)
+    off = np.zeros((len(p), GJ_POINTS + 1))
+    # (2k - 1) + p is exact where it is small, as p -> -1 at k = 1
+    off[:, 1:] = 2.0 * k * (k + q) / (s * np.sqrt(((2.0 * k - 1.0) + q) * ((2.0 * k + 1.0) + q)))
+    jac = np.zeros((len(p), GJ_POINTS, GJ_POINTS))
+    i = np.arange(GJ_POINTS)
+    jac[:, i, i] = diag
+    jac[:, i[1:], i[:-1]] = off[:, 1:-1]
+    x = np.linalg.eigvalsh(jac, UPLO="L")
+    _, pn, dpn = _jacobi_recurrence(x, diag, off)
+    x -= pn / dpn
+    w = 1.0 / _jacobi_recurrence(x, diag, off)[0]
+    moment = np.array([2.0 ** (v + 1.0) / (v + 1.0) for v in p.tolist()])
+    return x, w * (moment / w.sum(axis=1))[:, None]
+
+
+# Head table: row _gj_row[p] of _gj_x and _gj_w holds the rule of exponent
+# p.  A full table is cleared; a rule is the same whenever it is built, so
+# results do not depend on the table's history.
+GJ_TABLE_ROWS = 4096         # every exponent of a 63-vertex height ramp
+_gj_row: dict[float, int] = {}
+_gj_x = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
+_gj_w = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
+
+
+def _gj_heads(p):
+    """Gauss-Jacobi nodes and weights (rows) for the exponents p, from the
+    head table; the exponents it lacks are built in one batch."""
+    keys = p.tolist()
+    missing = list(dict.fromkeys(q for q in keys if q not in _gj_row))
+    if missing:
+        if len(_gj_row) + len(missing) > GJ_TABLE_ROWS:
+            _gj_row.clear()
+        rows = slice(len(_gj_row), len(_gj_row) + len(missing))
+        _gj_x[rows], _gj_w[rows] = _gj_rule(np.array(missing))
+        _gj_row.update(zip(missing, range(rows.start, rows.stop)))
+    rows = [_gj_row[q] for q in keys]
+    return _gj_x[rows], _gj_w[rows]
 
 
 def _graded_rule(head, span, p_anchor):
@@ -205,10 +273,10 @@ def _graded_rule(head, span, p_anchor):
     half = 0.5 * np.minimum(span[seg_owner] - c, c)
     u = c[:, None] + half[:, None] * (_GL_X + 1.0)
     w = half[:, None] * _GL_W
-    rules = [_gj_rule(q) for q in p_anchor]
+    head_x, head_w = _gj_heads(p_anchor)
     head_half = 0.5 * head[:, None]
-    u[at_head] = head_half * (1.0 + np.stack([r[0] for r in rules]))
-    w[at_head] = np.stack([r[1] for r in rules]) * head_half ** (p_anchor[:, None] + 1.0)
+    u[at_head] = head_half * (1.0 + head_x)
+    w[at_head] = head_w * head_half ** (p_anchor[:, None] + 1.0)
     return (np.repeat(seg_owner, GJ_POINTS), u.ravel(), w.ravel(),
             np.repeat(at_head, GJ_POINTS))
 

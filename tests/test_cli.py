@@ -1,10 +1,16 @@
 """Command-line interface: flags, outputs, exit codes, reproducibility."""
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathmin
 from pathmin.bench import run_trial
 from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
@@ -459,3 +465,24 @@ def test_argparse_errors_exit_two(tmp_path, capsys):
 def test_version_flag_exits_cleanly(capsys):
     assert main(["--version"]) == 0
     assert "pathmin" in capsys.readouterr().out
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, the CLI imports, a
+    # harmonic search and a measure both succeed, and no scipy module loads
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from pathmin.cli import main
+        assert main(["search", "--method", "harmonic", "--budget", "8", "--seed", "1",
+                     "--out", {str(tmp_path / "search.json")!r}]) == 0
+        assert main(["measure", "--walk-nodes", "8", "--seed", "5",
+                     "--out", {str(tmp_path / "measure.csv")!r}]) == 0
+        loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+        assert not loaded, loaded
+    """)
+    src = str(Path(pathmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

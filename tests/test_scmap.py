@@ -109,6 +109,73 @@ def test_angle_defects_always_sum_to_two(poly):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Jacobi heads
+
+
+def _mp_gauss_jacobi(p, n=scmap.GJ_POINTS):
+    """n-point rule for (1 + x)^p on [-1, 1] at the working precision.
+
+    Nodes are the roots of P_n^(0, p), polished by findroot from the float
+    nodes and checked to be n distinct roots; weights come from the
+    closed form (Abramowitz & Stegun 25.4.33) with
+    P_n' = (n + p + 1) / 2 * P_{n-1}^(1, p + 1), independent of the
+    recurrence the rule under test sums.
+    """
+    a, b = mpmath.mpf(0), mpmath.mpf(p)
+    start = scmap._gj_rule(np.array([p]))[0][0]
+    x = [mpmath.findroot(lambda t: mpmath.jacobi(n, a, b, t), mpmath.mpf(v)) for v in start]
+    assert all(lo < hi for lo, hi in zip(x, x[1:])) and -1 < x[0] and x[-1] < 1
+    c = (-(2 * n + a + b + 2) / (n + a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+         / (mpmath.gamma(n + a + b + 1) * mpmath.factorial(n + 1)) * 2 ** (a + b))
+    w = [c / ((n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, t)
+              * mpmath.jacobi(n + 1, a, b, t)) for t in x]
+    return np.array([float(v) for v in x]), np.array([float(v) for v in w])
+
+
+def test_gauss_jacobi_rule_matches_mpmath():
+    ps = [-0.999, -0.99, -0.5, 0.0, 0.5, 0.99]
+    x, w = scmap._gj_rule(np.array(ps))
+    with mpmath.workdps(32):
+        for i, p in enumerate(ps):
+            ref_x, ref_w = _mp_gauss_jacobi(p)
+            # about twice the errors seen (1.1e-16, 2.5e-14): an unpolished
+            # node or a cancelling off-diagonal factor fails these bounds
+            assert np.max(np.abs(x[i] - ref_x)) <= 2.5e-16
+            assert np.max(np.abs(w[i] / ref_w - 1.0)) <= 5e-14
+            assert abs(w[i].sum() / (2.0 ** (p + 1.0) / (p + 1.0)) - 1.0) <= 1e-14
+    leg_x, leg_w = np.polynomial.legendre.leggauss(scmap.GJ_POINTS)
+    assert np.max(np.abs(x[3] - leg_x)) <= 1e-15
+    # leggauss's own weights sit up to 1.5e-15 from the 32-digit rule
+    assert np.max(np.abs(w[3] - leg_w)) <= 2e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-0.999, 0.99), min_size=1, max_size=40))
+def test_gauss_jacobi_rules_do_not_depend_on_batch_or_table_history(ps):
+    p = np.array(ps)
+    x, w = scmap._gj_rule(p)
+    for i in range(len(p)):
+        xi, wi = scmap._gj_rule(p[i:i + 1])
+        assert np.array_equal(xi[0], x[i]) and np.array_equal(wi[0], w[i])
+    for history in ([], p[::-1], np.linspace(-0.9, 0.9, 50)):
+        scmap._gj_row.clear()
+        scmap._gj_heads(np.asarray(history, dtype=float))
+        hx, hw = scmap._gj_heads(p)
+        assert np.array_equal(hx, x) and np.array_equal(hw, w)
+
+
+def test_full_head_table_is_cleared_and_rebuilt(monkeypatch):
+    monkeypatch.setattr(scmap, "GJ_TABLE_ROWS", 8)
+    scmap._gj_row.clear()
+    first = np.linspace(-0.9, 0.9, 6)
+    x, w = scmap._gj_heads(first)
+    scmap._gj_heads(np.linspace(-0.8, 0.8, 5))
+    assert len(scmap._gj_row) == 5
+    again_x, again_w = scmap._gj_heads(first)
+    assert np.array_equal(again_x, x) and np.array_equal(again_w, w)
+
+
+# ---------------------------------------------------------------------------
 # Side integrals
 
 
