@@ -226,9 +226,10 @@ def _gj_rule(p):
 
 
 # Head table: row _gj_row[p] of _gj_x and _gj_w holds the rule of exponent
-# p.  A full table is cleared; a rule is the same whenever it is built, so
-# results do not depend on the table's history.
-GJ_TABLE_ROWS = 4096         # every exponent of a 63-vertex height ramp
+# p.  A table that cannot take a layout's new exponents is cleared, and the
+# layout's exponents are all built again; a rule is the same whenever it is
+# built, so results do not depend on the table's history.
+GJ_TABLE_ROWS = 4096         # about four 63-vertex height ramps of 16 solves
 _gj_row: dict[float, int] = {}
 _gj_x = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
 _gj_w = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
@@ -242,6 +243,7 @@ def _gj_heads(p):
     if missing:
         if len(_gj_row) + len(missing) > GJ_TABLE_ROWS:
             _gj_row.clear()
+            missing = list(dict.fromkeys(keys))
         rows = slice(len(_gj_row), len(_gj_row) + len(missing))
         _gj_x[rows], _gj_w[rows] = _gj_rule(np.array(missing))
         _gj_row.update(zip(missing, range(rows.start, rows.stop)))

@@ -162,6 +162,15 @@ def test_gauss_jacobi_rules_do_not_depend_on_batch_or_table_history(ps):
         scmap._gj_heads(np.asarray(history, dtype=float))
         hx, hw = scmap._gj_heads(p)
         assert np.array_equal(hx, x) and np.array_equal(hw, w)
+    # a full table that holds p[0] but not the rest of p overflows on a
+    # batch that mixes found and new exponents
+    rows = len(set(ps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scmap, "GJ_TABLE_ROWS", rows)
+        scmap._gj_row.clear()
+        scmap._gj_heads(np.r_[p[:1], np.linspace(-0.95, 0.95, rows - 1)])
+        hx, hw = scmap._gj_heads(p)
+    assert np.array_equal(hx, x) and np.array_equal(hw, w)
 
 
 def test_full_head_table_is_cleared_and_rebuilt(monkeypatch):
@@ -173,6 +182,12 @@ def test_full_head_table_is_cleared_and_rebuilt(monkeypatch):
     assert len(scmap._gj_row) == 5
     again_x, again_w = scmap._gj_heads(first)
     assert np.array_equal(again_x, x) and np.array_equal(again_w, w)
+    # an overflowing batch whose other exponents are already in the table
+    mixed = np.r_[first[:2], np.linspace(-0.8, 0.8, 5)]
+    mixed_x, mixed_w = scmap._gj_heads(mixed)
+    ref_x, ref_w = scmap._gj_rule(mixed)
+    assert np.array_equal(mixed_x, ref_x) and np.array_equal(mixed_w, ref_w)
+    assert len(scmap._gj_row) == 7
 
 
 # ---------------------------------------------------------------------------
