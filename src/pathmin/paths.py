@@ -80,13 +80,6 @@ class LazyBridgePath:
         self._values.insert(i, v)
         return v
 
-    def value_at(self, t: float) -> float:
-        """Stored value at an already-sampled time (no new draw)."""
-        i = bisect.bisect_left(self._times, float(t))
-        if i == len(self._times) or self._times[i] != t:
-            raise KeyError(f"time {t} has not been sampled")
-        return self._values[i]
-
 
 def new_bridge(seed: int) -> LazyBridgePath:
     """Fresh lazily-sampled Brownian bridge."""
@@ -161,11 +154,11 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
         values = simulate_bridge_batch(seed, level, 1)[0]
         return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
     path = path_or_seed
+    values = np.zeros(2 ** level + 1)           # the pinned endpoints are 0
     for d in range(1, level + 1):
         scale = 2.0 ** (-d)
         for k in range(2 ** (d - 1)):
-            path.query((2 * k + 1) * scale)
-    values = np.array([path.value_at(t) for t in dyadic_times(level)])
+            values[(2 * k + 1) * 2 ** (level - d)] = path.query((2 * k + 1) * scale)
     return GridPath(level=level, values=values, kind=BRIDGE, seed=path.seed)
 
 

@@ -295,12 +295,13 @@ def _side_nodes(z, p):
     rounding x = z_anchor + offset, so crowded pre-vertices away from
     z = 0 keep full relative precision.
 
-    Returns the layout (starts, a, offset, wf): the first node of each
-    panel, every node's anchor pre-vertex and signed offset from it, and
-    the weighted integrand w * prod_j |x - z_j|^{p_j} at every node, with
-    the anchor factor taken out at the head nodes, whose weights absorb it.
-    The layout holds no node-by-pre-vertex array, so it costs little to
-    keep for a Jacobian at the same point.
+    Returns the layout (starts, a, offset, wf, integrals): the first node
+    of each panel, every node's anchor pre-vertex and signed offset from
+    it, the weighted integrand w * prod_j |x - z_j|^{p_j} at every node,
+    with the anchor factor taken out at the head nodes, whose weights
+    absorb it, and each panel's integral of prod_j |x - z_j|^{p_j}, summed
+    and checked finite once here.  The layout holds no node-by-pre-vertex
+    array, so it costs little to keep for a Jacobian at the same point.
     """
     n_pan = len(z) - 1
     k = np.arange(n_pan)
@@ -321,7 +322,9 @@ def _side_nodes(z, p):
         log_f = log_abs @ p
         log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
         wf = w * np.exp(log_f)
-    return np.searchsorted(owner, 2 * k), a, offset, wf
+        starts = np.searchsorted(owner, 2 * k)
+        integrals = _require_finite(np.add.reduceat(wf, starts))
+    return starts, a, offset, wf, integrals
 
 
 def _distances(z, a, offset):
@@ -342,19 +345,6 @@ def _require_finite(out):
     return out
 
 
-def _abs_side_integrals(z, p, layout=None) -> np.ndarray:
-    """integral over each panel [z_k, z_{k+1}] of prod_j |x - z_j|^{p_j}.
-
-    One log-product over the nodes of _side_nodes, summed per panel; a
-    layout already built at (z, p) is used as it is.  The Gauss-Jacobi
-    rules are memoised per exponent at module level and shared by every
-    solve.
-    """
-    starts, _, _, wf = _side_nodes(z, p) if layout is None else layout
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _require_finite(np.add.reduceat(wf, starts))
-
-
 def _side_integrals_dz(z, p, layout):
     """(I, dI/dz): the side integrals and their analytic Jacobian.
 
@@ -370,7 +360,7 @@ def _side_integrals_dz(z, p, layout):
     integrand keeps F's endpoint singularities, so the nodes of the
     integrals, the layout of _side_nodes at (z, p), serve them too.
     """
-    starts, a, offset, wf = layout
+    starts, a, offset, wf, integrals = layout
     k = np.arange(len(z) - 1)
     panel = np.repeat(k, np.diff(np.append(starts, len(wf))))
     node = np.arange(len(wf))
@@ -382,14 +372,13 @@ def _side_integrals_dz(z, p, layout):
         inv[node, panel] = 0.0
         inv[node, panel + 1] = 0.0
         wf_s = wf * (inv @ p)                 # weighted F * S' at every node
-        a = np.add.reduceat(wf, starts)
         inv *= wf[:, None]
         jac = np.add.reduceat(inv, starts) * -p
-        ends = (1.0 + p[:-1] + p[1:]) * a / gaps
+        ends = (1.0 + p[:-1] + p[1:]) * integrals / gaps
         # 1 - s = -(x - z_{k+1}) / g_k and s = (x - z_k) / g_k
         jac[k, k] = np.add.reduceat(wf_s * -d_hi, starts) / gaps - ends
         jac[k, k + 1] = np.add.reduceat(wf_s * d_lo, starts) / gaps + ends
-    return _require_finite(a), _require_finite(jac)
+    return integrals, _require_finite(jac)
 
 
 def _z_from_log_gaps(y: np.ndarray) -> np.ndarray:
@@ -414,7 +403,7 @@ def _side_residual(z, p, targets):
     layout is the _side_nodes layout at z, for a Jacobian at the same point.
     """
     layout = _side_nodes(z, p)
-    a = _abs_side_integrals(z, p, layout)
+    a = layout[-1]
     pred = a / a.sum()
     rel = float(np.max(np.abs(pred / targets - 1.0)))
     return (pred - targets)[:-1], rel, layout
@@ -665,12 +654,11 @@ def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
     kk1 = lam_log_sin(1.0 - t) + lam_log_sin(1.0 + t)
     c = -float(d @ kk1) / math.pi
     z = z0.copy()
-    if n >= 2:
-        tau = t[1:-1]
-        kk = lam_log_sin(tau[None, :] - t[:, None]) + lam_log_sin(tau[None, :] + t[:, None])
-        s = d @ kk
-        xi = -(np.sin(np.pi * tau) / 2.0) * (math.pi * c * tau + s)
-        z[1:-1] = z0[1:-1] + xi
+    tau = t[1:-1]
+    kk = lam_log_sin(tau[None, :] - t[:, None]) + lam_log_sin(tau[None, :] + t[:, None])
+    s = d @ kk
+    xi = -(np.sin(np.pi * tau) / 2.0) * (math.pi * c * tau + s)
+    z[1:-1] = z0[1:-1] + xi
     return PreVertexSolution(poly=poly, prevertices=z, residual_norm=math.nan,
                              iterations=0, solver="perturbative")
 
@@ -684,8 +672,6 @@ def _branch_log(w):
     w = np.asarray(w, dtype=complex)
     theta = np.arctan2(w.imag, w.real)
     theta = np.where(theta > 0.0, theta - 2.0 * np.pi, theta)
-    # real positive axis: arctan2 gives 0 which is already the right edge
-    theta = np.where((w.imag == 0.0) & (w.real < 0.0), -np.pi, theta)
     return np.log(np.abs(w)) + 1j * theta
 
 
@@ -723,16 +709,13 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
     # phase of the integrand is constant on each panel: -pi * sum of the
     # exponents of the pre-vertices still ahead
     tail = np.cumsum(p[::-1])[::-1]
-    panels = _abs_side_integrals(z, p) * np.exp(-1j * np.pi * tail[1:])
+    panels = _side_nodes(z, p)[-1] * np.exp(-1j * np.pi * tail[1:])
     scale = 1.0 / np.sum(panels)
     images = scale * np.concatenate([[0.0], np.cumsum(panels)])
 
     def at(z_point: complex) -> complex:
         if z_point.imag > 1e-12:
             raise ValueError("the map is defined on the closed lower half-plane")
-        hit = np.nonzero(z == z_point)[0]
-        if len(hit):
-            return complex(images[hit[0]])
         # anchor at the nearest pre-vertex, so the graded rule applies
         j = int(np.argmin(np.abs(z - z_point)))
         return complex(images[j] + scale * _complex_segment_integral(z, p, j, z_point))

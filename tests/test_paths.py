@@ -45,9 +45,8 @@ def test_query_outside_unit_interval_raises():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(0, 2**31 - 1), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       st.floats(0.0, 1.0))
-def test_requery_returns_stored_value(seed, times, probe):
+@given(st.integers(0, 2**31 - 1), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_requery_returns_stored_value(seed, times):
     # after every query, each time queried so far still reads its first value
     path = new_bridge(seed)
     seen = {0.0: 0.0, 1.0: 0.0}
@@ -55,11 +54,7 @@ def test_requery_returns_stored_value(seed, times, probe):
         seen.setdefault(t, path.query(t))
         for s, v in seen.items():
             assert path.query(s) == v
-            assert path.value_at(s) == v
         assert path.n_sampled == len(seen)
-    if probe not in seen:
-        with pytest.raises(KeyError):
-            path.value_at(probe)
 
 
 def test_same_seed_same_query_sequence_same_path():
@@ -199,7 +194,7 @@ def test_as_oracle_dispatch():
     grid = fill_dyadic(2, 2)
     assert as_oracle(grid)(0.5) == grid.interp(0.5)
     path = new_bridge(2)
-    assert as_oracle(path)(0.25) == path.value_at(0.25)
+    assert as_oracle(path) == path.query
     fn = lambda t: t * t
     assert as_oracle(fn) is fn
     with pytest.raises(TypeError):

@@ -20,7 +20,6 @@ from pathmin.scmap import (
     RESIDUAL_ACCEPT,
     ScSolverError,
     WalkPolygon,
-    _abs_side_integrals,
     _newton_side_solve,
     _residual_jacobian,
     _side_integrals_dz,
@@ -276,7 +275,7 @@ def test_side_integrals_match_mpmath_reference():
     with mpmath.workdps(20):
         for z, p in cases:
             ref = _mp_side_integrals(z, p)
-            assert np.max(np.abs(_abs_side_integrals(z, p) / ref - 1.0)) < 1e-9
+            assert np.max(np.abs(_side_nodes(z, p)[-1] / ref - 1.0)) < 1e-9
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -288,8 +287,8 @@ def test_side_integrals_are_reflection_symmetric(case):
     # anchor or direction between them breaks the symmetry
     y, p = case
     z, p = _z_from_log_gaps(np.array(y)), np.array(p)
-    direct = _abs_side_integrals(z, p)
-    mirrored = _abs_side_integrals(1.0 - z[::-1], p[::-1])[::-1]
+    direct = _side_nodes(z, p)[-1]
+    mirrored = _side_nodes(1.0 - z[::-1], p[::-1])[-1][::-1]
     assert np.max(np.abs(mirrored / direct - 1.0)) < 1e-9
 
 
@@ -352,7 +351,7 @@ def test_jacobian_matches_central_differences(case):
     h = 1e-5
 
     def pred(y):
-        a = _abs_side_integrals(_z_from_log_gaps(y), p)
+        a = _side_nodes(_z_from_log_gaps(y), p)[-1]
         return (a / a.sum())[:-1]
 
     ref = np.column_stack([(pred(y + h * e) - pred(y - h * e)) / (2.0 * h)
