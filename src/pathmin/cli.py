@@ -64,14 +64,17 @@ def _bounded(what: str, lo: int, hi: float = math.inf, listed: bool = False):
     return parse
 
 
-def _finite_positive(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
+def _finite(low: str):
+    """argparse type of a finite float option that is > 0 or >= 0 (low)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (value > 0.0 if low == "> 0" else value >= 0.0) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and {low}, got {value}")
+        return value
+    parse.__name__ = "float"
+    return parse
 
 
-_finite_positive.__name__ = "float"
 _grid_level = _bounded("grid level", 1, MAX_LEVEL)
 
 
@@ -225,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
                    help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
     p.add_argument("--budget", type=int, default=33, help="harmonic: query budget")
-    p.add_argument("--beta", type=float, default=1.0, help="harmonic: amplitude")
+    p.add_argument("--beta", type=_finite(">= 0"), default=1.0,
+                   help="harmonic: amplitude, finite and >= 0")
     p.add_argument("--strategy", default="max_measure",
                    choices=["max_measure", "sample_measure", "max", "sample"])
     p.add_argument("--solver", choices=["full", "perturbative"], default="full",
@@ -236,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_PERTURBATIVE_EDGES),
                    default=6, help=f"edges, 2..{MAX_PERTURBATIVE_EDGES}, of a synthetic "
                                    f"bridge walk when --walk is absent")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite(">= 0"), default=1.0, help="finite and >= 0")
     p.add_argument("--solver", choices=["full", "perturbative"], default="full")
     p.add_argument("--oracle", type=_bounded("walker count", 1), default=None, metavar="N",
                    help="also run the random-walk oracle with N >= 1 walkers and "
                         "append mc_weight,mc_stderr columns")
-    p.add_argument("--dt", type=_finite_positive, default=1e-4,
+    p.add_argument("--dt", type=_finite("> 0"), default=1e-4,
                    help="oracle absorption shell width, finite and > 0")
 
     p = command("bench", cmd_bench, "accuracy/runtime grid over one method")
@@ -261,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("range", cmd_range, "range statistics of simulated paths")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge")
     p.add_argument("--level", type=_grid_level, default=10, help=f"dyadic grid level, {levels}")
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--paths", type=_bounded("path count", 1, 2 ** 24), default=10_000,
+                   help="paths to simulate, 1..2**24")
     p.add_argument("--bins", type=_bounded("bin count", 1), default=60,
                    help="histogram bins, >= 1")
 

@@ -46,7 +46,8 @@ def _gss_core(oracle, a, b, params, trace=None):
     Probes sit at a + (b-a)/phi^2 and a + (b-a)/phi; on a tie the left
     interval is kept.  Each iteration shrinks the bracket by 1/phi, moving
     one endpoint by (b-a)/phi^2.  The loop stops once that shift drops
-    below params.epsilon or the iteration budget runs out, and the stopping
+    below params.epsilon or to 0, where the bracket no longer shrinks in
+    float arithmetic, or the iteration budget runs out, and the stopping
     iteration skips its replacement probe, so an n-iteration run costs
     exactly n + 1 interior calls on top of the two endpoint evaluations.
     """
@@ -71,7 +72,7 @@ def _gss_core(oracle, a, b, params, trace=None):
             refresh_left = False
         if trace is not None:
             trace.append((a, b))
-        if shift < params.epsilon or iters >= params.max_iters:
+        if shift < params.epsilon or shift == 0.0 or iters >= params.max_iters:
             break
         if refresh_left:
             t1 = a + (b - a) * INV_PHI2

@@ -42,7 +42,7 @@ class EdgeMeasures:
 
 def _measures_from_solution(poly, sol) -> EdgeMeasures:
     z = sol.prevertices
-    if np.any(np.diff(z) <= 0.0):
+    if not np.all(np.diff(z) > 0.0):
         raise ScSolverError("pre-vertices out of order; amplitude too large "
                             "for the chosen solver")
     # asin(sqrt(clip(z))) is non-decreasing, so ordered z give w >= 0

@@ -155,10 +155,9 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
         return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
     path = path_or_seed
     values = np.zeros(2 ** level + 1)           # the pinned endpoints are 0
-    for d in range(1, level + 1):
-        scale = 2.0 ** (-d)
-        for k in range(2 ** (d - 1)):
-            values[(2 * k + 1) * 2 ** (level - d)] = path.query((2 * k + 1) * scale)
+    for d in range(1, level + 1):       # i = (2k + 1) * 2**(level - d), k = 0, 1, ...
+        for i in range(2 ** (level - d), 2 ** level, 2 ** (level - d + 1)):
+            values[i] = path.query(i / 2 ** level)
     return GridPath(level=level, values=values, kind=BRIDGE, seed=path.seed)
 
 

@@ -26,10 +26,10 @@ point builds its node layout once, in the residual, and the Jacobian
 takes it from there; Newton stops once a step no longer cuts the residual
 tenfold below RESIDUAL_ACCEPT, where only the rule's own error is left.
 The forward map integrates from the nearest pre-vertex with the same
-rule.  The Gauss-Jacobi heads come from numpy alone, by the Golub-Welsch
-eigenvalue method with one Newton polish (_gj_rule); they are kept in a
-bounded module-level table keyed by exponent and shared by every solve,
-and each layout builds the exponents the table lacks in one batch.
+rule.  Every Gauss rule, Gauss-Legendre (p = 0) included, comes from
+numpy alone, by the Golub-Welsch method with one Newton polish
+(_gj_rule); the heads are kept in a bounded table keyed by exponent and
+shared by every solve, and each layout builds the ones it lacks at once.
 """
 from __future__ import annotations
 
@@ -37,10 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 MAX_VERTICES = 64            # finite-vertex cap: crowding makes larger solves unreliable
-MAX_PERTURBATIVE_EDGES = 512  # perturbative cap: its kernel takes about 1.9 KB x n^2, 0.5 GiB
+MAX_PERTURBATIVE_EDGES = 512  # perturbative cap: its kernel takes about 1 KB x n^2, 0.25 GiB
 NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
 RESIDUAL_TARGET = 1e-11      # Newton always stops here ...
@@ -50,8 +49,6 @@ LM_TRIES = 25                # damping escalations per iteration before stalling
 CONTINUATION_SOLVES = 16     # Newton solves per height ramp, the direct attempt included
 GJ_POINTS = 24               # Gauss-Jacobi / Gauss-Legendre nodes per subsegment
 
-_GL_X, _GL_W = leggauss(GJ_POINTS)
-_LAM_X, _LAM_W = leggauss(48)
 LAM_ONE = -math.log(2.0)     # integral_0^1 log|sin(pi u / 2)| du
 
 
@@ -66,6 +63,7 @@ class WalkPolygon:
     times holds t_0 = 0 < t_1 < ... < t_n = 1 and values the unscaled
     heights W_k with W_0 = W_n = 0; beta multiplies the heights wherever
     geometry is built, so the same walk can be examined at any amplitude.
+    Non-finite times, values or beta, or slope jumps that beta overflows, raise.
     """
 
     times: np.ndarray
@@ -87,8 +85,13 @@ class WalkPolygon:
             raise ValueError("walk times must be strictly increasing")
         if v[0] != 0.0 or v[-1] != 0.0:
             raise ValueError("walks are pinned: W_0 = W_n = 0")
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            jumps = slope_jumps(self)
+        for name, x in (("times", t), ("values", v), ("slope jumps", jumps)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"walk {name} must be finite, at beta = {self.beta:g}")
 
     @property
     def n_edges(self) -> int:
@@ -225,6 +228,8 @@ def _gj_rule(p):
     return x, w * (moment / w.sum(axis=1))[:, None]
 
 
+_GL_X, _GL_W = (row[0] for row in _gj_rule(np.zeros(1)))   # Gauss-Legendre: p = 0
+
 # Head table: row _gj_row[p] of _gj_x and _gj_w holds the rule of exponent
 # p.  A table that cannot take a layout's new exponents is cleared, and the
 # layout's exponents are all built again; a rule is the same whenever it is
@@ -323,8 +328,7 @@ def _side_nodes(z, p):
         log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
         wf = w * np.exp(log_f)
         starts = np.searchsorted(owner, 2 * k)
-        integrals = _require_finite(np.add.reduceat(wf, starts))
-    return starts, a, offset, wf, integrals
+        return starts, a, offset, wf, _require_finite(np.add.reduceat(wf, starts))
 
 
 def _distances(z, a, offset):
@@ -403,8 +407,7 @@ def _side_residual(z, p, targets):
     layout is the _side_nodes layout at z, for a Jacobian at the same point.
     """
     layout = _side_nodes(z, p)
-    a = layout[-1]
-    pred = a / a.sum()
+    pred = layout[-1] / layout[-1].sum()
     rel = float(np.max(np.abs(pred / targets - 1.0)))
     return (pred - targets)[:-1], rel, layout
 
@@ -435,8 +438,8 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     residual hands its node layout to that Jacobian, so every residual
     evaluation builds one layout and the Jacobian builds none.  A
     rejected or unevaluable trial step raises the Marquardt damping
-    instead of failing, so ill-conditioned Jacobians degrade toward
-    gradient steps; only an unevaluable starting point raises.
+    instead of failing, so ill-conditioned Jacobians degrade toward gradient
+    steps; only an unevaluable start or a vertex angle of 0 raises.
 
     The iteration stops at the quadrature's noise floor: once the max
     relative side-length error is at most RESIDUAL_ACCEPT and the last
@@ -452,6 +455,8 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     sub-0.1% improvements in a row) or 'budget' (NEWTON_BUDGET steps).
     """
     p = turning_angles(poly).alpha[:-1] - 1.0
+    if not np.all(p > -1.0):    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
+        raise ScSolverError("a vertex angle rounds to 0; the walk is too steep to solve")
     lengths = poly.edge_lengths()
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
@@ -540,7 +545,7 @@ def solve_prevertices_full(poly: WalkPolygon,
 
     Raises ValueError when initial_guess solves a walk with a node that
     poly lacks, and ScSolverError when the walk has more than MAX_VERTICES
-    finite vertices or when the ramp does not reach RESIDUAL_ACCEPT.
+    finite vertices or a vertex angle of 0, or the ramp misses RESIDUAL_ACCEPT.
     """
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
@@ -593,7 +598,7 @@ def lam_log_sin(x):
     Odd in x, with the reflection Lam(x) = 2 * Lam(1) - Lam(2 - x) for
     x in (1, 2] and Lam(1) = -log 2.  On [0, 1] the endpoint log
     singularity integrates in closed form and the smooth remainder
-    log(sinc(u/2)) is handled by Gauss-Legendre.
+    log(sinc(u/2)), analytic well beyond [0, 1], by the 24-point rule.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -608,8 +613,8 @@ def lam_log_sin(x):
     pos = ax > 0.0
     if np.any(pos):
         xi = ax[pos]
-        u = 0.5 * xi[:, None] * (_LAM_X + 1.0)
-        smooth = (np.log(np.sinc(0.5 * u)) @ _LAM_W) * 0.5 * xi
+        u = 0.5 * xi[:, None] * (_GL_X + 1.0)
+        smooth = (np.log(np.sinc(0.5 * u)) @ _GL_W) * 0.5 * xi
         vals[pos] = smooth + xi * (np.log(0.5 * np.pi * xi) - 1.0)
     vals = np.where(refl, 2.0 * LAM_ONE - vals, vals)
     vals = np.where(x < 0.0, -vals, vals)
@@ -641,7 +646,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
 
     at tau = t_{l-1} for l = 2 .. n, while xi_1 = xi_{n+1} = 0 keeps the
     endpoints exactly.  Valid to O(beta^2).  The kernel K is an n x n
-    array expanded by the 48 nodes of lam_log_sin, so walks of more than
+    array expanded by the 24 nodes of lam_log_sin, so walks of more than
     MAX_PERTURBATIVE_EDGES edges raise ValueError before it is built.
     """
     t = poly.times

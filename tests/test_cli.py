@@ -84,6 +84,11 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     # search takes bench's method names: a Cauchy MCB search is mcb-cauchy
     (["search", "--method", "naive-gss", "--kind", "cauchy"], "--kind", None),
     (["measure", "--walk-nodes", "513"], "--walk-nodes", "<= 512"),
+    (["measure", "--walk-nodes", "4", "--beta", "inf"], "--beta", "finite"),
+    (["search", "--method", "harmonic", "--beta", "nan"], "--beta", ">= 0"),
+    (["measure", "--walk-nodes", "4", "--beta", "-1"], "--beta", ">= 0"),
+    (["range", "--paths", "0"], "--paths", ">= 1"),
+    (["range", "--paths", str(2 ** 24 + 1)], "--paths", "<= 16777216"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -278,6 +283,18 @@ def test_measure_perturbative_walk_past_edge_cap_is_usage_error(tmp_path, capsys
                "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: walk has 600 edges")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("solver", ["full", "perturbative"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_measure_non_finite_walk_is_usage_error(tmp_path, capsys, solver, bad):
+    walk = tmp_path / "walk.csv"
+    walk.write_text(f"t,value\n0,0\n0.5,{bad}\n1,0\n")
+    rc = main(["measure", "--walk", str(walk), "--solver", solver, "--seed", "1",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: walk values must be finite")
     assert not (tmp_path / "m.csv").exists()
 
 

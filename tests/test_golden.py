@@ -1,4 +1,6 @@
 """Golden-section search mechanics and its partitioned variant."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,18 @@ def test_epsilon_stops_once_shift_is_small():
     # the stopping iteration saw its endpoint move by under epsilon
     assert (b - a) * INV_PHI2 / INV_PHI < 0.01
     assert rep.params["iterations"] == len(trace)
+
+
+@pytest.mark.parametrize("fn", [lambda t: (t - 0.3) ** 2, lambda t: t])
+def test_zero_epsilon_stops_once_the_bracket_stops_shrinking(fn):
+    # an interior minimum's bracket stops shrinking after about 80
+    # iterations; one at t = 0 shrinks into the subnormals first
+    t0 = time.perf_counter()
+    rep = golden_section(fn, (0.0, 1.0), GssParams(epsilon=0.0, max_iters=10**9))
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.params["iterations"] <= 2000
+    short = golden_section(fn, (0.0, 1.0), GssParams(epsilon=0.0, max_iters=100))
+    assert rep.argmin_t == short.argmin_t
 
 
 def test_tie_keeps_left_interval():

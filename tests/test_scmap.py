@@ -1,6 +1,7 @@
 """Conformal map machinery: angles, pre-vertex solvers, forward map."""
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -57,6 +58,23 @@ def test_polygon_validates_nodes():
     with pytest.raises(ValueError):
         WalkPolygon(times=np.array([0.0, 0.5, 1.0]),
                     values=np.array([0.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("times, values, beta, what", [
+    ([0.0, np.nan, 1.0], [0.0, 0.1, 0.0], 1.0, "times"),
+    ([0.0, np.inf, 1.0], [0.0, 0.1, 0.0], 1.0, "times"),
+    ([0.0, 0.5, 1.0], [0.0, np.nan, 0.0], 1.0, "values"),
+    ([0.0, 0.5, 1.0], [0.0, -np.inf, 0.0], 1.0, "values"),
+    ([0.0, 0.5, 1.0], [0.0, 0.3, 0.0], np.inf, "beta"),
+    ([0.0, 0.5, 1.0], [0.0, 0.3, 0.0], np.nan, "beta"),
+    ([0.0, 0.5, 1.0], [0.0, 0.3, 0.0], -1.0, "beta"),
+    ([0.0, 0.5, 1.0], [0.0, 2.0, 0.0], 1e308, "slope jumps"),    # heights overflow
+    ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 1e308, "slope jumps"),    # slopes overflow
+    ([0.0, 0.5, 1.0], [0.0, 0.45, 0.0], 1e308, "slope jumps"),   # only the jump does
+])
+def test_polygon_rejects_non_finite_input(times, values, beta, what):
+    with pytest.raises(ValueError, match=what):
+        WalkPolygon(times=np.array(times), values=np.array(values), beta=beta)
 
 
 def test_polygon_scales_heights_by_beta():
@@ -146,6 +164,15 @@ def test_gauss_jacobi_rule_matches_mpmath():
     assert np.max(np.abs(x[3] - leg_x)) <= 1e-15
     # leggauss's own weights sit up to 1.5e-15 from the 32-digit rule
     assert np.max(np.abs(w[3] - leg_w)) <= 2e-15
+
+
+def test_gauss_legendre_rule_matches_mpmath():
+    # the rule of the graded tails and of lam_log_sin; numpy's leggauss
+    # weights are up to 1.2e-13 off at the end nodes
+    with mpmath.workdps(32):
+        ref_x, ref_w = _mp_gauss_jacobi(0.0)
+    assert np.max(np.abs(scmap._GL_X - ref_x)) <= 2.5e-16
+    assert np.max(np.abs(scmap._GL_W / ref_w - 1.0)) <= 5e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -552,6 +579,27 @@ def test_perturbative_residual_check_fills_norm():
     targets = poly.edge_lengths() / poly.edge_lengths().sum()
     _, rel, _ = scmap._side_residual(sol.prevertices, p, targets)
     assert rel < 1e-2
+
+
+def test_perturbative_kernel_peaks_near_one_kilobyte_per_edge_squared():
+    # the n x n kernel is expanded by the 24 nodes of lam_log_sin
+    n = 256
+    poly = make_bridge_walk(4, n, beta=0.1)
+    tracemalloc.start()
+    try:
+        solve_prevertices_perturbative(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * n * n
+
+
+def test_full_solver_reports_a_vertex_angle_that_rounds_to_zero():
+    # atan(2e20) / pi rounds to 1/2: the spike's angle is 0, its exponent
+    # -1, and no Gauss-Jacobi rule exists for it
+    poly = WalkPolygon(times=[0.0, 0.5, 1.0], values=[0.0, 1.0, 0.0], beta=1e20)
+    with pytest.raises(ScSolverError, match="rounds to 0"):
+        solve_prevertices_full(poly)
 
 
 def test_perturbative_walk_past_edge_cap_raises_before_allocating(monkeypatch):
