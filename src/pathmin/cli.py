@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_grid_level, default=10, help=f"dyadic grid level, {levels}")
     p.add_argument("--paths", type=_bounded("path count", 1, 2 ** 24), default=10_000,
                    help="paths to simulate, 1..2**24")
-    p.add_argument("--bins", type=_bounded("bin count", 1), default=60,
-                   help="histogram bins, >= 1")
+    p.add_argument("--bins", type=_bounded("bin count", 1, 2 ** 16), default=60,
+                   help="histogram bins, 1..2**16")
 
     parser.commands = sub.choices   # name -> subparser, to map --config keys
     return parser

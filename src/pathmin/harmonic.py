@@ -24,6 +24,7 @@ from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPol
                     solve_prevertices_full, solve_prevertices_perturbative)
 
 MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges: about 50 B each at peak, 800 MiB
+MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class EdgeMeasures:
     stderr: np.ndarray | None = None
 
 
-def _measures_from_solution(poly, sol) -> EdgeMeasures:
+def _measures_from_solution(sol) -> EdgeMeasures:
     z = sol.prevertices
     if not np.all(np.diff(z) > 0.0):
         raise ScSolverError("pre-vertices out of order; amplitude too large "
@@ -48,7 +49,7 @@ def _measures_from_solution(poly, sol) -> EdgeMeasures:
     # asin(sqrt(clip(z))) is non-decreasing, so ordered z give w >= 0
     w = (2.0 / np.pi) * np.diff(np.arcsin(np.sqrt(np.clip(z, 0.0, 1.0))))
     w = w / w.sum()
-    return EdgeMeasures(times=poly.times.copy(), weights=w)
+    return EdgeMeasures(times=sol.poly.times.copy(), weights=w)
 
 
 def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
@@ -65,25 +66,22 @@ def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
         sol = solve_prevertices_perturbative(poly)
     else:
         raise ValueError(f"unknown solver '{solver}'")
-    return _measures_from_solution(poly, sol)
+    return _measures_from_solution(sol)
 
 
-def choose_edge(measures: EdgeMeasures, params: HmcParams, rng=None) -> int:
-    """Pick an edge index (0-based) from the weights.
+def choose_edge(weights: np.ndarray, strategy: str, rng) -> int:
+    """Pick an edge index (0-based) from non-negative edge weights.
 
     'max_measure' takes the argmax, lowest index on ties; 'sample_measure'
-    draws one edge from the weight distribution using `rng`.
+    draws one edge in proportion to the weights.  Others raise ValueError.
     """
-    w = measures.weights
-    if params.strategy == "max_measure":
-        return int(np.argmax(w))
-    if params.strategy == "sample_measure":
-        if rng is None:
-            raise ValueError("sample_measure needs an rng")
+    if strategy == "max_measure":
+        return int(np.argmax(weights))
+    if strategy == "sample_measure":
         u = float(rng.random())
-        k = int(np.searchsorted(np.cumsum(w), u * np.sum(w), side="right"))
-        return min(k, len(w) - 1)
-    raise ValueError(f"unknown strategy '{params.strategy}'")
+        k = int(np.searchsorted(np.cumsum(weights), u * np.sum(weights), side="right"))
+        return min(k, len(weights) - 1)
+    raise ValueError(f"unknown strategy '{strategy}'")
 
 
 @dataclass
@@ -98,25 +96,26 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     """Bisect the edge carrying the most harmonic measure until out of budget.
 
     The path must be pinned (values exactly 0 at both endpoints, checked
-    before any other query).  The first budget unit always queries t = 1/2;
-    each later round rebuilds the walk polygon from every queried point at
-    amplitude params.beta, weights its edges, picks one by params.strategy
-    and queries that edge's midpoint.  The full solver starts each round
-    from the last solution it found, which a failed round keeps.  A
-    pre-vertex solve failure downgrades the round to uniform weights; such
-    rounds are counted in report.params['fallbacks'].  Total oracle
-    queries = budget + 2 (the two endpoints plus one query per budget
-    unit); report.params['midpoints'] lists the queried times in order.
-    The last round's walk has budget edges and budget + 1 vertices, so the
-    full solver takes budgets below MAX_VERTICES only and the perturbative
-    one budgets up to MAX_PERTURBATIVE_EDGES; larger ones raise ValueError,
-    as does an unknown solver or strategy, before any query.
+    before any other query).  Each round queries t, starting at 1/2, and
+    stops after budget midpoints.  Otherwise it solves the pre-vertices of
+    the walk through every queried point at amplitude params.beta with
+    params.solver, weighs its edges and lets choose_edge pick the next t,
+    the chosen edge's midpoint.  The full solver starts from the last
+    solution it found, which a failed round keeps; a failed solve gives
+    uniform weights, counted in report.params['fallbacks'].  Queries =
+    budget + 2; report.params['midpoints'] lists the queried times in order.
+    The last walk has budget + 1 vertices, so the full solver takes budgets
+    below MAX_VERTICES and the perturbative one up to MAX_PERTURBATIVE_EDGES.
+    Larger budgets, an unknown solver or strategy, or a beta that is not
+    finite and >= 0 raise ValueError before any query.
     """
     params = params or HmcParams()
     if params.solver not in ("full", "perturbative"):
         raise ValueError(f"unknown solver '{params.solver}'")
     if params.strategy not in ("max_measure", "sample_measure"):
         raise ValueError(f"unknown strategy '{params.strategy}'")
+    if not 0.0 <= params.beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {params.beta}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if params.solver == "full" and budget >= MAX_VERTICES:
@@ -128,8 +127,7 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
                          f"perturbative solver caps at {MAX_PERTURBATIVE_EDGES}")
     fn = as_oracle(path)
     t0 = time.perf_counter()
-    v0 = fn(0.0)
-    v1 = fn(1.0)
+    v0, v1 = fn(0.0), fn(1.0)
     if v0 != 0.0 or v1 != 0.0:
         raise ValueError("harmonic bisection needs a pinned path "
                          "(exactly zero at both endpoints)")
@@ -137,36 +135,27 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     values = [v0, v1]
     rng = make_rng(params.seed)
     midpoints = []
-
-    def insert(t: float) -> float:
-        v = fn(t)
-        i = bisect.bisect_left(times, t)
-        times.insert(i, t)
-        values.insert(i, v)
-        midpoints.append(t)
-        return v
-
-    insert(0.5)
-    used = 1
     fallbacks = 0
     warm = None
-    while used < budget:
-        poly = WalkPolygon(times=np.array(times), values=np.array(values),
-                           beta=params.beta)
+    t = 0.5
+    while True:
+        i = bisect.bisect_left(times, t)
+        times.insert(i, t)
+        values.insert(i, fn(t))
+        midpoints.append(t)
+        if len(midpoints) == budget:
+            break
+        poly = WalkPolygon(times=np.array(times), values=np.array(values), beta=params.beta)
         try:
-            if params.solver == "full":
-                sol = solve_prevertices_full(poly, initial_guess=warm)
-                em = _measures_from_solution(poly, sol)
-                warm = sol
-            else:
-                em = edge_measures(poly, solver=params.solver)
+            sol = (solve_prevertices_full(poly, initial_guess=warm) if params.solver == "full"
+                   else solve_prevertices_perturbative(poly))
+            weights = _measures_from_solution(sol).weights
+            warm = sol
         except ScSolverError:
-            n = poly.n_edges
-            em = EdgeMeasures(times=poly.times, weights=np.full(n, 1.0 / n))
+            weights = np.full(poly.n_edges, 1.0 / poly.n_edges)
             fallbacks += 1
-        k = choose_edge(em, params, rng)
-        insert(0.5 * (times[k] + times[k + 1]))
-        used += 1
+        k = choose_edge(weights, params.strategy, rng)
+        t = 0.5 * (times[k] + times[k + 1])
 
     vals = np.array(values)
     best = int(np.argmin(vals))
@@ -202,7 +191,7 @@ def _fold(x):
 
 
 def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4,
-                      seed: int = 0, max_rounds: int = 1_000_000) -> EdgeMeasures:
+                      seed: int = 0) -> EdgeMeasures:
     """Estimate the edge hitting weights by walk-on-spheres.
 
     The horizontal coordinate lives on the whole line and is folded onto
@@ -221,7 +210,7 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     Returns EdgeMeasures with binomial standard errors.  Raises
     ValueError, before drawing anything, when walkers < 1, walkers x edges
     > MAX_WALKER_EDGES or dt is not finite and positive, and RuntimeError
-    if any walker survives max_rounds rounds.
+    if any walker survives MAX_WALK_ROUNDS rounds.
     """
     if walkers < 1:
         raise ValueError("need at least one walker")
@@ -242,9 +231,9 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     counts = np.zeros(n, dtype=np.int64)
     rounds = 0
     while len(x):
-        if rounds >= max_rounds:
+        if rounds >= MAX_WALK_ROUNDS:
             raise RuntimeError(
-                f"{len(x)} walkers still alive after {max_rounds} rounds; "
+                f"{len(x)} walkers still alive after {MAX_WALK_ROUNDS} rounds; "
                 f"deepest at y = {float(y.min()):.3g}")
         rounds += 1
         dist = _point_segment_distance(x, y, ax, ay, bx, by)

@@ -462,6 +462,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     y = _log_gaps_from_z(z0)
     z = _z_from_log_gaps(y)
     f, rel, layout = _side_residual(z, p, targets)
+    norm = float(np.linalg.norm(f))
     evals = 1
     mu = 0.0
     iters = 0
@@ -474,11 +475,10 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
         except ScSolverError:
             reason = "crowded"
             break
-        base = float(np.linalg.norm(f))
+        base = norm
         jtj = jac.T @ jac
         jtf = jac.T @ f
         scale = np.diag(np.maximum(np.diag(jtj), 1e-30))
-        improved = False
         for _ in range(LM_TRIES):
             if mu == 0.0:
                 try:
@@ -493,19 +493,17 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
             evals += 1
             try:
                 f_new, rel_new, layout = _side_residual(z_new, p, targets)
-            except ScSolverError:
-                mu = max(mu * 10.0, LM_MU_MIN)
-                continue
-            if np.linalg.norm(f_new) < base:
-                y, z, f, rel = y_new, z_new, f_new, rel_new
-                improved = True
+                norm_new = float(np.linalg.norm(f_new))
+            except ScSolverError:   # an unevaluable trial is a rejected one
+                norm_new = math.inf
+            if norm_new < base:
+                y, z, f, rel, norm = y_new, z_new, f_new, rel_new, norm_new
                 mu = 0.0 if mu <= LM_MU_MIN else mu / 3.0
                 break
             mu = max(mu * 10.0, LM_MU_MIN)
-        if not improved:
+        else:
             reason = "no_descent"
             break
-        norm = float(np.linalg.norm(f))
         # at the quadrature's noise floor a step no longer cuts |f| tenfold
         if rel <= RESIDUAL_ACCEPT and norm > 0.1 * base:
             break
@@ -543,13 +541,13 @@ def solve_prevertices_full(poly: WalkPolygon,
     CONTINUATION_SOLVES solves.  The solution's stop_reason is the direct
     attempt's, and continuation says whether more solves ran.
 
-    Raises ValueError when initial_guess solves a walk with a node that
-    poly lacks, and ScSolverError when the walk has more than MAX_VERTICES
-    finite vertices or a vertex angle of 0, or the ramp misses RESIDUAL_ACCEPT.
+    Raises ValueError for a walk of more than MAX_VERTICES finite vertices
+    or an initial_guess with a node that poly lacks, and ScSolverError for
+    a vertex angle of 0 or a ramp that misses RESIDUAL_ACCEPT.
     """
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
-        raise ScSolverError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
+        raise ValueError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
     h1 = poly.scaled_values()
     if initial_guess is None or not np.any(h1):
         h0 = np.zeros(n + 1)
@@ -611,14 +609,13 @@ def lam_log_sin(x):
     ax = np.where(refl, 2.0 - ax, ax)
     vals = np.zeros_like(ax)
     pos = ax > 0.0
-    if np.any(pos):
-        xi = ax[pos]
-        u = 0.5 * xi[:, None] * (_GL_X + 1.0)
-        smooth = (np.log(np.sinc(0.5 * u)) @ _GL_W) * 0.5 * xi
-        vals[pos] = smooth + xi * (np.log(0.5 * np.pi * xi) - 1.0)
+    xi = ax[pos]
+    u = 0.5 * xi[:, None] * (_GL_X + 1.0)
+    smooth = (np.log(np.sinc(0.5 * u)) @ _GL_W) * 0.5 * xi
+    vals[pos] = smooth + xi * (np.log(0.5 * np.pi * xi) - 1.0)
     vals = np.where(refl, 2.0 * LAM_ONE - vals, vals)
     vals = np.where(x < 0.0, -vals, vals)
-    return float(vals[0]) if scalar else vals.reshape(np.shape(x))
+    return float(vals[0]) if scalar else vals
 
 
 def slope_jumps(poly: WalkPolygon) -> np.ndarray:

@@ -89,6 +89,7 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     (["measure", "--walk-nodes", "4", "--beta", "-1"], "--beta", ">= 0"),
     (["range", "--paths", "0"], "--paths", ">= 1"),
     (["range", "--paths", str(2 ** 24 + 1)], "--paths", "<= 16777216"),
+    (["range", "--bins", "65537"], "--bins", "<= 65536"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -264,14 +265,14 @@ def test_measure_rejects_malformed_walk(tmp_path, capsys):
 
 
 def test_measure_numerical_failure_exits_three(tmp_path, capsys):
-    # 70 edges exceeds the full solver's vertex cap
+    # atan(2e20) / pi rounds to 1/2, so the spike's vertex angle is 0
     walk = tmp_path / "walk.csv"
-    t = np.linspace(0.0, 1.0, 71)
-    walk.write_text("t,value\n" + "".join(f"{x},0\n" for x in t))
-    rc = main(["measure", "--walk", str(walk), "--seed", "1",
+    walk.write_text("t,value\n0,0\n0.5,1\n1,0\n")
+    rc = main(["measure", "--walk", str(walk), "--beta", "1e20", "--seed", "1",
                "--out", str(tmp_path / "m.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_measure_perturbative_walk_past_edge_cap_is_usage_error(tmp_path, capsys):
@@ -326,6 +327,15 @@ def test_bench_invalid_cells_exit_two(tmp_path, capsys):
 
 def test_search_harmonic_budget_past_cap_exits_two(tmp_path, capsys):
     rc, out = run(tmp_path, "search", "--method", "harmonic", "--budget", "64",
+                  "--seed", "1")
+    assert rc == 2
+    assert "caps at 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_measure_full_solver_past_vertex_cap_exits_two(tmp_path, capsys):
+    # a 64-edge walk has 65 vertices, one past the full solver's cap
+    rc, out = run(tmp_path, "measure", "--walk-nodes", "64", "--solver", "full",
                   "--seed", "1")
     assert rc == 2
     assert "caps at 64" in capsys.readouterr().err

@@ -92,46 +92,35 @@ def test_unknown_solver_raises():
 
 
 def test_max_measure_takes_argmax():
-    em = EdgeMeasures(times=np.array([0.0, 0.3, 0.6, 1.0]),
-                      weights=np.array([0.2, 0.5, 0.3]))
     # edges are numbered 0-based, so the 0.5 weight sits at index 1
-    assert choose_edge(em, HmcParams(strategy="max_measure")) == 1
+    assert choose_edge(np.array([0.2, 0.5, 0.3]), "max_measure", make_rng(0)) == 1
 
 
 def test_max_measure_breaks_ties_low():
-    em = EdgeMeasures(times=np.linspace(0.0, 1.0, 5),
-                      weights=np.full(4, 0.25))
-    assert choose_edge(em, HmcParams(strategy="max_measure")) == 0
+    assert choose_edge(np.full(4, 0.25), "max_measure", make_rng(0)) == 0
 
 
 def test_max_measure_ignores_rescaling():
-    em = EdgeMeasures(times=np.array([0.0, 0.3, 0.6, 1.0]),
-                      weights=np.array([0.2, 0.5, 0.3]))
-    scaled = EdgeMeasures(times=em.times, weights=7.0 * em.weights)
-    params = HmcParams(strategy="max_measure")
-    assert choose_edge(scaled, params) == choose_edge(em, params)
+    w = np.array([0.2, 0.5, 0.3])
+    rng = make_rng(0)
+    assert choose_edge(7.0 * w, "max_measure", rng) == choose_edge(w, "max_measure", rng)
 
 
 def test_sample_measure_frequencies():
     w = np.array([0.2, 0.5, 0.3])
-    em = EdgeMeasures(times=np.array([0.0, 0.3, 0.6, 1.0]), weights=w)
-    params = HmcParams(strategy="sample_measure")
     rng = make_rng(17)
     n = 100_000
     counts = np.zeros(3)
     for _ in range(n):
-        counts[choose_edge(em, params, rng)] += 1
+        counts[choose_edge(w, "sample_measure", rng)] += 1
     freq = counts / n
     se = np.sqrt(w * (1.0 - w) / n)
     assert np.all(np.abs(freq - w) < 3.0 * se)
 
 
-def test_sample_measure_needs_rng_and_known_strategy():
-    em = EdgeMeasures(times=np.array([0.0, 1.0]), weights=np.array([1.0]))
-    with pytest.raises(ValueError):
-        choose_edge(em, HmcParams(strategy="sample_measure"))
-    with pytest.raises(ValueError):
-        choose_edge(em, HmcParams(strategy="best_measure"), make_rng(0))
+def test_choose_edge_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy 'best_measure'"):
+        choose_edge(np.array([1.0]), "best_measure", make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +187,24 @@ def test_perturbative_budget_past_edge_cap_raises():
     assert path.n_sampled == 2   # rejected before any query
 
 
-@pytest.mark.parametrize("field", ["solver", "strategy"])
+BAD_OPTIONS = {
+    "solver": ({"solver": "bogus"}, "unknown solver 'bogus'"),
+    "strategy": ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+    "beta-nan": ({"beta": np.nan}, "beta must be finite and >= 0"),
+    "beta-inf": ({"beta": np.inf}, "beta must be finite and >= 0"),
+    "beta-negative": ({"beta": -0.5}, "beta must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_OPTIONS))
 @pytest.mark.parametrize("budget", [1, 2])
 def test_unknown_solver_or_strategy_raises_before_any_query(field, budget):
-    # a budget of 1 never reaches the solver or choose_edge, so without an
-    # up-front check "bogus" would pass silently
+    # a budget of 1 never reaches the solver, the walk or choose_edge, so
+    # without an up-front check a bad option would pass silently
+    options, message = BAD_OPTIONS[field]
     path = new_bridge(1)
-    with pytest.raises(ValueError, match=f"unknown {field} 'bogus'"):
-        harmonic_bisection_search(path, budget, HmcParams(beta=0.0, **{field: "bogus"}))
+    with pytest.raises(ValueError, match=message):
+        harmonic_bisection_search(path, budget, HmcParams(**{"beta": 0.0, **options}))
     assert path.n_sampled == 2
 
 
@@ -361,10 +360,11 @@ def test_oracle_matches_analytic_weights_on_a_steep_walk():
     assert np.all(np.abs(mc.weights - an.weights) < 4.0 * se)
 
 
-def test_oracle_round_cap_raises():
+def test_oracle_round_cap_raises(monkeypatch):
+    monkeypatch.setattr("pathmin.harmonic.MAX_WALK_ROUNDS", 1)
     poly = make_bridge_walk(77, 4, beta=0.4)
-    with pytest.raises(RuntimeError, match="still alive"):
-        mc_hitting_oracle(poly, walkers=100, seed=5, max_rounds=1)
+    with pytest.raises(RuntimeError, match="still alive after 1 rounds"):
+        mc_hitting_oracle(poly, walkers=100, seed=5)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-4])

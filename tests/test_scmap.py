@@ -510,7 +510,7 @@ def test_stalled_warm_start_recovers_by_continuation():
 
 
 def test_vertex_cap_raises():
-    with pytest.raises(ScSolverError):
+    with pytest.raises(ValueError, match=f"caps at {MAX_VERTICES}"):
         solve_prevertices_full(make_bridge_walk(0, MAX_VERTICES, beta=0.1))
 
 
