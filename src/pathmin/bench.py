@@ -7,25 +7,26 @@ from typing import Any
 import numpy as np
 
 from .golden import GssParams, golden_section, iterative_gss
+from .harmonic import HmcParams, harmonic_bisection_search
 from .mcb import McbParams, mcb_search
-from .paths import (BRIDGE, CAUCHY, dyadic_times, fill_dyadic, simulate_bridge_batch,
-                    simulate_cauchy, simulate_cauchy_batch)
+from .paths import (BRIDGE, CAUCHY, dyadic_times, fill_dyadic, new_bridge,
+                    simulate_bridge_batch, simulate_cauchy, simulate_cauchy_batch)
 from .report import write_csv, write_json
 from .rng import derive_seed
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
 _BATCH_PATHS = 4096            # internal chunk size for range statistics
 MAX_BATCH_VALUES = 2 ** 27     # largest range batch in grid values: 1 GiB of float64
+MAX_LAZY_FILL_LEVEL = 16       # a lazy fill is quadratic in its points: 1.2 s at level 16
 
 
 @dataclass
 class TrialGrid:
     """A family of benchmark cells for one search method.
 
-    method is one of 'naive-gss', 'iter-gss', 'mcb', 'mcb-cauchy'; cells
-    holds one parameter dict per cell ({'m': ...} for iter-gss,
-    {'l': ..., 'r': ..., 'g': ...} for the bisection methods, {} for
-    naive-gss).  level is the grid resolution used by the GSS methods.
+    method is one of run_trial's methods; cells holds one dict per cell of
+    the keys run_trial reads.  level is the grid resolution of the GSS
+    methods and of harmonic's reference grid.
     """
 
     method: str
@@ -53,16 +54,18 @@ class BenchRow:
 
 def run_trial(method: str, cell: dict, seed: int, level: int = 10,
               gss: GssParams | None = None, path=None):
-    """One search of a benchmark cell: (report, path searched).
+    """One search of a benchmark cell: (report, grid searched or filled).
 
     Seed contract: unless a path is given, it is simulated from
-    derive_seed(seed, 0), as a level-`level` bridge grid for the GSS
-    methods and a level-cell['l'] bridge or Cauchy grid for 'mcb' and
-    'mcb-cauchy'; the MCB descents draw from derive_seed(seed, 1); the GSS
-    reports carry seed itself.  `pathmin search --seed S` with a grid
-    method runs run_trial(..., S), and run_grid runs trial t of cell c at
-    derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss and 'l',
-    'r', 'g' for the MCB methods; other keys are ignored.
+    derive_seed(seed, 0): a level-`level` bridge grid for the GSS methods,
+    a level-cell['l'] bridge or Cauchy grid for the MCB methods, a lazy
+    bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
+    after the search; a level above MAX_LAZY_FILL_LEVEL raises ValueError
+    first).  The MCB descents and harmonic draw from derive_seed(seed, 1);
+    the GSS reports carry seed itself.  `pathmin search --seed S` runs
+    run_trial(..., S), and run_grid runs trial t of cell c at
+    derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss, 'l', 'r',
+    'g' for MCB, 'budget', 'beta', 'strategy', 'solver' for harmonic.
     """
     if method in ("naive-gss", "iter-gss"):
         if path is None:
@@ -77,6 +80,17 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
             path = simulate(derive_seed(seed, 0), cell["l"])
         rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"],
                                          seed=derive_seed(seed, 1)))
+    elif method == "harmonic":
+        lazy = path is None
+        path = new_bridge(derive_seed(seed, 0)) if lazy else path
+        if lazy and level > MAX_LAZY_FILL_LEVEL:
+            raise ValueError(f"harmonic's lazy reference grid caps at level "
+                             f"{MAX_LAZY_FILL_LEVEL}, got {level}")
+        rep = harmonic_bisection_search(path, cell["budget"], HmcParams(
+            beta=cell["beta"], strategy=cell["strategy"], solver=cell["solver"],
+            seed=derive_seed(seed, 1)))
+        if lazy:
+            path = fill_dyadic(path, level)
     else:
         raise ValueError(f"unknown benchmark method '{method}'")
     return rep, path
@@ -99,13 +113,9 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
         good = [o for o in outcomes if o is not None]
         failures = len(outcomes) - len(good)
         if good:
-            errs = np.array([o[0] for o in good])
-            walls = np.array([o[1] for o in good])
-            queries = np.array([o[2] for o in good])
-            mean_err = float(errs.mean())
+            errs, walls, queries = np.array(good, dtype=float).T
+            mean_err, mean_wall, mean_q = (float(x.mean()) for x in (errs, walls, queries))
             stderr = float(errs.std(ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-            mean_wall = float(walls.mean())
-            mean_q = float(queries.mean())
         else:
             mean_err = stderr = mean_wall = mean_q = float("nan")
         rows.append(BenchRow(
@@ -176,22 +186,13 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
     ranges = np.empty(n_paths)
     gaps = np.empty(n_paths)
     times = dyadic_times(level)
-    done = 0
-    chunk_idx = 0
-    while done < n_paths:
+    simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
+    for chunk_idx, done in enumerate(range(0, n_paths, _BATCH_PATHS)):
         m = min(_BATCH_PATHS, n_paths - done)
-        cseed = derive_seed(seed, chunk_idx)
-        if kind == BRIDGE:
-            vals = simulate_bridge_batch(cseed, level, m)
-        else:
-            vals = simulate_cauchy_batch(cseed, level, m)
-        hi = vals.max(axis=1)
-        lo = vals.min(axis=1)
-        ranges[done:done + m] = hi - lo
+        vals = simulate(derive_seed(seed, chunk_idx), level, m)
+        ranges[done:done + m] = vals.max(axis=1) - vals.min(axis=1)
         gaps[done:done + m] = np.abs(times[np.argmax(vals, axis=1)]
                                      - times[np.argmin(vals, axis=1)])
-        done += m
-        chunk_idx += 1
     finite = ranges[np.isfinite(ranges)]
     hist_hi = float(np.quantile(finite, 0.995))
     edges = np.linspace(0.0, max(hist_hi, 1e-12), bins + 1)

@@ -21,20 +21,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (TrialGrid, mcb_grid, range_distribution, run_grid, run_trial,
-                    save_bench_csv, save_bench_json, save_range_csv)
+from .bench import (MAX_LAZY_FILL_LEVEL, TrialGrid, mcb_grid, range_distribution, run_grid,
+                    run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
-from .harmonic import (HmcParams, edge_measures, harmonic_bisection_search,
-                       mc_hitting_oracle, save_measures_csv)
+from .harmonic import edge_measures, mc_hitting_oracle, save_measures_csv
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
 from .rng import derive_seed
-from .scmap import MAX_PERTURBATIVE_EDGES, ScSolverError, WalkPolygon
+from .scmap import MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
-GRID_METHODS = ["naive-gss", "iter-gss", "mcb", "mcb-cauchy"]   # run_trial's methods
+GRID_METHODS = ["naive-gss", "iter-gss", "mcb", "mcb-cauchy"]   # bench's methods
 MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
 
 
@@ -96,27 +95,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_search(args) -> int:
     path = load_grid_csv(args.path) if args.path else None
-    if args.method == "harmonic":
-        if path is None:
-            path = new_bridge(derive_seed(args.seed, 0))
-        strategy = STRATEGY_ALIASES.get(args.strategy, args.strategy)
-        hp = HmcParams(beta=args.beta, strategy=strategy, solver=args.solver,
-                       seed=derive_seed(args.seed, 1))
-        rep = harmonic_bisection_search(path, args.budget, hp)
-        if rep.params["fallbacks"]:
-            print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
-                  f"back to uniform weights", file=sys.stderr)
-    else:
-        cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g}
-        gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
-        rep, path = run_trial(args.method, cell, args.seed, args.level, gss, path)
+    strategy = STRATEGY_ALIASES.get(args.strategy, args.strategy)
+    cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g, "budget": args.budget,
+            "beta": args.beta, "solver": args.solver, "strategy": strategy}
+    gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
+    rep, grid = run_trial(args.method, cell, args.seed, args.level, gss, path)
+    if rep.params.get("fallbacks"):
+        print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
+              f"back to uniform weights", file=sys.stderr)
     rep.seed = args.seed
-    payload = rep.to_dict()
-    if args.method != "harmonic":
-        gm = path.grid_min
-        payload.update({"grid_min": {"time": gm.time, "value": gm.value},
-                        "error_vs_grid_min": rep.min_value - gm.value})
-    payload["meta"] = _meta(args)
+    gm = grid.grid_min
+    payload = {**rep.to_dict(), "grid_min": {"time": gm.time, "value": gm.value},
+               "error_vs_grid_min": rep.min_value - gm.value, "meta": _meta(args)}
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
           f"({rep.queries} queries) -> {args.out}")
@@ -207,6 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file of option values, read as flags; explicit flags win")
         return p
 
+    def gss_options(p):
+        p.add_argument("--epsilon", type=_finite(">= 0"), default=0.001, help="finite and >= 0")
+        p.add_argument("--max-iters", type=_bounded("iteration cap", 1), default=200, help=">= 1")
+
     levels = f"1..{MAX_LEVEL}"
     p = command("simulate", cmd_simulate, "simulate one grid path and write it as CSV")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge")
@@ -218,16 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default=None,
                    help="grid CSV to search instead of simulating a path")
     p.add_argument("--level", type=_grid_level, default=10,
-                   help=f"grid level for GSS methods, {levels}")
+                   help=f"grid level for GSS methods and harmonic's reference grid, "
+                        f"{levels} (1..{MAX_LAZY_FILL_LEVEL} for a lazy bridge)")
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
                    help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--max-iters", type=int, default=200)
+    gss_options(p)
     p.add_argument("--l", type=_grid_level, default=10, help=f"mcb: grid level, {levels}")
-    p.add_argument("--r", type=int, default=10, help="mcb: descent depth, 1..l")
+    p.add_argument("--r", type=_bounded("descent depth", 1, MAX_LEVEL), default=10,
+                   help="mcb: descent depth, 1..l")
     p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
                    help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
-    p.add_argument("--budget", type=int, default=33, help="harmonic: query budget")
+    p.add_argument("--budget", type=_bounded("query budget", 1, MAX_PERTURBATIVE_EDGES),
+                   default=33, help=f"harmonic: midpoints, 1..{MAX_VERTICES - 1} (full solver) "
+                                    f"or 1..{MAX_PERTURBATIVE_EDGES} (perturbative)")
     p.add_argument("--beta", type=_finite(">= 0"), default=1.0,
                    help="harmonic: amplitude, finite and >= 0")
     p.add_argument("--strategy", default="max_measure",
@@ -259,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"each in {levels}")
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL, True),
                    help=f"iter-gss cells, e.g. '0..4', each in 0..{MAX_LEVEL}")
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--max-iters", type=int, default=200)
+    gss_options(p)
 
     p = command("range", cmd_range, "range statistics of simulated paths")
     p.add_argument("--kind", choices=sorted(KIND_ALIASES), default="bridge")

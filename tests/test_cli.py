@@ -14,6 +14,7 @@ import pathmin
 from pathmin.bench import run_trial
 from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
+from pathmin.paths import load_grid_csv, new_bridge
 
 
 def run(tmp_path, *argv):
@@ -90,6 +91,17 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     (["range", "--paths", "0"], "--paths", ">= 1"),
     (["range", "--paths", str(2 ** 24 + 1)], "--paths", "<= 16777216"),
     (["range", "--bins", "65537"], "--bins", "<= 65536"),
+    # each single-option bound sits on its option, so nothing is simulated first
+    (["search", "--method", "mcb", "--l", "24", "--r", "0"], "--r", ">= 1"),
+    (["search", "--method", "mcb", "--r", "25"], "--r", "<= 24"),
+    (["search", "--method", "naive-gss", "--epsilon", "nan"], "--epsilon", ">= 0"),
+    (["search", "--method", "naive-gss", "--epsilon", "-1"], "--epsilon", ">= 0"),
+    (["bench", "--method", "naive-gss", "--epsilon", "inf"], "--epsilon", "finite"),
+    (["search", "--method", "naive-gss", "--max-iters", "-5"], "--max-iters", ">= 1"),
+    (["bench", "--method", "naive-gss", "--max-iters", "0"], "--max-iters", ">= 1"),
+    (["search", "--method", "harmonic", "--budget", "0"], "--budget", ">= 1"),
+    (["search", "--method", "harmonic", "--solver", "perturbative", "--budget", "513"],
+     "--budget", "<= 512"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -206,6 +218,9 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
     assert not out.exists()
 
 
+HARMONIC = {"budget": 8, "beta": 1.0, "strategy": "max_measure", "solver": "full"}
+
+
 @pytest.mark.parametrize("flags, method, cell", [
     (["--method", "mcb", "--l", "6", "--r", "5", "--g", "32"],
      "mcb", {"l": 6, "r": 5, "g": 32}),
@@ -213,16 +228,50 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
      "mcb-cauchy", {"l": 6, "r": 5, "g": 32}),
     (["--method", "naive-gss", "--level", "7"], "naive-gss", {}),
     (["--method", "iter-gss", "--level", "7", "--m", "2"], "iter-gss", {"m": 2}),
+    (["--method", "harmonic", "--budget", "8", "--level", "7"], "harmonic", HARMONIC),
+    # 4 of its 11 rounds fall back to uniform weights
+    (["--method", "harmonic", "--budget", "12", "--level", "7", "--solver", "perturbative",
+      "--beta", "0.5", "--strategy", "sample"], "harmonic",
+     {"budget": 12, "beta": 0.5, "strategy": "sample_measure", "solver": "perturbative"}),
+    (["--method", "harmonic", "--budget", "8", "--path", "GRID"], "harmonic", HARMONIC),
 ])
 def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
+    path = None
+    if "GRID" in flags:   # search a saved level-7 bridge grid
+        grid_file = tmp_path / "grid.csv"
+        assert main(["simulate", "--seed", "3", "--level", "7",
+                     "--out", str(grid_file)]) == 0
+        flags = [str(grid_file) if f == "GRID" else f for f in flags]
+        path = load_grid_csv(str(grid_file))
     rc, out = run(tmp_path, "search", *flags, "--seed", "13")
     assert rc == 0
     rep = json.loads(out.read_text())
-    trial, path = run_trial(method, cell, 13, level=7, gss=GssParams())
+    trial, grid = run_trial(method, cell, 13, level=7, gss=GssParams(), path=path)
     assert rep["min_value"] == trial.min_value
     assert rep["argmin_t"] == trial.argmin_t
     assert rep["queries"] == trial.queries
-    assert rep["error_vs_grid_min"] == trial.min_value - path.grid_min.value
+    # harmonic's midpoints and fallbacks, GSS's iterations, MCB's cells
+    assert rep["params"] == json.loads(json.dumps(trial.params))
+    assert rep["error_vs_grid_min"] == trial.min_value - grid.grid_min.value
+    if path is not None:   # a searched grid is queried by interpolation, never below its minimum
+        assert rep["error_vs_grid_min"] >= 0.0
+
+
+def test_search_harmonic_lazy_fill_past_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # the lazy fill is quadratic in its points, so its level is checked first
+    made = []
+
+    def spy(seed):
+        made.append(new_bridge(seed))
+        return made[-1]
+
+    monkeypatch.setattr("pathmin.bench.new_bridge", spy)
+    rc, out = run(tmp_path, "search", "--method", "harmonic", "--level", "17",
+                  "--seed", "1")
+    assert rc == 2
+    assert "caps at level 16" in capsys.readouterr().err
+    assert [b.n_sampled for b in made] == [2]
+    assert not out.exists()
 
 
 def test_search_harmonic_rejects_unpinned_grid(tmp_path):

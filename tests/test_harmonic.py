@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_bridge_walk
+from pathmin.bench import run_trial
 from pathmin.harmonic import (
     MAX_WALKER_EDGES,
     EdgeMeasures,
@@ -19,7 +20,7 @@ from pathmin.harmonic import (
     mc_hitting_oracle,
     save_measures_csv,
 )
-from pathmin.paths import as_oracle, new_bridge
+from pathmin.paths import as_oracle, fill_dyadic, new_bridge
 from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                            solve_prevertices_full)
@@ -272,25 +273,27 @@ def test_report_tracks_best_queried_point():
     assert rep.argmin_t == times[np.argmin(values)]
 
 
+def uniform_bisection(path, budget, rng):
+    """Minimum found by bisecting a uniformly drawn edge: budget + 2 queries."""
+    fn = as_oracle(path)
+    times = [0.0, 1.0]
+    values = [fn(0.0), fn(1.0)]
+
+    def insert(t):
+        i = bisect.bisect_left(times, t)
+        times.insert(i, t)
+        values.insert(i, fn(t))
+
+    insert(0.5)
+    for _ in range(budget - 1):
+        k = int(rng.integers(0, len(times) - 1))
+        insert(0.5 * (times[k] + times[k + 1]))
+    return min(values)
+
+
 def test_guided_search_beats_uniform_bisection_on_average():
     # exploratory comparison: mean found-minimum over 60 fresh bridges,
     # measure-sampled bisection vs uniformly random edge bisection
-    def uniform_bisection(path, budget, rng):
-        fn = as_oracle(path)
-        times = [0.0, 1.0]
-        values = [fn(0.0), fn(1.0)]
-
-        def insert(t):
-            i = bisect.bisect_left(times, t)
-            times.insert(i, t)
-            values.insert(i, fn(t))
-
-        insert(0.5)
-        for _ in range(budget - 1):
-            k = int(rng.integers(0, len(times) - 1))
-            insert(0.5 * (times[k] + times[k + 1]))
-        return min(values)
-
     n, budget = 60, 33
     guided = np.array([
         harmonic_bisection_search(
@@ -307,6 +310,28 @@ def test_guided_search_beats_uniform_bisection_on_average():
     ])
     se = np.sqrt(guided.var(ddof=1) / n + uniform.var(ddof=1) / n)
     assert guided.mean() <= uniform.mean() + se
+
+
+def test_full_solver_search_beats_blind_bisection_on_the_same_grids():
+    # the paper's claim, paired: on each of 20 level-10 bridge grids the
+    # harmonic search (full solver), uniform-edge bisection and MCB all make
+    # 18 queries.  Bound, fixed before the first run: the paired mean of
+    # each baseline's error minus harmonic's error is positive.
+    n, budget = 20, 16
+    cell = {"budget": budget, "beta": 1.0, "strategy": "max_measure", "solver": "full"}
+    over_uniform, over_mcb = [], []
+    for i in range(n):
+        seed = derive_seed(704, i)
+        grid = fill_dyadic(derive_seed(seed, 0), 10)
+        guided, _ = run_trial("harmonic", cell, seed, path=grid)
+        mcb, _ = run_trial("mcb", {"l": 10, "r": 10, "g": budget}, seed, path=grid)
+        assert guided.queries == mcb.queries == budget + 2
+        # the errors share the grid minimum, so their differences are the minima's
+        over_uniform.append(uniform_bisection(grid, budget, make_rng(derive_seed(seed, 2)))
+                            - guided.min_value)
+        over_mcb.append(mcb.min_value - guided.min_value)
+    assert np.mean(over_uniform) > 0.0
+    assert np.mean(over_mcb) > 0.0
 
 
 # ---------------------------------------------------------------------------
