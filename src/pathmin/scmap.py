@@ -28,8 +28,8 @@ the residual tenfold below RESIDUAL_ACCEPT, where only the rule's own
 error is left.  The forward map integrates from the nearest pre-vertex
 with the same rule.  Every Gauss rule, Gauss-Legendre (p = 0) included,
 comes from numpy alone, by the Golub-Welsch method with one Newton polish
-(_gj_rule); the heads are kept in a bounded table keyed by exponent and
-shared by every solve, and each layout builds the ones it lacks at once.
+(_gj_rule); the heads are kept in a bounded table keyed by exponent, and
+each Newton solve or forward map looks its heads up there once (_gj_heads).
 """
 from __future__ import annotations
 
@@ -230,33 +230,28 @@ def _gj_rule(p):
 
 _GL_X, _GL_W = (row[0] for row in _gj_rule(np.zeros(1)))   # Gauss-Legendre: p = 0
 
-# Head table: row _gj_row[p] of _gj_x and _gj_w holds the rule of exponent
-# p.  A table that cannot take a layout's new exponents is cleared, and the
-# layout's exponents are all built again; a rule is the same whenever it is
-# built, so results do not depend on the table's history.
-GJ_TABLE_ROWS = 4096         # about four 63-vertex height ramps of 16 solves; 0.75 MiB
-_gj_row: dict[float, int] = {}
-_gj_x = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
-_gj_w = np.empty((GJ_TABLE_ROWS, GJ_POINTS))
+# Head table: exponent -> its rule, nodes and weights stacked as (2, GJ_POINTS).
+# A lookup that leaves more than GJ_TABLE_ROWS rules in it clears it after
+# answering; a rule is the same whenever it is built, so results do not
+# depend on the table's history.
+GJ_TABLE_ROWS = 4096         # about four 63-vertex height ramps of 16 solves; 1.5 MiB full
+_gj_table: dict[float, np.ndarray] = {}
 
 
 def _gj_heads(p):
     """Gauss-Jacobi nodes and weights (rows) for the exponents p, from the
     head table; the exponents it lacks are built in one batch."""
     keys = p.tolist()
-    missing = list(dict.fromkeys(q for q in keys if q not in _gj_row))
+    missing = list(dict.fromkeys(q for q in keys if q not in _gj_table))
     if missing:
-        if len(_gj_row) + len(missing) > GJ_TABLE_ROWS:
-            _gj_row.clear()
-            missing = list(dict.fromkeys(keys))
-        rows = slice(len(_gj_row), len(_gj_row) + len(missing))
-        _gj_x[rows], _gj_w[rows] = _gj_rule(np.array(missing))
-        _gj_row.update(zip(missing, range(rows.start, rows.stop)))
-    rows = [_gj_row[q] for q in keys]
-    return _gj_x[rows], _gj_w[rows]
+        _gj_table.update(zip(missing, np.stack(_gj_rule(np.array(missing)), axis=1)))
+    rules = np.array([_gj_table[q] for q in keys]).reshape(-1, 2, GJ_POINTS)  # p may be empty
+    if len(_gj_table) > GJ_TABLE_ROWS:
+        _gj_table.clear()
+    return rules[:, 0], rules[:, 1]
 
 
-def _graded_rule(head, span, p_anchor):
+def _graded_rule(head, span, p_anchor, head_x, head_w):
     """Nodes of the graded rule on half-panels [0, span] off their anchors.
 
     A half-panel runs from an anchor pre-vertex with exponent p_anchor
@@ -265,7 +260,8 @@ def _graded_rule(head, span, p_anchor):
     [0, head] absorbs u^{p_anchor}; Gauss-Legendre segments follow at
     c_m = head * 2^m with length min(span - c_m, c_m), each as long as
     its distance from the anchor, until span is covered, so a half-panel
-    takes 1 + ceil(log2(span / head)) segments.
+    takes 1 + ceil(log2(span / head)) segments.  head_x and head_w hold
+    the Gauss-Jacobi rule of each half-panel's p_anchor, one row each.
 
     Returns (owner, u, w, at_head): for every node, its half-panel, its
     offset from the anchor, its weight and whether it is a Gauss-Jacobi
@@ -280,7 +276,6 @@ def _graded_rule(head, span, p_anchor):
     half = 0.5 * np.minimum(span[seg_owner] - c, c)
     u = c[:, None] + half[:, None] * (_GL_X + 1.0)
     w = half[:, None] * _GL_W
-    head_x, head_w = _gj_heads(p_anchor)
     head_half = 0.5 * head[:, None]
     u[at_head] = head_half * (1.0 + head_x)
     w[at_head] = head_w * head_half ** (p_anchor[:, None] + 1.0)
@@ -288,17 +283,17 @@ def _graded_rule(head, span, p_anchor):
             np.repeat(at_head, GJ_POINTS))
 
 
-def _side_nodes(z, p):
+def _side_nodes(z, p, heads):
     """Quadrature layout of the side integrals, grouped by panel.
 
     Each panel [z_k, z_{k+1}] splits at its midpoint into two half-panels,
     graded from their end pre-vertices by _graded_rule: a Gauss-Jacobi
     head of length min(span, nearest gap / 2), then Gauss-Legendre
     segments doubling in length, each as long as its distance from that
-    pre-vertex.  Distances to the pre-vertices are formed as
-    (z_anchor - z_j) + offset by _distances, never as x - z_j after
-    rounding x = z_anchor + offset, so crowded pre-vertices away from
-    z = 0 keep full relative precision.
+    pre-vertex; heads holds the head rule of each p_j (_gj_heads).
+    Distances to the pre-vertices are formed as (z_anchor - z_j) + offset
+    by _distances, never as x - z_j after rounding x = z_anchor + offset,
+    so crowded pre-vertices away from z = 0 keep full relative precision.
 
     Returns the layout (starts, a, offset, wf, integrals): the first node
     of each panel, every node's anchor pre-vertex and signed offset from
@@ -317,7 +312,8 @@ def _side_nodes(z, p):
     head = np.minimum(span, 0.5 * near[anchor])
     if not np.all(head > 0.0):
         raise ScSolverError("degenerate panel: coincident pre-vertices")
-    owner, u, w, at_head = _graded_rule(head, span, p[anchor])
+    head_x, head_w = heads
+    owner, u, w, at_head = _graded_rule(head, span, p[anchor], head_x[anchor], head_w[anchor])
     a = anchor[owner]
     offset = np.where(owner % 2 == 0, u, -u)
     log_abs = _distances(z, a, offset)          # becomes log|x - z_j| in place
@@ -398,7 +394,7 @@ def _log_gaps_from_z(z: np.ndarray) -> np.ndarray:
     return np.log(gaps[:-1] / gaps[-1])
 
 
-def _side_residual(z, p, targets):
+def _side_residual(z, p, heads, targets):
     """(residual vector, max relative error, layout) of the side-length
     conditions.
 
@@ -406,7 +402,7 @@ def _side_residual(z, p, targets):
     is redundant and the residual keeps only the first n - 1 components.
     layout is the _side_nodes layout at z, for a Jacobian at the same point.
     """
-    layout = _side_nodes(z, p)
+    layout = _side_nodes(z, p, heads)
     pred = layout[-1] / layout[-1].sum()
     rel = float(np.max(np.abs(pred / targets - 1.0)))
     return (pred - targets)[:-1], rel, layout
@@ -457,11 +453,12 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     p = turning_angles(poly).alpha[:-1] - 1.0
     if not np.all(p > -1.0):    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
         raise ScSolverError("a vertex angle rounds to 0; the walk is too steep to solve")
+    heads = _gj_heads(p)
     lengths = poly.edge_lengths()
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
     z = _z_from_log_gaps(y)
-    f, rel, layout = _side_residual(z, p, targets)
+    f, rel, layout = _side_residual(z, p, heads, targets)
     norm = float(np.linalg.norm(f))
     evals = 1
     mu = 0.0
@@ -492,7 +489,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
             z_new = _z_from_log_gaps(y_new)
             evals += 1
             try:
-                f_new, rel_new, layout = _side_residual(z_new, p, targets)
+                f_new, rel_new, layout = _side_residual(z_new, p, heads, targets)
                 norm_new = float(np.linalg.norm(f_new))
             except ScSolverError:   # an unevaluable trial is a rejected one
                 norm_new = math.inf
@@ -677,11 +674,11 @@ def _branch_log(w):
     return np.log(np.abs(w)) + 1j * theta
 
 
-def _complex_segment_integral(z, p, j, z_to):
+def _complex_segment_integral(z, p, heads, j, z_to):
     """integral of prod_i (zeta - z_i)^{p_i} along the straight segment
     z_j -> z_to, where z_to is no nearer to any other pre-vertex than to
     z_j.  The segment then stays in z_j's (convex) Voronoi cell, so it is
-    one half-panel of the graded rule anchored at z_j.
+    one half-panel of the graded rule anchored at z_j, headed by heads' row j.
     """
     direction = z_to - z[j]
     span = abs(direction)
@@ -690,7 +687,7 @@ def _complex_segment_integral(z, p, j, z_to):
     unit = direction / span
     near = float(np.min(np.abs(np.delete(z, j) - z[j])))
     _, u, w, at_head = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]),
-                                    p[j:j + 1])
+                                    p[j:j + 1], heads[0][j:j + 1], heads[1][j:j + 1])
     # zeta - z_i formed as (z_j - z_i) + unit * u, like the side integrals
     log_f = _branch_log((z[j] - z)[None, :] + (unit * u)[:, None]) @ p
     # (zeta - z_j)^{p_j} = u^{p_j} * unit^{p_j}; the head weights absorb u^{p_j}
@@ -711,7 +708,8 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
     # phase of the integrand is constant on each panel: -pi * sum of the
     # exponents of the pre-vertices still ahead
     tail = np.cumsum(p[::-1])[::-1]
-    panels = _side_nodes(z, p)[-1] * np.exp(-1j * np.pi * tail[1:])
+    heads = _gj_heads(p)
+    panels = _side_nodes(z, p, heads)[-1] * np.exp(-1j * np.pi * tail[1:])
     scale = 1.0 / np.sum(panels)
     images = scale * np.concatenate([[0.0], np.cumsum(panels)])
 
@@ -720,7 +718,7 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
             raise ValueError("the map is defined on the closed lower half-plane")
         # anchor at the nearest pre-vertex, so the graded rule applies
         j = int(np.argmin(np.abs(z - z_point)))
-        return complex(images[j] + scale * _complex_segment_integral(z, p, j, z_point))
+        return complex(images[j] + scale * _complex_segment_integral(z, p, heads, j, z_point))
 
     zs = np.asarray(z_points, dtype=complex)
     if zs.ndim == 0:

@@ -184,8 +184,9 @@ def test_gauss_jacobi_rules_do_not_depend_on_batch_or_table_history(ps):
         xi, wi = scmap._gj_rule(p[i:i + 1])
         assert np.array_equal(xi[0], x[i]) and np.array_equal(wi[0], w[i])
     for history in ([], p[::-1], np.linspace(-0.9, 0.9, 50)):
-        scmap._gj_row.clear()
-        scmap._gj_heads(np.asarray(history, dtype=float))
+        scmap._gj_table.clear()
+        hx, hw = scmap._gj_heads(np.asarray(history, dtype=float))
+        assert hx.shape == hw.shape == (len(history), scmap.GJ_POINTS)
         hx, hw = scmap._gj_heads(p)
         assert np.array_equal(hx, x) and np.array_equal(hw, w)
     # a full table that holds p[0] but not the rest of p overflows on a
@@ -193,27 +194,34 @@ def test_gauss_jacobi_rules_do_not_depend_on_batch_or_table_history(ps):
     rows = len(set(ps))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scmap, "GJ_TABLE_ROWS", rows)
-        scmap._gj_row.clear()
+        scmap._gj_table.clear()
         scmap._gj_heads(np.r_[p[:1], np.linspace(-0.95, 0.95, rows - 1)])
         hx, hw = scmap._gj_heads(p)
     assert np.array_equal(hx, x) and np.array_equal(hw, w)
 
 
 def test_full_head_table_is_cleared_and_rebuilt(monkeypatch):
+    # a lookup answers from the table, then clears it if it holds more
+    # than GJ_TABLE_ROWS rules; the next lookup builds its rules again
     monkeypatch.setattr(scmap, "GJ_TABLE_ROWS", 8)
-    scmap._gj_row.clear()
+    scmap._gj_table.clear()
     first = np.linspace(-0.9, 0.9, 6)
     x, w = scmap._gj_heads(first)
-    scmap._gj_heads(np.linspace(-0.8, 0.8, 5))
-    assert len(scmap._gj_row) == 5
+    scmap._gj_heads(np.r_[first[:3], -0.95, 0.95])
+    assert len(scmap._gj_table) == 8
+    new_x, new_w = scmap._gj_heads(np.linspace(-0.8, 0.8, 5))
+    ref_x, ref_w = scmap._gj_rule(np.linspace(-0.8, 0.8, 5))
+    assert np.array_equal(new_x, ref_x) and np.array_equal(new_w, ref_w)
+    assert len(scmap._gj_table) == 0
     again_x, again_w = scmap._gj_heads(first)
     assert np.array_equal(again_x, x) and np.array_equal(again_w, w)
+    assert len(scmap._gj_table) == 6
     # an overflowing batch whose other exponents are already in the table
     mixed = np.r_[first[:2], np.linspace(-0.8, 0.8, 5)]
     mixed_x, mixed_w = scmap._gj_heads(mixed)
     ref_x, ref_w = scmap._gj_rule(mixed)
     assert np.array_equal(mixed_x, ref_x) and np.array_equal(mixed_w, ref_w)
-    assert len(scmap._gj_row) == 7
+    assert len(scmap._gj_table) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,8 @@ def test_side_integrals_match_mpmath_reference():
         cases.append((_mid_cluster(5, log_ratio, log_ratio + 2), p))
     with mpmath.workdps(20):
         for z, p in cases:
-            err = np.max(np.abs(_side_nodes(z, p)[-1] / _mp_side_integrals(z, p) - 1.0))
+            ints = _side_nodes(z, p, scmap._gj_rule(p))[-1]
+            err = np.max(np.abs(ints / _mp_side_integrals(z, p) - 1.0))
             assert err < 1e-9
             assert err < 2e-14
 
@@ -317,8 +326,8 @@ def test_side_integrals_are_reflection_symmetric(case):
     # anchor or direction between them breaks the symmetry
     y, p = case
     z, p = _z_from_log_gaps(np.array(y)), np.array(p)
-    direct = _side_nodes(z, p)[-1]
-    mirrored = _side_nodes(1.0 - z[::-1], p[::-1])[-1][::-1]
+    direct = _side_nodes(z, p, scmap._gj_rule(p))[-1]
+    mirrored = _side_nodes(1.0 - z[::-1], p[::-1], scmap._gj_rule(p[::-1]))[-1][::-1]
     assert np.max(np.abs(mirrored / direct - 1.0)) < 1e-9
 
 
@@ -356,7 +365,7 @@ def test_jacobian_matches_mpmath_central_differences():
              (1.0 - _origin_cluster(5, 10, 10)[::-1], p_cluster)]
     with mpmath.workdps(30):
         for z, p in cases:
-            layout = _side_nodes(z, p)
+            layout = _side_nodes(z, p, scmap._gj_rule(p))
             gaps = np.diff(z)
             near = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
             z_mp = [mpmath.mpf(v) for v in z]
@@ -378,16 +387,17 @@ def test_jacobian_matches_central_differences(case):
     # central differences of the quadrature itself in the log-gap unknowns;
     # each row (one side-length equation) is compared at its own scale
     y, p = np.array(case[0]), np.array(case[1])
+    heads = scmap._gj_rule(p)
     h = 1e-5
 
     def pred(y):
-        a = _side_nodes(_z_from_log_gaps(y), p)[-1]
+        a = _side_nodes(_z_from_log_gaps(y), p, heads)[-1]
         return (a / a.sum())[:-1]
 
     ref = np.column_stack([(pred(y + h * e) - pred(y - h * e)) / (2.0 * h)
                            for e in np.eye(len(y))])
     z = _z_from_log_gaps(y)
-    jac = _residual_jacobian(z, p, _side_nodes(z, p))
+    jac = _residual_jacobian(z, p, _side_nodes(z, p, heads))
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.max(np.abs(jac - ref) / scale) < 1e-5
 
@@ -497,6 +507,36 @@ def test_each_residual_builds_the_only_layout(monkeypatch):
         assert len(calls) == sol.residual_evals
 
 
+def test_heads_are_looked_up_once_per_newton_solve_and_forward_map(monkeypatch):
+    # every layout of a Newton solve shares one exponent vector, so the
+    # solve (and a forward map, however many points it takes) looks the
+    # head rules up once
+    poly = make_bridge_walk(2, 8, beta=1.0)
+    start = solve_prevertices_full(sub_walk(poly, slice(None, None, 2)))
+    lookups, solves = [], []
+    gj_heads, newton = scmap._gj_heads, scmap._newton_side_solve
+
+    def counted_heads(*args):
+        lookups.append(1)
+        return gj_heads(*args)
+
+    def counted_newton(*args):
+        solves.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(scmap, "_gj_heads", counted_heads)
+    monkeypatch.setattr(scmap, "_newton_side_solve", counted_newton)
+    for guess in (None, start):
+        lookups.clear()
+        solves.clear()
+        sol = solve_prevertices_full(poly, initial_guess=guess)
+        assert sol.residual_evals > len(solves) >= 1
+        assert len(lookups) == len(solves)
+    lookups.clear()
+    sc_forward_map(sol, np.linspace(0.0, 1.0, 7) - 0.1j)
+    assert len(lookups) == 1
+
+
 def test_stalled_warm_start_recovers_by_continuation():
     # Newton from the interpolated start stalls; ramping node 1's height
     # up from the start walk's chord still reaches the cold solution
@@ -580,7 +620,7 @@ def test_perturbative_residual_check_fills_norm():
     assert math.isnan(sol.residual_norm)
     p = turning_angles(poly).alpha[:-1] - 1.0
     targets = poly.edge_lengths() / poly.edge_lengths().sum()
-    _, rel, _ = scmap._side_residual(sol.prevertices, p, targets)
+    _, rel, _ = scmap._side_residual(sol.prevertices, p, scmap._gj_rule(p), targets)
     assert rel < 1e-2
 
 
