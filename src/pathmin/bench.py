@@ -65,7 +65,8 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     the GSS reports carry seed itself.  `pathmin search --seed S` runs
     run_trial(..., S), and run_grid runs trial t of cell c at
     derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss, 'l', 'r',
-    'g' for MCB, 'budget', 'beta', 'strategy', 'solver' for harmonic.
+    'g' for MCB, 'budget', 'beta', 'strategy' (one of harmonic.STRATEGIES)
+    and 'solver' (a key of harmonic.SOLVER_EDGES) for harmonic.
     """
     if method in ("naive-gss", "iter-gss"):
         if path is None:

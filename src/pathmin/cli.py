@@ -8,12 +8,14 @@ other commands write a '<out>.meta.json' sidecar (bench also puts meta in
 Each option's valid range is declared once, on the option, by its argparse
 type (_bounded for ints, MAX_LEVEL capping grid levels and panel
 exponents), so flags and --config entries are checked alike before any
-command runs.  search and bench share the grid method names.
+command runs.  search and bench share the grid method names; search and
+measure take the solver and strategy names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,17 +26,19 @@ from . import __version__
 from .bench import (MAX_LAZY_FILL_LEVEL, TrialGrid, mcb_grid, range_distribution, run_grid,
                     run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
-from .harmonic import edge_measures, mc_hitting_oracle, save_measures_csv
+from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracle,
+                       save_measures_csv)
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
 from .rng import derive_seed
-from .scmap import MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon
+from .scmap import WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
 GRID_METHODS = ["naive-gss", "iter-gss", "mcb", "mcb-cauchy"]   # bench's methods
 MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
+MAX_WALK_EDGES = max(SOLVER_EDGES.values())   # longest walk any solver takes
 
 
 def _parse_int_list(text: str):
@@ -105,7 +109,7 @@ def cmd_search(args) -> int:
               f"back to uniform weights", file=sys.stderr)
     rep.seed = args.seed
     gm = grid.grid_min
-    payload = {**rep.to_dict(), "grid_min": {"time": gm.time, "value": gm.value},
+    payload = {**dataclasses.asdict(rep), "grid_min": {"time": gm.time, "value": gm.value},
                "error_vs_grid_min": rep.min_value - gm.value, "meta": _meta(args)}
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
@@ -222,23 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mcb: descent depth, 1..l")
     p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
                    help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
-    p.add_argument("--budget", type=_bounded("query budget", 1, MAX_PERTURBATIVE_EDGES),
-                   default=33, help=f"harmonic: midpoints, 1..{MAX_VERTICES - 1} (full solver) "
-                                    f"or 1..{MAX_PERTURBATIVE_EDGES} (perturbative)")
+    p.add_argument("--budget", type=_bounded("query budget", 1, MAX_WALK_EDGES), default=33,
+                   help="harmonic: midpoints, " + " or ".join(
+                       f"1..{cap} ({solver} solver)" for solver, cap in SOLVER_EDGES.items()))
     p.add_argument("--beta", type=_finite(">= 0"), default=1.0,
                    help="harmonic: amplitude, finite and >= 0")
     p.add_argument("--strategy", default="max_measure",
-                   choices=["max_measure", "sample_measure", "max", "sample"])
-    p.add_argument("--solver", choices=["full", "perturbative"], default="full",
+                   choices=[*STRATEGIES, *STRATEGY_ALIASES])
+    p.add_argument("--solver", choices=list(SOLVER_EDGES), default="full",
                    help="harmonic: pre-vertex solver")
 
     p = command("measure", cmd_measure, "harmonic edge weights of a walk polygon")
     p.add_argument("--walk", default=None, help="CSV of walk nodes (t,value)")
-    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_PERTURBATIVE_EDGES),
-                   default=6, help=f"edges, 2..{MAX_PERTURBATIVE_EDGES}, of a synthetic "
+    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_WALK_EDGES),
+                   default=6, help=f"edges, 2..{MAX_WALK_EDGES}, of a synthetic "
                                    f"bridge walk when --walk is absent")
     p.add_argument("--beta", type=_finite(">= 0"), default=1.0, help="finite and >= 0")
-    p.add_argument("--solver", choices=["full", "perturbative"], default="full")
+    p.add_argument("--solver", choices=list(SOLVER_EDGES), default="full")
     p.add_argument("--oracle", type=_bounded("walker count", 1), default=None, metavar="N",
                    help="also run the random-walk oracle with N >= 1 walkers and "
                         "append mc_weight,mc_stderr columns")
@@ -317,7 +321,7 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScSolverError, RuntimeError) as exc:
+    except RuntimeError as exc:   # ScSolverError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -60,21 +60,20 @@ def _gss_core(oracle, a, b, params, trace=None):
     iters = 0
     while iters < params.max_iters:
         iters += 1
-        if f1 <= f2:
+        left = f1 <= f2   # keep [a, t2] and refresh the left probe, else [t1, b]
+        if left:
             shift = b - t2
             b = t2
             t2, f2 = t1, f1
-            refresh_left = True
         else:
             shift = t1 - a
             a = t1
             t1, f1 = t2, f2
-            refresh_left = False
         if trace is not None:
             trace.append((a, b))
         if shift < params.epsilon or shift == 0.0 or iters >= params.max_iters:
             break
-        if refresh_left:
+        if left:
             t1 = a + (b - a) * INV_PHI2
             f1 = oracle(t1)
         else:

@@ -25,6 +25,9 @@ from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPol
 
 MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges: about 50 B each at peak, 800 MiB
 MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
+# pre-vertex solver -> the longest walk it takes in edges, its largest search budget
+SOLVER_EDGES = {"full": MAX_VERTICES - 1, "perturbative": MAX_PERTURBATIVE_EDGES}
+STRATEGIES = ("max_measure", "sample_measure")   # choose_edge's strategies
 
 
 @dataclass(frozen=True)
@@ -46,27 +49,29 @@ def _measures_from_solution(sol) -> EdgeMeasures:
     if not np.all(np.diff(z) > 0.0):
         raise ScSolverError("pre-vertices out of order; amplitude too large "
                             "for the chosen solver")
-    # asin(sqrt(clip(z))) is non-decreasing, so ordered z give w >= 0
-    w = (2.0 / np.pi) * np.diff(np.arcsin(np.sqrt(np.clip(z, 0.0, 1.0))))
+    w = (2.0 / np.pi) * np.diff(np.arcsin(np.sqrt(z)))
     w = w / w.sum()
     return EdgeMeasures(times=sol.poly.times.copy(), weights=w)
+
+
+def _solve(poly: WalkPolygon, solver: str, warm=None):
+    """Pre-vertices of poly by a solver of SOLVER_EDGES; only 'full' starts from warm."""
+    if solver == "full":
+        return solve_prevertices_full(poly, initial_guess=warm)
+    if solver == "perturbative":
+        return solve_prevertices_perturbative(poly)
+    raise ValueError(f"unknown solver '{solver}'")
 
 
 def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
     """Harmonic-measure weight of each walk edge seen from deep below.
 
     weight_k = (2 / pi) * (asin sqrt(z_{k+1}) - asin sqrt(z_k)) over the
-    solved pre-vertices, renormalised against float drift.  solver picks
-    the pre-vertex solve: 'full' or 'perturbative'.  Raises ScSolverError
-    if the solve fails or yields out-of-order pre-vertices.
+    pre-vertices of a cold solve by solver, a key of SOLVER_EDGES,
+    renormalised against float drift.  Raises ValueError for an unknown
+    solver or a walk past its cap, ScSolverError for a failed solve.
     """
-    if solver == "full":
-        sol = solve_prevertices_full(poly)
-    elif solver == "perturbative":
-        sol = solve_prevertices_perturbative(poly)
-    else:
-        raise ValueError(f"unknown solver '{solver}'")
-    return _measures_from_solution(sol)
+    return _measures_from_solution(_solve(poly, solver))
 
 
 def choose_edge(weights: np.ndarray, strategy: str, rng) -> int:
@@ -104,27 +109,23 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     solution it found, which a failed round keeps; a failed solve gives
     uniform weights, counted in report.params['fallbacks'].  Queries =
     budget + 2; report.params['midpoints'] lists the queried times in order.
-    The last walk has budget + 1 vertices, so the full solver takes budgets
-    below MAX_VERTICES and the perturbative one up to MAX_PERTURBATIVE_EDGES.
-    Larger budgets, an unknown solver or strategy, or a beta that is not
-    finite and >= 0 raise ValueError before any query.
+    A budget past the solver's SOLVER_EDGES entry (the last walk has budget
+    edges), a solver or strategy not in SOLVER_EDGES or STRATEGIES, or a
+    beta that is not finite and >= 0 raises ValueError before any query.
     """
     params = params or HmcParams()
-    if params.solver not in ("full", "perturbative"):
+    cap = SOLVER_EDGES.get(params.solver)
+    if cap is None:
         raise ValueError(f"unknown solver '{params.solver}'")
-    if params.strategy not in ("max_measure", "sample_measure"):
+    if params.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy '{params.strategy}'")
     if not 0.0 <= params.beta < np.inf:
         raise ValueError(f"beta must be finite and >= 0, got {params.beta}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if params.solver == "full" and budget >= MAX_VERTICES:
+    if budget > cap:
         raise ValueError(f"budget {budget} needs walks of up to {budget + 1} vertices; "
-                         f"the full solver caps at {MAX_VERTICES}, so use a budget "
-                         f"below {MAX_VERTICES} or solver 'perturbative'")
-    if params.solver == "perturbative" and budget > MAX_PERTURBATIVE_EDGES:
-        raise ValueError(f"budget {budget} needs walks of up to {budget} edges; the "
-                         f"perturbative solver caps at {MAX_PERTURBATIVE_EDGES}")
+                         f"the {params.solver} solver caps at {cap + 1}")
     fn = as_oracle(path)
     t0 = time.perf_counter()
     v0, v1 = fn(0.0), fn(1.0)
@@ -147,8 +148,7 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
             break
         poly = WalkPolygon(times=np.array(times), values=np.array(values), beta=params.beta)
         try:
-            sol = (solve_prevertices_full(poly, initial_guess=warm) if params.solver == "full"
-                   else solve_prevertices_perturbative(poly))
+            sol = _solve(poly, params.solver, warm)
             weights = _measures_from_solution(sol).weights
             warm = sol
         except ScSolverError:

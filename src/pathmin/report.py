@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -25,9 +25,6 @@ class SearchReport:
     method: str
     params: dict[str, Any] = field(default_factory=dict)
     seed: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:

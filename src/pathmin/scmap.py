@@ -136,12 +136,9 @@ def turning_angles(poly: WalkPolygon) -> TurningAngles:
     y = poly.scaled_values()
     a = np.arctan(np.diff(y) / np.diff(t)) / math.pi
     n = poly.n_edges
-    eta_plus = np.zeros(n + 1)
-    eta_minus = np.zeros(n + 1)
-    eta_plus[:n] = 0.5 + a
-    eta_minus[1:] = 0.5 - a
     alpha = np.zeros(n + 2)
-    alpha[: n + 1] = eta_plus + eta_minus
+    alpha[:n] += 0.5 + a
+    alpha[1:n + 1] += 0.5 - a
     return TurningAngles(alpha=alpha)
 
 

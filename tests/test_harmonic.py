@@ -250,16 +250,20 @@ def test_failed_round_keeps_the_last_good_start(monkeypatch):
 
 
 def test_search_midpoints_are_pinned():
-    # budget-16 full searches at beta = 1: a solver change that moves any
-    # round's argmax shows here
+    # the benchmark's budget-33 full searches at beta = 1 (hmc-b33): a solver
+    # change that moves any round's argmax shows here
     pinned = {
         3: [1/2, 1/4, 3/4, 5/8, 11/16, 7/8, 23/32, 47/64, 93/128, 1/8,
-            187/256, 13/16, 1/16, 375/512, 27/32, 53/64],
+            187/256, 13/16, 1/16, 375/512, 27/32, 53/64, 105/128, 25/32,
+            51/64, 103/128, 101/128, 201/256, 403/512, 805/1024, 1/32, 1/64,
+            1/128, 1/256, 207/256, 1609/2048, 1/512, 1611/2048, 3221/4096],
         1: [1/2, 1/4, 3/8, 1/8, 3/4, 5/16, 3/16, 7/8, 9/32, 1/16, 15/16,
-            13/16, 27/32, 3/32, 7/64, 55/64],
+            13/16, 27/32, 3/32, 7/64, 55/64, 11/32, 23/64, 111/128, 15/128,
+            5/32, 45/128, 91/256, 9/64, 181/512, 361/1024, 223/256, 31/256,
+            47/128, 445/512, 7/32, 891/1024, 17/64],
     }
     for bridge, midpoints in pinned.items():
-        rep = harmonic_bisection_search(new_bridge(bridge), 16,
+        rep = harmonic_bisection_search(new_bridge(bridge), 33,
                                         HmcParams(beta=1.0, solver="full"))
         assert rep.params["fallbacks"] == 0
         assert rep.params["midpoints"] == midpoints
