@@ -17,7 +17,6 @@ from .rng import derive_seed
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
 _BATCH_PATHS = 4096            # internal chunk size for range statistics
 MAX_BATCH_VALUES = 2 ** 27     # largest range batch in grid values: 1 GiB of float64
-MAX_LAZY_FILL_LEVEL = 16       # a lazy fill is quadratic in its points: 1.2 s at level 16
 
 
 @dataclass
@@ -60,13 +59,12 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     derive_seed(seed, 0): a level-`level` bridge grid for the GSS methods,
     a level-cell['l'] bridge or Cauchy grid for the MCB methods, a lazy
     bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
-    after the search; a level above MAX_LAZY_FILL_LEVEL raises ValueError
-    first).  The MCB descents and harmonic draw from derive_seed(seed, 1);
-    the GSS reports carry seed itself.  `pathmin search --seed S` runs
-    run_trial(..., S), and run_grid runs trial t of cell c at
-    derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss, 'l', 'r',
-    'g' for MCB, 'budget', 'beta', 'strategy' (one of harmonic.STRATEGIES)
-    and 'solver' (a key of harmonic.SOLVER_EDGES) for harmonic.
+    after the search).  The MCB descents and harmonic draw from
+    derive_seed(seed, 1); the GSS reports carry seed itself.  `pathmin
+    search --seed S` runs run_trial(..., S), and run_grid runs trial t of
+    cell c at derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss,
+    'l', 'r', 'g' for MCB, and for harmonic 'budget', 'beta', 'strategy'
+    (one of harmonic.STRATEGIES) and 'solver' (a harmonic.SOLVER_EDGES key).
     """
     if method in ("naive-gss", "iter-gss"):
         if path is None:
@@ -84,9 +82,6 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     elif method == "harmonic":
         lazy = path is None
         path = new_bridge(derive_seed(seed, 0)) if lazy else path
-        if lazy and level > MAX_LAZY_FILL_LEVEL:
-            raise ValueError(f"harmonic's lazy reference grid caps at level "
-                             f"{MAX_LAZY_FILL_LEVEL}, got {level}")
         rep = harmonic_bisection_search(path, cell["budget"], HmcParams(
             beta=cell["beta"], strategy=cell["strategy"], solver=cell["solver"],
             seed=derive_seed(seed, 1)))

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (MAX_LAZY_FILL_LEVEL, TrialGrid, mcb_grid, range_distribution, run_grid,
+from .bench import (TrialGrid, mcb_grid, range_distribution, run_grid,
                     run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
 from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracle,
@@ -216,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default=None,
                    help="grid CSV to search instead of simulating a path")
     p.add_argument("--level", type=_grid_level, default=10,
-                   help=f"grid level for GSS methods and harmonic's reference grid, "
-                        f"{levels} (1..{MAX_LAZY_FILL_LEVEL} for a lazy bridge)")
+                   help=f"grid level for GSS methods and harmonic's reference grid, {levels}")
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
                    help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
     gss_options(p)

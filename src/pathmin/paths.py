@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,7 @@ class LazyBridgePath:
 
     The path is pinned at (0, 0) and (1, 0).  A query at an unsampled
     time t finds the nearest sampled neighbours t_l < t < t_r with values
-    v_l, v_r and draws from the conditional bridge law
+    v_l, v_r and draws from the conditional bridge law (_bridge_law)
 
         mean = v_l + (t - t_l) * (v_r - v_l) / (t_r - t_l)
         var  = (t - t_l) * (t_r - t) / (t_r - t_l)
@@ -51,8 +52,8 @@ class LazyBridgePath:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.rng = make_rng(seed)
-        self._times = [0.0, 1.0]
-        self._values = [0.0, 0.0]
+        self._times = array("d", [0.0, 1.0])     # flat float64, so a fill reads it uncopied
+        self._values = array("d", [0.0, 0.0])
 
     @property
     def n_sampled(self) -> int:
@@ -67,18 +68,32 @@ class LazyBridgePath:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"query time {t} outside [0, 1]")
-        i = bisect.bisect_left(self._times, t)
-        if i < len(self._times) and self._times[i] == t:
-            return self._values[i]
-        tl, tr = self._times[i - 1], self._times[i]
-        vl, vr = self._values[i - 1], self._values[i]
-        gap = tr - tl
-        mean = vl + (t - tl) * (vr - vl) / gap
-        var = (t - tl) * (tr - t) / gap
+        times, values = self._times, self._values
+        i = bisect.bisect_left(times, t)
+        if times[i] == t:      # t <= 1, and 1 is always sampled
+            return values[i]
+        mean, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
         v = mean + math.sqrt(var) * float(self.rng.standard_normal())
-        self._times.insert(i, t)
-        self._values.insert(i, v)
+        times.insert(i, t)
+        values.insert(i, v)
         return v
+
+    def _fill(self, level: int) -> np.ndarray:
+        """Values at k / 2**level, one draw per level: a coarser time splits any two new ones."""
+        for t in (dyadic_times(d)[1::2] for d in range(1, level + 1)):
+            times, values = np.frombuffer(self._times), np.frombuffer(self._values)
+            i = np.searchsorted(times, t)
+            t, i = t[times[i] != t], i[times[i] != t]
+            mean, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
+            v = mean + np.sqrt(var) * self.rng.standard_normal(len(t))
+            self._times = array("d", np.insert(times, i, t).tobytes())
+            self._values = array("d", np.insert(values, i, v).tobytes())
+        return np.frombuffer(self._values)[np.searchsorted(self._times, dyadic_times(level))]
+
+
+def _bridge_law(t, tl, tr, vl, vr):
+    """Mean and variance at t of a bridge through (tl, vl) and (tr, vr), floats or arrays."""
+    return vl + (t - tl) * (vr - vl) / (tr - tl), (t - tl) * (tr - t) / (tr - tl)
 
 
 def new_bridge(seed: int) -> LazyBridgePath:
@@ -138,41 +153,29 @@ def dyadic_times(level: int) -> np.ndarray:
 def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
     """Sample every time k/2**level of a pinned bridge and snapshot its values.
 
-    Given an int seed the grid is simulate_bridge_batch(seed, level, 1)[0],
-    a pure function of the seed.  Given a LazyBridgePath the fill goes
-    through query(), so it stays consistent with whatever has been sampled
-    already; its order is fixed (midpoints first, breadth-first by dyadic
-    level, left to right within a level).  A fresh bridge of the same seed
-    consumes its generator in the same order as the batch, but query()
-    forms each conditional mean and variance from the neighbours, so the
-    two routes agree to within an ulp or so rather than bit for bit.
+    An int seed gives simulate_bridge_batch(seed, level, 1)[0].  A LazyBridgePath
+    keeps what it has sampled and draws the rest one dyadic level per draw, bit
+    for bit as query() would breadth-first, left to right.  A fresh bridge draws
+    as the batch of its seed does but forms each mean and variance from its
+    neighbours, so the two agree to an ulp, not bitwise.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if not isinstance(path_or_seed, LazyBridgePath):
-        seed = int(path_or_seed)
-        values = simulate_bridge_batch(seed, level, 1)[0]
-        return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
-    path = path_or_seed
-    values = np.zeros(2 ** level + 1)           # the pinned endpoints are 0
-    for d in range(1, level + 1):       # i = (2k + 1) * 2**(level - d), k = 0, 1, ...
-        for i in range(2 ** (level - d), 2 ** level, 2 ** (level - d + 1)):
-            values[i] = path.query(i / 2 ** level)
-    return GridPath(level=level, values=values, kind=BRIDGE, seed=path.seed)
+    lazy = isinstance(path_or_seed, LazyBridgePath)
+    seed = path_or_seed.seed if lazy else int(path_or_seed)
+    values = path_or_seed._fill(level) if lazy else simulate_bridge_batch(seed, level, 1)[0]
+    return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
 
 
 def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
-    """(count, 2**level + 1) array of independent pinned-bridge grid values."""
+    """(count, 2**level + 1) array of independent pinned-bridge grid values,
+    each level drawn into it in place, so a batch peaks at twice its result."""
     rng = make_rng(seed)
-    v = np.zeros((count, 2))
+    v = np.zeros((count, 2 ** level + 1))
     for d in range(1, level + 1):
-        mid = 0.5 * (v[:, :-1] + v[:, 1:])
-        std = math.sqrt(2.0 ** -(d + 1))
-        new = mid + std * rng.standard_normal(mid.shape)
-        out = np.empty((count, 2 * v.shape[1] - 1))
-        out[:, ::2] = v
-        out[:, 1::2] = new
-        v = out
+        h = 2 ** (level - d)
+        v[:, h::2 * h] = 0.5 * (v[:, :-h:2 * h] + v[:, 2 * h::2 * h]) + (
+            math.sqrt(2.0 ** -(d + 1)) * rng.standard_normal((count, 2 ** (d - 1))))
     return v
 
 
@@ -291,15 +294,18 @@ def save_grid_csv(grid: GridPath, out_path: str, extra_meta: dict | None = None)
 
 
 def load_grid_csv(path: str) -> GridPath:
-    """Read a grid CSV written by save_grid_csv (sidecar required); times
-    other than dyadic_times(level) raise ValueError naming the file."""
+    """Read a grid CSV written by save_grid_csv (sidecar required); bad input raises ValueError."""
     times, values = load_walk_csv(path)
     with open(f"{path}.meta.json") as fh:
         meta = json.load(fh)
-    level = int(meta["level"])
-    # the length test first, so a corrupt sidecar level allocates nothing
-    if len(times) != 2 ** level + 1 or not np.array_equal(times, dyadic_times(level)):
+    level = meta.get("level") if isinstance(meta, dict) else None
+    if not isinstance(level, int) or level < 0 or meta.get("kind") not in (BRIDGE, CAUCHY):
+        raise ValueError(f"{path}: sidecar needs a 'level' >= 0 and a kind {BRIDGE} or {CAUCHY}")
+    # 2**level <= rows - 1 < 2**(level + 1) first, so a corrupt level allocates nothing
+    if (len(times) - 1) >> level != 1 or not np.array_equal(times, dyadic_times(level)):
         raise ValueError(f"{path}: times are not the level-{level} grid k / 2**{level}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: grid values must be finite")
     return GridPath(level=level, values=values, kind=meta["kind"], seed=meta.get("seed"))
 
 

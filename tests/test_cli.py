@@ -14,7 +14,7 @@ import pathmin
 from pathmin.bench import run_trial
 from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
-from pathmin.paths import load_grid_csv, new_bridge
+from pathmin.paths import load_grid_csv
 
 
 def run(tmp_path, *argv):
@@ -257,20 +257,29 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
         assert rep["error_vs_grid_min"] >= 0.0
 
 
-def test_search_harmonic_lazy_fill_past_cap_exits_two(tmp_path, capsys, monkeypatch):
-    # the lazy fill is quadratic in its points, so its level is checked first
-    made = []
-
-    def spy(seed):
-        made.append(new_bridge(seed))
-        return made[-1]
-
-    monkeypatch.setattr("pathmin.bench.new_bridge", spy)
-    rc, out = run(tmp_path, "search", "--method", "harmonic", "--level", "17",
-                  "--seed", "1")
+@pytest.mark.parametrize("case", ["nan", "-inf", "kind", "no-level", "not-object",
+                                  "huge-level"])
+def test_search_rejects_bad_grid_csv(tmp_path, capsys, case):
+    grid_file = tmp_path / "g.csv"
+    assert main(["simulate", "--seed", "3", "--level", "4", "--out", str(grid_file)]) == 0
+    sidecar = tmp_path / "g.csv.meta.json"
+    meta = json.loads(sidecar.read_text())
+    if case in ("nan", "-inf"):
+        rows = grid_file.read_text().splitlines()
+        rows[5] = rows[5].split(",")[0] + "," + case
+        grid_file.write_text("\n".join(rows) + "\n")
+    else:
+        sidecar.write_text(json.dumps({
+            "kind": {**meta, "kind": "levy"},
+            "no-level": {k: v for k, v in meta.items() if k != "level"},
+            "not-object": [meta],
+            "huge-level": {**meta, "level": 10 ** 11},   # checked without forming 2**level
+        }[case]))
+    capsys.readouterr()
+    rc, out = run(tmp_path, "search", "--method", "mcb", "--path", str(grid_file),
+                  "--r", "4", "--g", "16", "--seed", "1")
     assert rc == 2
-    assert "caps at level 16" in capsys.readouterr().err
-    assert [b.n_sampled for b in made] == [2]
+    assert f"error: {grid_file}: " in capsys.readouterr().err
     assert not out.exists()
 
 

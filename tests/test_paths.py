@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pathmin.harmonic import HmcParams, harmonic_bisection_search
 from pathmin.paths import (
     BRIDGE,
     CAUCHY,
@@ -91,8 +92,8 @@ def test_dyadic_times_exact():
 
 
 def test_fill_from_seed_matches_fill_through_queries():
-    # the batched seed fill and the one-query-at-a-time fill consume the
-    # generator identically; query() forms each conditional mean and
+    # the batched seed fill and the lazy fill consume the generator
+    # identically; the lazy fill forms each conditional mean and
     # variance from the neighbours, so they agree to rounding, not bitwise
     path = new_bridge(11)
     path.query(0.5)
@@ -101,6 +102,30 @@ def test_fill_from_seed_matches_fill_through_queries():
     assert np.max(np.abs(fresh.values - via_path.values)) <= 1e-15
     assert fresh.kind == BRIDGE
     assert fresh.seed == 11
+
+
+@pytest.mark.parametrize("prior", ["none", "dyadic", "harmonic"])
+def test_lazy_fill_matches_per_query_sampling(prior):
+    # the fill draws a level at a time; a twin bridge queried point by point
+    # in the fill's order (breadth-first, left to right) reads the same bits
+    level = 12
+    for seed in range(4):
+        path, twin = new_bridge(seed), new_bridge(seed)
+        for p in (path, twin):
+            if prior == "dyadic":   # times the fill meets, and finer ones between them
+                rng = make_rng(seed + 100)
+                for _ in range(40):
+                    j = int(rng.integers(1, 21))
+                    p.query(int(rng.integers(0, 2 ** j)) / 2 ** j)
+            elif prior == "harmonic":
+                harmonic_bisection_search(p, 8, HmcParams(seed=seed))
+        grid = fill_dyadic(path, level)
+        for d in range(1, level + 1):
+            for t in dyadic_times(d)[1::2]:
+                twin.query(t)
+        assert np.array_equal(grid.values, [twin.query(t) for t in dyadic_times(level)])
+        for a, b in zip(path.sampled(), twin.sampled()):
+            assert np.array_equal(a, b)
 
 
 def test_fills_nest_across_levels():
@@ -175,6 +200,19 @@ def test_batch_cauchy_matches_single():
             batch = simulate_cauchy_batch(seed, level, 1)
             assert np.array_equal(batch[0], ref)
             assert np.array_equal(simulate_cauchy(seed, level).values, ref)
+
+
+def test_bridge_batch_peaks_at_twice_its_result():
+    # each level is written into the result through strided slices, so the
+    # batch holds its result and one half-size mean and draw beside it
+    simulate_bridge_batch(0, 1, 1)
+    tracemalloc.start()
+    try:
+        out = simulate_bridge_batch(3, 10, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * out.nbytes
 
 
 def test_cauchy_batch_peaks_at_twice_its_result():
