@@ -23,7 +23,8 @@ from .rng import make_rng
 from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
-MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges: about 50 B each at peak, 800 MiB
+MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges per round; peak about 85 B per walker
+NEAREST_BLOCK = 2 ** 16      # walker-edges per distance chunk of the oracle
 MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 # pre-vertex solver -> the longest walk it takes in edges, its largest search budget
 SOLVER_EDGES = {"full": MAX_VERTICES - 1, "perturbative": MAX_PERTURBATIVE_EDGES}
@@ -173,16 +174,40 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
 # Monte-Carlo hitting oracle
 
 
-def _point_segment_distance(px, py, ax, ay, bx, by):
-    """Vectorised distance from points (px, py) to segments (a, b)."""
-    dx = bx - ax
-    dy = by - ay
-    denom = dx * dx + dy * dy
-    tpar = ((px[:, None] - ax) * dx + (py[:, None] - ay) * dy) / denom
-    tpar = np.clip(tpar, 0.0, 1.0)
-    cx = ax + tpar * dx
-    cy = ay + tpar * dy
-    return np.sqrt((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2)
+def _nearest_edge(x, y, t, yb, u, v):
+    """Each point's nearest edge of the walk (t, yb), ties to the lowest, and its distance.
+
+    Distances lie (edges, points) in the flat buffers u and v, len(u) // edges
+    points at a time, so that every inner loop runs along points.
+    """
+    ax, ay = t[:-1, None], yb[:-1, None]
+    dx, dy = t[1:, None] - ax, yb[1:, None] - ay
+    n, step = len(ax), len(u) // len(ax)
+    edge, r = np.empty(len(x), dtype=np.intp), np.empty(len(x))
+    for s in range(0, len(x), step):
+        px, py = x[s:s + step], y[s:s + step]
+        k = len(px)
+        d, e = u[:n * k].reshape(n, k), v[:n * k].reshape(n, k)
+        np.subtract(px, ax, out=d)
+        d *= dx
+        np.subtract(py, ay, out=e)
+        e *= dy
+        d += e
+        d /= dx * dx + dy * dy
+        np.clip(d, 0.0, 1.0, out=d)
+        np.multiply(d, dx, out=e)
+        e += ax
+        np.subtract(px, e, out=e)
+        e *= e
+        d *= dy
+        d += ay
+        np.subtract(py, d, out=d)
+        d *= d
+        d += e
+        np.sqrt(d, out=d)
+        d.argmin(axis=0, out=edge[s:s + step])
+        d.min(axis=0, out=r[s:s + step])
+    return edge, r
 
 
 def _fold(x):
@@ -205,7 +230,9 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     deep.  Above it a walker jumps to a uniform point on the circle whose
     radius is its distance to the graph (Muller 1956), which is exact in
     law.  A walker within `dt` of the graph is absorbed on its nearest
-    edge; this absorption shell is the only source of bias.
+    edge, the lowest of tied edges; this absorption shell is the only
+    source of bias.  Memory peaks near 85 B per walker, plus 1 MiB for
+    distances, taken NEAREST_BLOCK walker-edges at a time.
 
     Returns EdgeMeasures with binomial standard errors.  Raises
     ValueError, before drawing anything, when walkers < 1, walkers x edges
@@ -223,7 +250,7 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     yb = poly.scaled_values()
     n = poly.n_edges
     y_min = float(yb.min())
-    ax, ay, bx, by = t[:-1], yb[:-1], t[1:], yb[1:]
+    u, v = np.empty((2, n * min(walkers, max(1, NEAREST_BLOCK // n))))
 
     rng = make_rng(seed)
     x = _fold(2.0 * rng.random(walkers))
@@ -236,9 +263,7 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
                 f"{len(x)} walkers still alive after {MAX_WALK_ROUNDS} rounds; "
                 f"deepest at y = {float(y.min()):.3g}")
         rounds += 1
-        dist = _point_segment_distance(x, y, ax, ay, bx, by)
-        edge = dist.argmin(axis=1)
-        r = dist[np.arange(len(x)), edge]
+        edge, r = _nearest_edge(x, y, t, yb, u, v)
         hit = r < dt
         counts += np.bincount(edge[hit], minlength=n)
         live = ~hit

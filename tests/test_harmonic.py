@@ -12,8 +12,10 @@ from conftest import make_bridge_walk
 from pathmin.bench import run_trial
 from pathmin.harmonic import (
     MAX_WALKER_EDGES,
+    NEAREST_BLOCK,
     EdgeMeasures,
     HmcParams,
+    _nearest_edge,
     choose_edge,
     edge_measures,
     harmonic_bisection_search,
@@ -342,6 +344,85 @@ def test_full_solver_search_beats_blind_bisection_on_the_same_grids():
 # Walker oracle
 
 
+def reference_nearest_edge(px, py, t, yb):
+    """The broadcast (points, edges) distance formula the kernel must match bit for bit."""
+    ax, ay, bx, by = t[:-1], yb[:-1], t[1:], yb[1:]
+    dx = bx - ax
+    dy = by - ay
+    denom = dx * dx + dy * dy
+    tpar = ((px[:, None] - ax) * dx + (py[:, None] - ay) * dy) / denom
+    tpar = np.clip(tpar, 0.0, 1.0)
+    cx = ax + tpar * dx
+    cy = ay + tpar * dy
+    dist = np.sqrt((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2)
+    edge = dist.argmin(axis=1)
+    return edge, dist[np.arange(len(px)), edge]
+
+
+def check_nearest_edge(px, py, t, yb, walkers=None):
+    """Run the kernel on buffers sized as the oracle sizes them for `walkers`,
+    which may exceed the live points, and compare it with the reference."""
+    n = len(t) - 1
+    u, v = np.empty((2, n * min(walkers or len(px), max(1, NEAREST_BLOCK // n))))
+    edge, r = _nearest_edge(px, py, t, yb, u, v)
+    want_edge, want_r = reference_nearest_edge(px, py, t, yb)
+    assert np.array_equal(edge, want_edge)
+    assert np.array_equal(r, want_r)
+    return edge
+
+
+def scattered_points(poly, count, seed):
+    yb = poly.scaled_values()
+    rng = make_rng(seed)
+    return rng.random(count), rng.uniform(yb.min() - 1.0, yb.max() + 0.5, count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.floats(0.0, 2.0), st.integers(0, 2**31 - 1),
+       st.integers(1, 3000), st.floats(0.0, 1.0))
+def test_nearest_edge_matches_reference(n, beta, seed, walkers, live):
+    poly = make_bridge_walk(seed, n, beta=beta)
+    px, py = scattered_points(poly, max(1, int(live * walkers)), seed)
+    check_nearest_edge(px, py, poly.times, poly.scaled_values(), walkers)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.integers(0, 2**31 - 1), st.floats(0.0, 2.0))
+def test_nearest_edge_matches_reference_on_512_edges(walkers, seed, beta):
+    poly = make_bridge_walk(seed, 512, beta=beta)
+    px, py = scattered_points(poly, walkers, seed)
+    check_nearest_edge(px, py, poly.times, poly.scaled_values())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 64) | st.just(512), st.sampled_from([-1, 0, 1]), st.integers(1, 2),
+       st.integers(0, 2**31 - 1))
+def test_nearest_edge_matches_reference_at_chunk_boundaries(n, offset, chunks, seed):
+    poly = make_bridge_walk(seed, n, beta=1.0)
+    px, py = scattered_points(poly, chunks * (NEAREST_BLOCK // n) + offset, seed)
+    check_nearest_edge(px, py, poly.times, poly.scaled_values())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 2**10), st.integers(0, 2**31 - 1))
+def test_nearest_edge_ties_go_to_the_lowest_edge(j, depth, seed):
+    # a zigzag of 2^j edges with slopes +-1 and dyadic nodes, so every
+    # distance below is exact: a vertex lies at distance 0 from both of its
+    # edges, and a point below a peak, by at most the peak's height, is
+    # equally far from the peak's two edges and nearer to them than to any other
+    n = 2 ** j
+    t = np.arange(n + 1) / n
+    yb = np.where(np.arange(n + 1) % 2 == 1, 1.0 / n, 0.0)
+    edge = check_nearest_edge(t, yb, t, yb)
+    assert np.array_equal(edge, np.maximum(np.arange(n + 1) - 1, 0))
+    peaks = np.arange(1, n, 2)
+    edge = check_nearest_edge(t[peaks], yb[peaks] - depth / (n * 2.0 ** 10), t, yb)
+    assert np.array_equal(edge, peaks - 1)
+    # vertices of a random walk, where a tie may be off by an ulp
+    poly = make_bridge_walk(seed, n, beta=1.0)
+    check_nearest_edge(poly.times, poly.scaled_values(), poly.times, poly.scaled_values())
+
+
 def test_oracle_matches_flat_two_edge_split():
     for split in (0.5, 0.1, 0.93):
         poly = flat_polygon([0.0, split, 1.0])
@@ -433,6 +514,24 @@ def test_oracle_counts_every_walker_once(n, beta, seed, walkers):
     assert abs(em.weights.sum() - 1.0) < 1e-12
     assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
     assert int(np.round(counts).sum()) == walkers
+
+
+def test_oracle_counts_are_pinned():
+    # exact hit counts, so a change in draw order or in which edge gets the
+    # credit shows: measure-xval's oracle walk, then a 32-edge walk whose
+    # walkers span three distance chunks
+    bridge = new_bridge(derive_seed(11, 100))
+    t = np.arange(7) / 6.0
+    poly = WalkPolygon(times=t, values=np.array([bridge.query(s) for s in t]), beta=0.5)
+    em = mc_hitting_oracle(poly, walkers=20_000, seed=1)
+    assert np.round(em.weights * 20_000).astype(int).tolist() == [
+        3347, 5103, 2759, 3178, 3525, 2088]
+    assert 5000 > NEAREST_BLOCK // 32
+    em = mc_hitting_oracle(make_bridge_walk(derive_seed(77, 32), 32, beta=1.0),
+                           walkers=5000, seed=2)
+    assert np.round(em.weights * 5000).astype(int).tolist() == [
+        0, 0, 183, 41, 745, 425, 1, 475, 1459, 272, 4, 9, 73, 109, 67, 282,
+        3, 0, 0, 0, 13, 184, 210, 19, 1, 1, 0, 19, 196, 112, 54, 43]
 
 
 def test_oracle_is_deterministic_per_seed():
