@@ -5,11 +5,13 @@ the seed and the resolved parameters ('meta'), so a run can be reproduced
 from its artifacts alone: search embeds meta in its JSON report, and the
 other commands write a '<out>.meta.json' sidecar (bench also puts meta in
 '<out>.json').
-Each option's valid range is declared once, on the option, by its argparse
-type (_bounded for ints, MAX_LEVEL capping grid levels and panel
-exponents), so flags and --config entries are checked alike before any
-command runs.  search and bench share the grid method names; search and
-measure take the solver and strategy names and walk caps from harmonic.
+Only argparse recognises options, by full name (allow_abbrev=False), and
+--config entries reach it as '--KEY=VALUE' flags.  Each option's valid
+range is declared once, on the option, by its argparse type (_bounded for
+ints, MAX_LEVEL capping grid levels and panel exponents), so flags and
+--config entries are checked alike before any command runs.  search and
+bench share the grid method names; search and measure take the solver and
+strategy names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _parse_int_list(text: str):
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range '{text}'")
         return range(lo, hi + 1)
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [int(p) for p in text.split(",")]
 
 
 def _bounded(what: str, lo: int, hi: float = math.inf, listed: bool = False):
@@ -186,15 +188,15 @@ def cmd_range(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # exit_on_error=False: main prints an out-of-range value as one 'error:' line
     parser = argparse.ArgumentParser(
-        prog="pathmin", exit_on_error=False,
+        prog="pathmin", allow_abbrev=False, exit_on_error=False,
         description="Query-budgeted minimum search on stochastic paths.")
     parser.add_argument("--version", action="version", version=f"pathmin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary):
-        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False, exit_on_error=False)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, required=True,
+        p.add_argument("--seed", type=_bounded("seed", 0), required=True,
                        help="root seed; all randomness derives from it")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--config", default=None,
@@ -268,44 +270,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="paths to simulate, 1..2**24")
     p.add_argument("--bins", type=_bounded("bin count", 1, 2 ** 16), default=60,
                    help="histogram bins, 1..2**16")
-
-    parser.commands = sub.choices   # name -> subparser, to map --config keys
     return parser
 
 
-def _config_flags(argv: list[str], commands: dict) -> list[str]:
-    """argv with the --config file's entries inserted as '--option=value'
-    tokens right after the subcommand, so argparse checks them as it checks
-    any flag, and the command line's own flags, which come later, win.
+def _config_flags(argv: list[str]) -> list[str]:
+    """argv with each entry of the --config file inserted as a '--KEY=VALUE'
+    token right after the subcommand, so argparse checks it as it checks any
+    flag, and the command line's own flags, which come later, win.
 
-    A null value leaves its option unset.  A file that holds no JSON
-    object, or a key that names no option of the subcommand, raises
-    ValueError.
+    A null value leaves its option unset.  A second --config, a file that
+    holds no JSON object, or a file that names 'config' raises ValueError.
     """
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    else:
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if not paths:
         return argv
-    with open(path) as fh:
+    if len(paths) > 1:
+        raise ValueError("--config may be given only once")
+    with open(paths[0]) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
-    config = {k.replace("-", "_"): v for k, v in config.items()}
-    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
-    if at is None or argv[at] not in commands:
-        return argv     # argparse reports the missing or unknown subcommand
-    options = {a.dest: a.option_strings[-1] for a in commands[argv[at]]._actions
-               if a.option_strings and a.dest != "help"}
-    unknown = sorted(set(config) - set(options))
-    if unknown:
-        raise ValueError(f"--config key(s) {', '.join(unknown)} name no option of "
-                         f"'pathmin {argv[at]}'")
-    flags = [f"{options[k]}={v}" for k, v in config.items() if v is not None]
+    if "config" in config:
+        raise ValueError("a --config file cannot name 'config'")
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
+    flags = [f"--{k}={v}" for k, v in config.items() if v is not None]
     return argv[:at + 1] + flags + argv[at + 1:]
 
 
@@ -313,7 +302,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_config_flags(argv, parser.commands))
+        args = parser.parse_args(_config_flags(argv))
         return args.func(args)
     except SystemExit as exc:   # argparse's own usage errors, --help and --version
         return int(exc.code or 0)

@@ -299,7 +299,8 @@ def load_grid_csv(path: str) -> GridPath:
     with open(f"{path}.meta.json") as fh:
         meta = json.load(fh)
     level = meta.get("level") if isinstance(meta, dict) else None
-    if not isinstance(level, int) or level < 0 or meta.get("kind") not in (BRIDGE, CAUCHY):
+    # type(), not isinstance(): a JSON true loads as a bool, which is an int subclass
+    if type(level) is not int or level < 0 or meta.get("kind") not in (BRIDGE, CAUCHY):
         raise ValueError(f"{path}: sidecar needs a 'level' >= 0 and a kind {BRIDGE} or {CAUCHY}")
     # 2**level <= rows - 1 < 2**(level + 1) first, so a corrupt level allocates nothing
     if (len(times) - 1) >> level != 1 or not np.array_equal(times, dyadic_times(level)):

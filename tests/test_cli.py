@@ -102,6 +102,9 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     (["search", "--method", "harmonic", "--budget", "0"], "--budget", ">= 1"),
     (["search", "--method", "harmonic", "--solver", "perturbative", "--budget", "513"],
      "--budget", "<= 512"),
+    # a list option takes comma-separated integers, none of them blank
+    (["bench", "--method", "mcb", "--n", ",", "--trials", "1"], "--n", "invalid int list"),
+    (["bench", "--method", "mcb", "--n", "1,,2", "--trials", "1"], "--n", "invalid int list"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -258,7 +261,7 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
 
 
 @pytest.mark.parametrize("case", ["nan", "-inf", "kind", "no-level", "not-object",
-                                  "huge-level"])
+                                  "huge-level", "true-level"])
 def test_search_rejects_bad_grid_csv(tmp_path, capsys, case):
     grid_file = tmp_path / "g.csv"
     assert main(["simulate", "--seed", "3", "--level", "4", "--out", str(grid_file)]) == 0
@@ -269,15 +272,19 @@ def test_search_rejects_bad_grid_csv(tmp_path, capsys, case):
         rows[5] = rows[5].split(",")[0] + "," + case
         grid_file.write_text("\n".join(rows) + "\n")
     else:
+        if case == "true-level":   # a level-1 grid, so only the sidecar's level is wrong
+            rows = grid_file.read_text().splitlines()
+            grid_file.write_text("\n".join(rows[:2] + rows[9::8]) + "\n")
         sidecar.write_text(json.dumps({
             "kind": {**meta, "kind": "levy"},
             "no-level": {k: v for k, v in meta.items() if k != "level"},
             "not-object": [meta],
             "huge-level": {**meta, "level": 10 ** 11},   # checked without forming 2**level
+            "true-level": {**meta, "level": True},   # a JSON bool is no level
         }[case]))
     capsys.readouterr()
     rc, out = run(tmp_path, "search", "--method", "mcb", "--path", str(grid_file),
-                  "--r", "4", "--g", "16", "--seed", "1")
+                  "--r", "1" if case == "true-level" else "4", "--g", "16", "--seed", "1")
     assert rc == 2
     assert f"error: {grid_file}: " in capsys.readouterr().err
     assert not out.exists()
@@ -537,6 +544,35 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "a.csv")])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    # options match by full name only, on the command line and as config keys
+    (["search", "--method", "naive-gss", "--seed", "1", "--conf", "CFG"], {"level": 4},
+     "--conf"),
+    (["search", "--method", "naive-gss", "--seed", "1", "--max-it", "3"], None, "--max-it"),
+    (["search", "--method", "naive-gss", "--seed", "1", "--config", "CFG"], {"max_iters": 3},
+     "max_iters"),
+    # one --config, which cannot name another
+    (["simulate", "--seed", "1", "--config", "CFG", "--config", "CFG"], {"level": 4},
+     "--config"),
+    (["simulate", "--seed", "1", "--config=CFG", "--config", "CFG"], {"level": 4}, "--config"),
+    (["simulate", "--seed", "1", "--config", "CFG"], {"config": "other.json"}, "config"),
+    # a seed is a non-negative integer, given as a flag or in a config
+    (["simulate", "--seed", "-1"], None, "--seed"),
+    (["simulate", "--config", "CFG"], {"seed": -1}, "--seed"),
+])
+def test_misspelt_repeated_or_negative_option_is_usage_error(tmp_path, capsys, argv, config,
+                                                             named):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    argv = [a.replace("CFG", str(cfg)) for a in argv]
+    rc, out = run(tmp_path, *argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and named in err
+    assert not out.exists()
 
 
 def test_argparse_errors_exit_two(tmp_path, capsys):
