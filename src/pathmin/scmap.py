@@ -7,11 +7,12 @@ conformal map phi from the closed lower half-plane onto that region sends
 real pre-vertices 0 = z_1 < ... < z_{n+1} = 1 to the walk vertices
 w_k = t_{k-1} + i * beta * W_{k-1}, and infinity to the bottom of the
 walls.  solve_prevertices_full recovers the pre-vertices from the polygon
-side lengths by a damped Newton iteration on compound Gauss-Jacobi
-quadratures of |phi'|, reached by one ramp of the vertex heights from a
-solved start walk: the flat walk, or a previous solution whose nodes the
-walk contains.  solve_prevertices_perturbative linearises the pre-vertices
-in the walk amplitude around the flat-strip solution sin^2(pi t / 2).
+side lengths by a Newton iteration with step halving on compound
+Gauss-Jacobi quadratures of |phi'|, reached by one ramp of the vertex
+heights from a solved start walk: the flat walk, or a previous solution
+whose nodes the walk contains.  solve_prevertices_perturbative linearises
+the pre-vertices in the walk amplitude around the flat-strip solution
+sin^2(pi t / 2).
 
 The quadrature splits every panel at its midpoint and grades each half
 from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
@@ -23,13 +24,14 @@ of every segment, head or tail, and a GJ_POINTS-node rule errs like
 rho^(-2 GJ_POINTS): 4e-19 at 12 nodes, below float64's 1.1e-16.  The Newton
 Jacobian is analytic and uses the same nodes (_side_integrals_dz).  Each
 accepted Newton point builds its node layout once, in the residual, and
-the Jacobian takes it from there; Newton stops once a step no longer cuts
-the residual tenfold below RESIDUAL_ACCEPT, where only the rule's own
-error is left.  The forward map integrates from the nearest pre-vertex
-with the same rule.  Every Gauss rule, Gauss-Legendre (p = 0) included,
-comes from numpy alone, by the Golub-Welsch method with one Newton polish
-(_gj_rule); the heads are kept in a bounded table keyed by exponent, and
-each Newton solve or forward map looks its heads up there once (_gj_heads).
+the Jacobian takes it from there; below RESIDUAL_ACCEPT, Newton stops
+once a step is rejected or no longer cuts the residual tenfold, where only
+the rule's own error is left.  The forward map integrates from the nearest
+pre-vertex with the same rule.  Every Gauss rule, Gauss-Legendre (p = 0)
+included, comes from numpy alone, by the Golub-Welsch method with one
+Newton polish (_gj_rule); the heads are kept in a bounded table keyed by
+exponent, and each Newton solve or forward map looks its heads up there
+once (_gj_heads).
 """
 from __future__ import annotations
 
@@ -43,9 +45,8 @@ MAX_PERTURBATIVE_EDGES = 512  # perturbative cap: its kernel takes about 0.5 KB 
 NEWTON_BUDGET = 80
 STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before stalling
 RESIDUAL_TARGET = 1e-11      # Newton always stops here ...
-RESIDUAL_ACCEPT = 1e-8       # ... below this once a step cuts |f| < 10x; accepted
-LM_MU_MIN = 1e-8             # smallest nonzero Marquardt damping
-LM_TRIES = 25                # damping escalations per iteration before stalling
+RESIDUAL_ACCEPT = 1e-8       # ... below this once a step cuts |f| < 10x or fails; accepted
+STEP_HALVINGS = 25           # step lengths 1, 1/2, ..., 2^-24 tried per iteration before stalling
 CONTINUATION_SOLVES = 16     # Newton solves per height ramp, the direct attempt included
 GJ_POINTS = 12               # nodes per segment; errs like (3 + sqrt 8)^(-2N), see the docstring
 
@@ -153,12 +154,14 @@ class PreVertexSolution:
     it nan.
 
     The full solver also reports why its direct Newton solve, the first
-    attempt at the full heights, stopped (stop_reason: 'converged',
-    'crowded', 'no_descent', 'stagnation' or 'budget'), how many
-    side-length residuals it evaluated over all its Newton solves, and
-    whether the height ramp ran more than that one solve (continuation),
-    which it does exactly when the direct solve did not converge.  The
-    perturbative solver runs no Newton solve and leaves stop_reason empty.
+    attempt at the full heights, stopped (stop_reason: 'converged';
+    'crowded', an unevaluable Jacobian or a singular Newton system;
+    'no_descent', no step length along the Newton step gave a smaller
+    residual; 'stagnation' or 'budget'), how many side-length residuals
+    it evaluated over all its Newton solves, and whether the height ramp
+    ran more than that one solve (continuation), which it does exactly
+    when the direct solve did not converge.  The perturbative solver runs
+    no Newton solve and leaves stop_reason empty.
     """
 
     poly: WalkPolygon
@@ -423,29 +426,33 @@ def _residual_jacobian(z, p, layout):
 
 
 def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
-    """Damped Newton on the side-length conditions from z0.
+    """Newton with step halving on the side-length conditions from z0.
 
-    Each step takes the analytic Jacobian of _residual_jacobian, whose
-    panel-endpoint terms come from the affine substitution
-    x = z_k + g_k * s, on the nodes of the side integrals.  The accepted
-    residual hands its node layout to that Jacobian, so every residual
-    evaluation builds one layout and the Jacobian builds none.  A
-    rejected or unevaluable trial step raises the Marquardt damping
-    instead of failing, so ill-conditioned Jacobians degrade toward gradient
-    steps; only an unevaluable start or a vertex angle of 0 raises.
+    Each iteration solves the Newton system once, with the analytic
+    Jacobian of _residual_jacobian, whose panel-endpoint terms come from
+    the affine substitution x = z_k + g_k * s, on the nodes of the side
+    integrals.  The accepted residual hands its node layout to that
+    Jacobian, so every residual evaluation builds one layout and the
+    Jacobian builds none.  The iteration then tries the step lengths
+    1, 1/2, 1/4, ... along that Newton step, up to STEP_HALVINGS of them,
+    and takes the first that lowers the residual norm (Dennis & Schnabel
+    1996, Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, sec. 6.3); an unevaluable trial counts as rejected.  Only
+    an unevaluable start or a vertex angle of 0 raises.
 
     The iteration stops at the quadrature's noise floor: once the max
-    relative side-length error is at most RESIDUAL_ACCEPT and the last
-    accepted step cut the residual norm by less than 10x, further steps
-    only move the pre-vertices within the rule's own error.  Reaching
-    RESIDUAL_TARGET stops it as well.
+    relative side-length error is at most RESIDUAL_ACCEPT, and either the
+    last accepted step cut the residual norm by less than 10x or a full
+    step is rejected, further steps only move the pre-vertices within the
+    rule's own error.  Reaching RESIDUAL_TARGET stops it as well.
 
     Returns (z, rel, iters, residual_evals, stop_reason).  stop_reason is
     'converged' when the max relative side-length error ended at or below
     RESIDUAL_ACCEPT; otherwise it says why the iteration gave up:
-    'crowded' (the Jacobian could not be evaluated), 'no_descent' (no
-    damping gave a smaller residual), 'stagnation' (STAGNATION_LIMIT
-    sub-0.1% improvements in a row) or 'budget' (NEWTON_BUDGET steps).
+    'crowded' (the Jacobian could not be evaluated, or the Newton system is
+    singular), 'no_descent' (no step length gave a smaller residual),
+    'stagnation' (STAGNATION_LIMIT sub-0.1% improvements in a row) or
+    'budget' (NEWTON_BUDGET steps).
     """
     p = turning_angles(poly).alpha[:-1] - 1.0
     if not np.all(p > -1.0):    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
@@ -458,30 +465,18 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     f, rel, layout = _side_residual(z, p, heads, targets)
     norm = float(np.linalg.norm(f))
     evals = 1
-    mu = 0.0
     iters = 0
     stagnant = 0
     reason = "budget"
     while rel > RESIDUAL_TARGET and iters < NEWTON_BUDGET:
         iters += 1
         try:
-            jac = _residual_jacobian(z, p, layout)
-        except ScSolverError:
+            step = np.linalg.solve(_residual_jacobian(z, p, layout), -f)
+        except (ScSolverError, np.linalg.LinAlgError):
             reason = "crowded"
             break
         base = norm
-        jtj = jac.T @ jac
-        jtf = jac.T @ f
-        scale = np.diag(np.maximum(np.diag(jtj), 1e-30))
-        for _ in range(LM_TRIES):
-            if mu == 0.0:
-                try:
-                    step = np.linalg.solve(jac, -f)
-                except np.linalg.LinAlgError:
-                    mu = LM_MU_MIN
-                    continue
-            else:
-                step = np.linalg.solve(jtj + mu * scale, -jtf)
+        for _ in range(STEP_HALVINGS):
             y_new = np.clip(y + step, -60.0, 60.0)
             z_new = _z_from_log_gaps(y_new)
             evals += 1
@@ -492,9 +487,10 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
                 norm_new = math.inf
             if norm_new < base:
                 y, z, f, rel, norm = y_new, z_new, f_new, rel_new, norm_new
-                mu = 0.0 if mu <= LM_MU_MIN else mu / 3.0
                 break
-            mu = max(mu * 10.0, LM_MU_MIN)
+            if rel <= RESIDUAL_ACCEPT:   # at the floor a rejection is the rule's noise
+                break
+            step *= 0.5
         else:
             reason = "no_descent"
             break
@@ -513,14 +509,14 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
 
 def solve_prevertices_full(poly: WalkPolygon,
                            initial_guess: PreVertexSolution | None = None) -> PreVertexSolution:
-    """Pre-vertices from the side-length conditions, solved by damped Newton.
+    """Pre-vertices from the side-length conditions, solved by Newton.
 
     Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
     matches each predicted relative side length |I_k| / sum|I_j| to the
     polygon's L_k / L_total.  The Newton step uses the analytic Jacobian
     of the side integrals, computed on the quadrature nodes of the
     integrals themselves (panel-endpoint terms by the affine substitution
-    x = z_k + g_k * s), with Marquardt damping.
+    x = z_k + g_k * s), halved until the residual falls.
 
     Every solve is one ramp of the vertex heights h0 + s * (h1 - h0) from
     a start walk (s = 0) to poly (s = 1).  Without initial_guess, or for

@@ -434,16 +434,49 @@ def test_residual_evals_counts_every_residual(monkeypatch):
     assert sol.residual_evals == len(calls) > 1
 
 
+def measure_walk(n):
+    """The n-edge walk of `pathmin measure --walk-nodes n --seed 5`."""
+    bridge = new_bridge(derive_seed(5, 100))
+    t = np.arange(n + 1) / float(n)
+    return WalkPolygon(times=t, values=np.array([bridge.query(x) for x in t]), beta=1.0)
+
+
 def test_cold_solve_stops_at_the_quadrature_floor():
     # the 32-edge walk of `pathmin measure --seed 5` reaches the rule's
-    # noise floor near 3e-11 in 34 residual evaluations; grinding on
-    # toward RESIDUAL_TARGET takes 88
-    bridge = new_bridge(derive_seed(5, 100))
-    t = np.arange(33) / 32.0
-    poly = WalkPolygon(times=t, values=np.array([bridge.query(x) for x in t]), beta=1.0)
-    sol = solve_prevertices_full(poly)
+    # noise floor near 3e-11 in 12 residual evaluations; grinding on
+    # toward RESIDUAL_TARGET takes 89
+    sol = solve_prevertices_full(measure_walk(32))
     assert sol.stop_reason == "converged"
     assert sol.residual_evals <= 45
+
+
+@pytest.mark.parametrize("n, evals", [(16, 10), (32, 12)])
+def test_measure_walks_converge_directly(n, evals):
+    # halving the Newton step until the residual falls takes both cold
+    # solves of the measure benchmark straight from the flat walk's
+    # pre-vertices to the floor, with no height ramp
+    sol = solve_prevertices_full(measure_walk(n))
+    assert (sol.residual_evals, sol.stop_reason, sol.continuation) == (evals, "converged", False)
+
+
+def test_singular_newton_system_stops_the_direct_solve_as_crowded(monkeypatch):
+    # a singular Newton system ends the direct solve; the height ramp,
+    # whose linear solves succeed, still reaches the solution
+    poly = make_bridge_walk(2, 8, beta=1.0)
+    cold = solve_prevertices_full(poly)
+    solve, calls = np.linalg.solve, []
+
+    def singular_once(a, b):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(scmap.np.linalg, "solve", singular_once)
+    sol = solve_prevertices_full(poly)
+    assert sol.stop_reason == "crowded"
+    assert sol.continuation
+    assert np.max(np.abs(sol.prevertices - cold.prevertices)) < 1e-9
 
 
 def test_single_edge_walk_is_trivial():
@@ -538,11 +571,13 @@ def test_heads_are_looked_up_once_per_newton_solve_and_forward_map(monkeypatch):
 
 
 def test_stalled_warm_start_recovers_by_continuation():
-    # Newton from the interpolated start stalls; ramping node 1's height
-    # up from the start walk's chord still reaches the cold solution
-    poly = make_bridge_walk(19, 5, beta=3.0)
+    # Newton from the interpolated start stalls: its first gap is 4e-11,
+    # the Newton step there is far too long, and no step length down to
+    # 2^-24 lowers the residual; ramping node 2's height up from the start
+    # walk's chord still reaches the cold solution
+    poly = make_bridge_walk(15, 6, beta=5.0)
     cold = solve_prevertices_full(poly)
-    start = solve_prevertices_full(sub_walk(poly, [0, 2, 3, 4, 5]))
+    start = solve_prevertices_full(sub_walk(poly, [0, 1, 3, 4, 5, 6]))
     guess = np.interp(poly.times, start.poly.times, start.prevertices)
     reason = _newton_side_solve(poly, guess)[4]
     assert reason != "converged"
