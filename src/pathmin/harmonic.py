@@ -107,8 +107,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     the walk through every queried point at amplitude params.beta with
     params.solver, weighs its edges and lets choose_edge pick the next t,
     the chosen edge's midpoint.  The full solver starts from the last
-    solution it found, which a failed round keeps; a failed solve gives
-    uniform weights, counted in report.params['fallbacks'].  Queries =
+    solution it found, which a failed round keeps; a failed solve, one
+    Newton solve that missed, gives uniform weights, counted in
+    report.params['fallbacks'].  Queries =
     budget + 2; report.params['midpoints'] lists the queried times in order.
     A budget past the solver's SOLVER_EDGES entry (the last walk has budget
     edges), a solver or strategy not in SOLVER_EDGES or STRATEGIES, or a

@@ -7,12 +7,11 @@ conformal map phi from the closed lower half-plane onto that region sends
 real pre-vertices 0 = z_1 < ... < z_{n+1} = 1 to the walk vertices
 w_k = t_{k-1} + i * beta * W_{k-1}, and infinity to the bottom of the
 walls.  solve_prevertices_full recovers the pre-vertices from the polygon
-side lengths by a Newton iteration with step halving on compound
-Gauss-Jacobi quadratures of |phi'|, reached by one ramp of the vertex
-heights from a solved start walk: the flat walk, or a previous solution
-whose nodes the walk contains.  solve_prevertices_perturbative linearises
-the pre-vertices in the walk amplitude around the flat-strip solution
-sin^2(pi t / 2).
+side lengths by one Newton iteration with step halving on compound
+Gauss-Jacobi quadratures of |phi'|, started from a solved walk: the flat
+walk, or a previous solution whose nodes the walk contains.
+solve_prevertices_perturbative linearises the pre-vertices in the walk
+amplitude around the flat-strip solution sin^2(pi t / 2).
 
 The quadrature splits every panel at its midpoint and grades each half
 from its end pre-vertex: a Gauss-Jacobi head of length min(span, nearest
@@ -47,7 +46,6 @@ STAGNATION_LIMIT = 3         # consecutive sub-0.1% residual-norm drops before s
 RESIDUAL_TARGET = 1e-11      # Newton always stops here ...
 RESIDUAL_ACCEPT = 1e-8       # ... below this once a step cuts |f| < 10x or fails; accepted
 STEP_HALVINGS = 25           # step lengths 1, 1/2, ..., 2^-24 tried per iteration before stalling
-CONTINUATION_SOLVES = 16     # Newton solves per height ramp, the direct attempt included
 GJ_POINTS = 12               # nodes per segment; errs like (3 + sqrt 8)^(-2N), see the docstring
 
 LAM_ONE = -math.log(2.0)     # integral_0^1 log|sin(pi u / 2)| du
@@ -153,15 +151,9 @@ class PreVertexSolution:
     pre-vertices; the perturbative solver does not evaluate it and leaves
     it nan.
 
-    The full solver also reports why its direct Newton solve, the first
-    attempt at the full heights, stopped (stop_reason: 'converged';
-    'crowded', an unevaluable Jacobian or a singular Newton system;
-    'no_descent', no step length along the Newton step gave a smaller
-    residual; 'stagnation' or 'budget'), how many side-length residuals
-    it evaluated over all its Newton solves, and whether the height ramp
-    ran more than that one solve (continuation), which it does exactly
-    when the direct solve did not converge.  The perturbative solver runs
-    no Newton solve and leaves stop_reason empty.
+    The full solver returns only converged solutions and also reports how
+    many side-length residuals its Newton solve evaluated; the
+    perturbative solver runs no Newton solve and leaves residual_evals 0.
     """
 
     poly: WalkPolygon
@@ -169,9 +161,7 @@ class PreVertexSolution:
     residual_norm: float
     iterations: int
     solver: str
-    stop_reason: str = ""
     residual_evals: int = 0
-    continuation: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ _GL_X, _GL_W = (row[0] for row in _gj_rule(np.zeros(1)))   # Gauss-Legendre: p =
 # A lookup that leaves more than GJ_TABLE_ROWS rules in it clears it after
 # answering; a rule is the same whenever it is built, so results do not
 # depend on the table's history.
-GJ_TABLE_ROWS = 4096         # about four 63-vertex height ramps of 16 solves; 1.5 MiB full
+GJ_TABLE_ROWS = 4096         # heads of 64 MAX_VERTICES-vertex solves, no exponent shared; 1.5 MiB
 _gj_table: dict[float, np.ndarray] = {}
 
 
@@ -518,62 +508,33 @@ def solve_prevertices_full(poly: WalkPolygon,
     integrals themselves (panel-endpoint terms by the affine substitution
     x = z_k + g_k * s), halved until the residual falls.
 
-    Every solve is one ramp of the vertex heights h0 + s * (h1 - h0) from
-    a start walk (s = 0) to poly (s = 1).  Without initial_guess, or for
-    a flat poly, the start is the flat walk, whose pre-vertices
-    sin^2(pi t / 2) are exact.  Otherwise initial_guess must be a solution
-    of a walk whose nodes are all nodes of poly: its heights and
-    pre-vertices are interpolated onto poly's nodes, which puts the new
-    nodes on the start walk's chords.  Newton first tries s = 1 directly.
-    A step that fails is bisected toward the last converged s; one that
-    converges below s = 1 becomes the new start, and s = 1 is tried again.
-    The ramp gives up once the step falls below 1e-3 or after
-    CONTINUATION_SOLVES solves.  The solution's stop_reason is the direct
-    attempt's, and continuation says whether more solves ran.
+    Every solve is one Newton solve (_newton_side_solve) on poly itself.
+    Without initial_guess, or for a flat poly, it starts from the flat
+    walk's pre-vertices sin^2(pi t / 2), exact for a flat poly.  Otherwise
+    initial_guess must be a solution of a walk whose nodes are all nodes
+    of poly, and its pre-vertices, interpolated onto poly's nodes, are
+    the start.
 
     Raises ValueError for a walk of more than MAX_VERTICES finite vertices
     or an initial_guess with a node that poly lacks, and ScSolverError for
-    a vertex angle of 0 or a ramp that misses RESIDUAL_ACCEPT.
+    a vertex angle of 0 or a Newton solve that misses RESIDUAL_ACCEPT,
+    naming its stop reason and relative residual.
     """
     n = poly.n_edges
     if n + 1 > MAX_VERTICES:
         raise ValueError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
-    h1 = poly.scaled_values()
-    if initial_guess is None or not np.any(h1):
-        h0 = np.zeros(n + 1)
-        z_lo = np.sin(0.5 * np.pi * poly.times) ** 2
+    if initial_guess is None or not np.any(poly.scaled_values()):
+        z0 = np.sin(0.5 * np.pi * poly.times) ** 2
     else:
         start = initial_guess.poly
         if not np.all(np.isin(start.times, poly.times)):
             raise ValueError("initial_guess must solve a walk whose nodes are all nodes of poly")
-        h0 = np.interp(poly.times, start.times, start.scaled_values())
-        z_lo = np.interp(poly.times, start.times, initial_guess.prevertices)
-
-    s_lo, s = 0.0, 1.0
-    iters = evals = solves = 0
-    while solves < CONTINUATION_SOLVES:
-        # s = 1 solves poly itself, so a direct attempt sees its exact heights
-        walk = poly if s == 1.0 else WalkPolygon(times=poly.times, values=h0 + s * (h1 - h0))
-        z, rel, n_iters, n_evals, why = _newton_side_solve(walk, z_lo)
-        iters += n_iters
-        evals += n_evals
-        solves += 1
-        if solves == 1:
-            reason, direct_rel = why, rel
-        if why == "converged":
-            if s == 1.0:
-                return PreVertexSolution(poly=poly, prevertices=z, residual_norm=rel,
-                                         iterations=iters, solver="full",
-                                         stop_reason=reason, residual_evals=evals,
-                                         continuation=solves > 1)
-            s_lo, z_lo, s = s, z, 1.0
-        else:
-            s = 0.5 * (s_lo + s)
-            if s - s_lo < 1e-3:
-                break
-    raise ScSolverError(
-        f"side-length solve stalled ({reason}, continuation failed) "
-        f"at relative residual {direct_rel:.3e}")
+        z0 = np.interp(poly.times, start.times, initial_guess.prevertices)
+    z, rel, iters, evals, reason = _newton_side_solve(poly, z0)
+    if reason != "converged":
+        raise ScSolverError(f"side-length solve stalled ({reason}) at relative residual {rel:.3e}")
+    return PreVertexSolution(poly=poly, prevertices=z, residual_norm=rel, iterations=iters,
+                             solver="full", residual_evals=evals)
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,11 @@ def test_failed_round_keeps_the_last_good_start(monkeypatch):
 
 
 def test_search_midpoints_are_pinned():
-    # the benchmark's budget-33 full searches at beta = 1 (hmc-b33): a solver
-    # change that moves any round's argmax shows here
-    pinned = {
+    # the benchmark's budget-33 full searches at beta = 1 (hmc-b33), and
+    # bridge 1 at budget 62, whose failed rounds fall back to uniform
+    # weights: a solver change that moves any round's argmax, or fails a
+    # round, shows here
+    b33 = {
         3: [1/2, 1/4, 3/4, 5/8, 11/16, 7/8, 23/32, 47/64, 93/128, 1/8,
             187/256, 13/16, 1/16, 375/512, 27/32, 53/64, 105/128, 25/32,
             51/64, 103/128, 101/128, 201/256, 403/512, 805/1024, 1/32, 1/64,
@@ -264,10 +266,16 @@ def test_search_midpoints_are_pinned():
             5/32, 45/128, 91/256, 9/64, 181/512, 361/1024, 223/256, 31/256,
             47/128, 445/512, 7/32, 891/1024, 17/64],
     }
-    for bridge, midpoints in pinned.items():
-        rep = harmonic_bisection_search(new_bridge(bridge), 33,
+    pinned = {(bridge, 33): (midpoints, 0) for bridge, midpoints in b33.items()}
+    pinned[1, 62] = (b33[1] + [
+        17/128, 35/256, 71/512, 143/1024, 69/512, 285/2048, 139/1024,
+        279/2048, 559/4096, 29/32, 1783/2048, 57/64, 3567/4096, 7133/8192,
+        569/4096, 7/16, 15/32, 1137/8192, 1/32, 1/64, 1/128, 1/256, 1/512,
+        1/1024, 1/2048, 1/4096, 1/8192, 1/16384, 1/32768], 11)
+    for (bridge, budget), (midpoints, fallbacks) in pinned.items():
+        rep = harmonic_bisection_search(new_bridge(bridge), budget,
                                         HmcParams(beta=1.0, solver="full"))
-        assert rep.params["fallbacks"] == 0
+        assert rep.params["fallbacks"] == fallbacks
         assert rep.params["midpoints"] == midpoints
 
 

@@ -21,7 +21,6 @@ from pathmin.scmap import (
     RESIDUAL_ACCEPT,
     ScSolverError,
     WalkPolygon,
-    _newton_side_solve,
     _residual_jacobian,
     _side_integrals_dz,
     _side_nodes,
@@ -415,8 +414,7 @@ def test_flat_prevertices_are_arcsine_points():
 
 def test_cold_solve_reports_convergence():
     sol = solve_prevertices_full(make_bridge_walk(2, 8, beta=1.0))
-    assert sol.stop_reason == "converged"
-    assert not sol.continuation
+    assert sol.residual_norm <= RESIDUAL_ACCEPT
     assert sol.iterations >= 1
     assert sol.residual_evals > sol.iterations
 
@@ -446,7 +444,7 @@ def test_cold_solve_stops_at_the_quadrature_floor():
     # noise floor near 3e-11 in 12 residual evaluations; grinding on
     # toward RESIDUAL_TARGET takes 89
     sol = solve_prevertices_full(measure_walk(32))
-    assert sol.stop_reason == "converged"
+    assert sol.residual_norm <= RESIDUAL_ACCEPT
     assert sol.residual_evals <= 45
 
 
@@ -454,16 +452,15 @@ def test_cold_solve_stops_at_the_quadrature_floor():
 def test_measure_walks_converge_directly(n, evals):
     # halving the Newton step until the residual falls takes both cold
     # solves of the measure benchmark straight from the flat walk's
-    # pre-vertices to the floor, with no height ramp
+    # pre-vertices to the floor
     sol = solve_prevertices_full(measure_walk(n))
-    assert (sol.residual_evals, sol.stop_reason, sol.continuation) == (evals, "converged", False)
+    assert sol.residual_evals == evals
+    assert sol.residual_norm <= RESIDUAL_ACCEPT
 
 
 def test_singular_newton_system_stops_the_direct_solve_as_crowded(monkeypatch):
-    # a singular Newton system ends the direct solve; the height ramp,
-    # whose linear solves succeed, still reaches the solution
+    # a singular Newton system ends the only Newton solve, so the solve fails
     poly = make_bridge_walk(2, 8, beta=1.0)
-    cold = solve_prevertices_full(poly)
     solve, calls = np.linalg.solve, []
 
     def singular_once(a, b):
@@ -473,10 +470,9 @@ def test_singular_newton_system_stops_the_direct_solve_as_crowded(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(scmap.np.linalg, "solve", singular_once)
-    sol = solve_prevertices_full(poly)
-    assert sol.stop_reason == "crowded"
-    assert sol.continuation
-    assert np.max(np.abs(sol.prevertices - cold.prevertices)) < 1e-9
+    with pytest.raises(ScSolverError, match="crowded"):
+        solve_prevertices_full(poly)
+    assert len(calls) == 1
 
 
 def test_single_edge_walk_is_trivial():
@@ -570,21 +566,24 @@ def test_heads_are_looked_up_once_per_newton_solve_and_forward_map(monkeypatch):
     assert len(lookups) == 1
 
 
-def test_stalled_warm_start_recovers_by_continuation():
+def test_stalled_warm_start_fails_after_one_newton_solve(monkeypatch):
     # Newton from the interpolated start stalls: its first gap is 4e-11,
     # the Newton step there is far too long, and no step length down to
-    # 2^-24 lowers the residual; ramping node 2's height up from the start
-    # walk's chord still reaches the cold solution
+    # 2^-24 lowers the residual; the solve fails at once, though a cold
+    # solve of the same walk converges
     poly = make_bridge_walk(15, 6, beta=5.0)
-    cold = solve_prevertices_full(poly)
+    assert solve_prevertices_full(poly).residual_norm <= RESIDUAL_ACCEPT
     start = solve_prevertices_full(sub_walk(poly, [0, 1, 3, 4, 5, 6]))
-    guess = np.interp(poly.times, start.poly.times, start.prevertices)
-    reason = _newton_side_solve(poly, guess)[4]
-    assert reason != "converged"
-    warm = solve_prevertices_full(poly, initial_guess=start)
-    assert warm.continuation
-    assert warm.stop_reason == reason
-    assert np.max(np.abs(warm.prevertices - cold.prevertices)) < 1e-9
+    solves, newton = [], scmap._newton_side_solve
+
+    def counted_newton(*args):
+        solves.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(scmap, "_newton_side_solve", counted_newton)
+    with pytest.raises(ScSolverError, match="no_descent"):
+        solve_prevertices_full(poly, initial_guess=start)
+    assert len(solves) == 1
 
 
 def test_vertex_cap_raises():
