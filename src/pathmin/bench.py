@@ -9,14 +9,17 @@ import numpy as np
 from .golden import GssParams, golden_section, iterative_gss
 from .harmonic import HmcParams, harmonic_bisection_search
 from .mcb import McbParams, mcb_search
-from .paths import (BRIDGE, CAUCHY, dyadic_times, fill_dyadic, new_bridge,
+from .paths import (BRIDGE, CAUCHY, GridPath, dyadic_times, fill_dyadic, new_bridge,
                     simulate_bridge_batch, simulate_cauchy, simulate_cauchy_batch)
 from .report import write_csv, write_json
-from .rng import derive_seed
+from .rng import derive_seed, make_rng
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
 _BATCH_PATHS = 4096            # internal chunk size for range statistics
 MAX_BATCH_VALUES = 2 ** 27     # largest range batch in grid values: 1 GiB of float64
+CHUNK_VALUES = 2 ** 16         # grid values per path chunk of a grid cell: 512 KiB
+# the path kind of each grid method, whose cells run_grid draws in chunks
+GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauchy": CAUCHY}
 
 
 @dataclass
@@ -25,7 +28,8 @@ class TrialGrid:
 
     method is one of run_trial's methods; cells holds one dict per cell of
     the keys run_trial reads.  level is the grid resolution of the GSS
-    methods and of harmonic's reference grid.
+    methods and of harmonic's reference grid.  run_grid documents the
+    streams each cell's trials draw from, given seed.
     """
 
     method: str
@@ -52,19 +56,20 @@ class BenchRow:
 
 
 def run_trial(method: str, cell: dict, seed: int, level: int = 10,
-              gss: GssParams | None = None, path=None):
+              gss: GssParams | None = None, path=None, descents=None):
     """One search of a benchmark cell: (report, grid searched or filled).
 
     Seed contract: unless a path is given, it is simulated from
     derive_seed(seed, 0): a level-`level` bridge grid for the GSS methods,
     a level-cell['l'] bridge or Cauchy grid for the MCB methods, a lazy
     bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
-    after the search).  The MCB descents and harmonic draw from
-    derive_seed(seed, 1); the GSS reports carry seed itself.  `pathmin
-    search --seed S` runs run_trial(..., S), and run_grid runs trial t of
-    cell c at derive_seed(grid.seed, c, t).  cell holds 'm' for iter-gss,
-    'l', 'r', 'g' for MCB, and for harmonic 'budget', 'beta', 'strategy'
-    (one of harmonic.STRATEGIES) and 'solver' (a harmonic.SOLVER_EDGES key).
+    after the search).  The MCB descents draw from `descents` if it is
+    given, else from make_rng(derive_seed(seed, 1)); harmonic draws from
+    derive_seed(seed, 1).  The GSS reports, and MCB reports of given
+    descents, carry seed itself.  `pathmin search --seed S` runs
+    run_trial(..., S).  cell holds 'm' for iter-gss, 'l', 'r', 'g' for MCB,
+    and for harmonic 'budget', 'beta', 'strategy' (one of
+    harmonic.STRATEGIES) and 'solver' (a harmonic.SOLVER_EDGES key).
     """
     if method in ("naive-gss", "iter-gss"):
         if path is None:
@@ -77,8 +82,9 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
         if path is None:
             simulate = fill_dyadic if method == "mcb" else simulate_cauchy
             path = simulate(derive_seed(seed, 0), cell["l"])
-        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"],
-                                         seed=derive_seed(seed, 1)))
+        params = McbParams(r=cell["r"], g=cell["g"],
+                           seed=derive_seed(seed, 1) if descents is None else seed)
+        rep = mcb_search(path, params, descents)
     elif method == "harmonic":
         lazy = path is None
         path = new_bridge(derive_seed(seed, 0)) if lazy else path
@@ -95,7 +101,24 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
 def run_grid(grid: TrialGrid) -> list[BenchRow]:
     """Run every cell of the grid and aggregate per-cell statistics.
 
-    Trial t of cell c always uses the seed stream (grid.seed, c, t).
+    Seed contract.  A cell of the four grid methods draws its trials from
+    two streams of (grid.seed, c), c being the cell's index:
+    - paths: trial t searches row t % n of chunk t // n, where n =
+      max(1, CHUNK_VALUES // (2**level + 1)) and chunk k is
+      simulate_bridge_batch (mcb-cauchy: simulate_cauchy_batch) of
+      derive_seed(grid.seed, c, 0, k), level and min(n, trials - k * n)
+      rows.  The level is grid.level for the GSS methods and cell['l'] for
+      the MCB ones, and a level whose path holds over MAX_BATCH_VALUES
+      values raises ValueError;
+    - descents: the MCB searches of the cell draw from one generator,
+      make_rng(derive_seed(grid.seed, c, 1)), in trial order.
+    The reports carry grid.seed.  So a cell's results depend only on
+    (grid.seed, c, trials, level), and a chunk's trials run before the
+    next chunk is drawn: a cell peaks at one chunk, not at all its paths.
+    A harmonic trial t runs run_trial at derive_seed(grid.seed, c, t), as
+    `pathmin search` would: its lazy bridge is sampled one query at a
+    time, so there is no batch to draw.
+
     Trials that hit a numerical failure (RuntimeError, which covers
     ScSolverError, or FloatingPointError) are counted as failures and
     excluded from the means; a cell with more than 1% failures is
@@ -104,8 +127,11 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
     """
     rows = []
     for ci, cell in enumerate(grid.cells):
-        outcomes = [_guarded_trial(grid, cell, derive_seed(grid.seed, ci, tr))
-                    for tr in range(grid.trials)]
+        if grid.method in GRID_KINDS:
+            outcomes = _cell_outcomes(grid, ci, cell)
+        else:
+            outcomes = [_guarded_trial(grid, cell, derive_seed(grid.seed, ci, tr))
+                        for tr in range(grid.trials)]
         good = [o for o in outcomes if o is not None]
         failures = len(outcomes) - len(good)
         if good:
@@ -122,10 +148,33 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
     return rows
 
 
-def _guarded_trial(grid, cell, tseed):
+def _cell_outcomes(grid, ci, cell):
+    """The outcomes of one cell's trials, drawn from its streams (run_grid)."""
+    gss = grid.method in ("naive-gss", "iter-gss")
+    level = grid.level if gss else cell["l"]
+    if level < 0 or 2 ** level + 1 > MAX_BATCH_VALUES:
+        raise ValueError(f"grid level {level} outside 0..{MAX_BATCH_VALUES.bit_length() - 2}")
+    kind = GRID_KINDS[grid.method]
+    simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
+    descents = None if gss else make_rng(derive_seed(grid.seed, ci, 1))
+
+    def run_chunk(chunk):
+        return [_guarded_trial(grid, cell, grid.seed, GridPath(level, row, kind), descents)
+                for row in chunk]
+
+    n = max(1, CHUNK_VALUES // (2 ** level + 1))
+    outcomes = []
+    for k, done in enumerate(range(0, grid.trials, n)):
+        # a chunk is bound only inside run_chunk, so it is freed before the next draw
+        outcomes += run_chunk(simulate(derive_seed(grid.seed, ci, 0, k), level,
+                                       min(n, grid.trials - done)))
+    return outcomes
+
+
+def _guarded_trial(grid, cell, tseed, path=None, descents=None):
     """(error, wall_time, queries) of one trial, or None on a numerical failure."""
     try:
-        rep, path = run_trial(grid.method, cell, tseed, grid.level, grid.gss)
+        rep, path = run_trial(grid.method, cell, tseed, grid.level, grid.gss, path, descents)
         return rep.min_value - path.grid_min.value, rep.wall_time, rep.queries
     except (RuntimeError, FloatingPointError):
         return None

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (TrialGrid, mcb_grid, range_distribution, run_grid,
+from .bench import (GRID_KINDS, TrialGrid, mcb_grid, range_distribution, run_grid,
                     run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
 from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracle,
@@ -38,7 +38,7 @@ from .scmap import WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
-GRID_METHODS = ["naive-gss", "iter-gss", "mcb", "mcb-cauchy"]   # bench's methods
+GRID_METHODS = list(GRID_KINDS)   # bench's methods
 MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
 MAX_WALK_EDGES = max(SOLVER_EDGES.values())   # longest walk any solver takes
 

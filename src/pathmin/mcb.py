@@ -18,7 +18,8 @@ class McbParams:
     seed: int = 0
 
 
-def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
+def mcb_search(path: GridPath, params: McbParams,
+               rng: np.random.Generator | None = None) -> SearchReport:
     """Monte-Carlo bisection minimum search on a grid path.
 
     Each of the g descents draws one cell index k, uniform on the 2^r
@@ -29,7 +30,9 @@ def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
     left node stands in as the evaluated candidate.  The endpoints are
     evaluated first, so the search makes g + 2 oracle queries (repeat
     visits are queried again; the distinct count is reported in
-    params['unique_queries']).  Ties keep the earliest candidate.
+    params['unique_queries']).  Ties keep the earliest candidate.  The
+    descents draw from rng, by default make_rng(params.seed); the report
+    carries params.seed either way.
     """
     if params.r < 1:
         raise ValueError("descent depth r must be >= 1")
@@ -37,7 +40,7 @@ def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
         raise ValueError("descent count g must be >= 1")
     if params.r > path.level:
         raise ValueError(f"descent depth {params.r} exceeds grid level {path.level}")
-    rng = make_rng(params.seed)
+    rng = make_rng(params.seed) if rng is None else rng
     t0 = time.perf_counter()
     cells = rng.integers(0, 2 ** params.r, size=params.g)
     # node floor((2k + 1) / 2^(r+1) * 2^level): the midpoint, or the left node
@@ -48,7 +51,7 @@ def mcb_search(path: GridPath, params: McbParams) -> SearchReport:
     best = int(np.argmin(vals))
     elapsed = time.perf_counter() - t0
     return SearchReport(
-        argmin_t=float(path.times[cand[best]]), min_value=float(vals[best]),
+        argmin_t=float(cand[best] / n), min_value=float(vals[best]),
         queries=params.g + 2, wall_time=elapsed, method="mcb",
         params={"l": path.level, "r": params.r, "g": params.g,
                 "unique_queries": int(np.count_nonzero(np.bincount(cand)))},

@@ -129,7 +129,7 @@ class GridPath:
     def grid_min(self) -> GridMin:
         """Grid minimum; ties go to the earliest time attaining it."""
         i = int(np.argmin(self.values))
-        return GridMin(float(self.times[i]), float(self.values[i]))
+        return GridMin(i / 2 ** self.level, float(self.values[i]))   # times[i], exactly
 
     def interp(self, t: float) -> float:
         """Piecewise-linear value of the grid path at an arbitrary time."""

@@ -2,12 +2,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pathmin.bench
 from pathmin.bench import (
+    CHUNK_VALUES,
     BenchRow,
     RangeDistribution,
     TrialGrid,
@@ -18,7 +20,10 @@ from pathmin.bench import (
     save_bench_json,
     save_range_csv,
 )
-from pathmin.golden import GssParams
+from pathmin.golden import GssParams, iterative_gss
+from pathmin.mcb import McbParams, mcb_search
+from pathmin.paths import BRIDGE, CAUCHY, GridPath, simulate_bridge_batch, simulate_cauchy_batch
+from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import ScSolverError
 
 
@@ -66,6 +71,56 @@ def test_mcb_cauchy_method_runs():
     assert row.mean_error >= 0.0
 
 
+def hand_cell_error(method, cell, c, seed, trials, level, gss):
+    """Mean error of cell c, rebuilt from the streams run_grid documents."""
+    kind = CAUCHY if method == "mcb-cauchy" else BRIDGE
+    simulate = simulate_cauchy_batch if kind == CAUCHY else simulate_bridge_batch
+    n = max(1, CHUNK_VALUES // (2 ** level + 1))
+    descents = make_rng(derive_seed(seed, c, 1))
+    errors = []
+    for k in range(math.ceil(trials / n)):
+        for row in simulate(derive_seed(seed, c, 0, k), level, min(n, trials - k * n)):
+            grid = GridPath(level, row, kind)
+            if method == "iter-gss":
+                rep = iterative_gss(grid, cell["m"], gss)
+            else:
+                rep = mcb_search(grid, McbParams(r=cell["r"], g=cell["g"]), descents)
+            errors.append(rep.min_value - row.min())
+    return np.mean(errors)
+
+
+@pytest.mark.parametrize("method, cells, level, trials", [
+    # l = 12 holds 15 paths a chunk, so 20 trials span two chunks
+    ("mcb", [{"l": 3, "r": 3, "g": 8}, {"l": 12, "r": 12, "g": 4096}], 10, 20),
+    ("mcb-cauchy", [{"l": 6, "r": 6, "g": 64}], 10, 12),
+    ("iter-gss", [{"m": 0}, {"m": 2}], 8, 70),
+])
+def test_grid_trials_follow_the_cell_streams(method, cells, level, trials):
+    gss = GssParams(epsilon=0.01)
+    rows = run_grid(TrialGrid(method=method, cells=cells, trials=trials, seed=7,
+                              level=level, gss=gss))
+    for c, (cell, row) in enumerate(zip(cells, rows)):
+        assert row.mean_error == hand_cell_error(method, cell, c, 7, trials,
+                                                 cell.get("l", level), gss)
+
+
+def test_cell_memory_peaks_at_one_chunk():
+    # a level-12 chunk holds 15 paths, so 20 and 200 trials both peak at one
+    # chunk being drawn; drawing all 200 paths at once would hold 6.6 MB
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_grid(mcb_grid([12], trials=trials, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_grid(mcb_grid([12], trials=1, seed=3))
+    few, many = peak(20), peak(200)
+    assert many <= 1.1 * few
+    assert many < 3 * 15 * (2 ** 12 + 1) * 8
+
+
 def test_unknown_method_raises():
     # a usage error, not a failed trial: it must reach the caller
     grid = TrialGrid(method="bogus", cells=[{}], trials=5, seed=0)
@@ -81,18 +136,30 @@ def test_invalid_cell_raises():
         run_grid(grid)
 
 
+def test_grid_level_past_batch_cap_raises(monkeypatch):
+    # one level-27 path holds 2**27 + 1 values, past MAX_BATCH_VALUES
+    def never(*args):
+        raise AssertionError("nothing may be simulated")
+
+    monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", never)
+    for grid in (TrialGrid(method="naive-gss", cells=[{}], trials=1, level=27),
+                 TrialGrid(method="mcb", cells=[{"l": -1, "r": 1, "g": 1}], trials=1)):
+        with pytest.raises(ValueError, match="grid level"):
+            run_grid(grid)
+
+
 @pytest.mark.parametrize("error", [ScSolverError, FloatingPointError])
 def test_numerical_failures_are_counted_and_flagged(monkeypatch, error):
     search = pathmin.bench.mcb_search
     calls = []
 
-    def fail_every_other(path, params):
+    def fail_every_other(path, params, rng=None):
         calls.append(1)
         if len(calls) % 2:
             raise error("boom")
-        return search(path, params)
+        return search(path, params, rng)
 
-    def fail_always(path, params):
+    def fail_always(path, params, rng=None):
         raise error("boom")
 
     grid = TrialGrid(method="mcb", cells=[{"l": 3, "r": 3, "g": 8}], trials=8, seed=0)
