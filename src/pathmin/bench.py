@@ -9,15 +9,14 @@ import numpy as np
 from .golden import GssParams, golden_section, iterative_gss
 from .harmonic import HmcParams, harmonic_bisection_search
 from .mcb import McbParams, mcb_search
-from .paths import (BRIDGE, CAUCHY, GridPath, dyadic_times, fill_dyadic, new_bridge,
-                    simulate_bridge_batch, simulate_cauchy, simulate_cauchy_batch)
+from .paths import (BRIDGE, CAUCHY, GridPath, fill_dyadic, new_bridge, simulate_bridge_batch,
+                    simulate_cauchy, simulate_cauchy_batch)
 from .report import write_csv, write_json
 from .rng import derive_seed, make_rng
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
-_BATCH_PATHS = 4096            # internal chunk size for range statistics
-MAX_BATCH_VALUES = 2 ** 27     # largest range batch in grid values: 1 GiB of float64
-CHUNK_VALUES = 2 ** 16         # grid values per path chunk of a grid cell: 512 KiB
+MAX_BATCH_VALUES = 2 ** 27     # most grid values of one drawn path: 1 GiB of float64
+CHUNK_VALUES = 2 ** 16         # grid values per drawn chunk of paths: 512 KiB
 # the path kind of each grid method, whose cells run_grid draws in chunks
 GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauchy": CAUCHY}
 
@@ -103,18 +102,15 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
 
     Seed contract.  A cell of the four grid methods draws its trials from
     two streams of (grid.seed, c), c being the cell's index:
-    - paths: trial t searches row t % n of chunk t // n, where n =
-      max(1, CHUNK_VALUES // (2**level + 1)) and chunk k is
-      simulate_bridge_batch (mcb-cauchy: simulate_cauchy_batch) of
-      derive_seed(grid.seed, c, 0, k), level and min(n, trials - k * n)
-      rows.  The level is grid.level for the GSS methods and cell['l'] for
-      the MCB ones, and a level whose path holds over MAX_BATCH_VALUES
-      values raises ValueError;
+    - paths: trial t searches row t % n of chunk t // n, chunk k holding
+      the n = max(1, CHUNK_VALUES // (2**level + 1)) paths that
+      _draw_chunks draws from derive_seed(grid.seed, c, 0, k).  The level
+      is grid.level for the GSS methods and cell['l'] for the MCB ones, and
+      one past MAX_BATCH_VALUES values raises ValueError;
     - descents: the MCB searches of the cell draw from one generator,
       make_rng(derive_seed(grid.seed, c, 1)), in trial order.
     The reports carry grid.seed.  So a cell's results depend only on
-    (grid.seed, c, trials, level), and a chunk's trials run before the
-    next chunk is drawn: a cell peaks at one chunk, not at all its paths.
+    (grid.seed, c, trials, level), and it peaks at one chunk of paths.
     A harmonic trial t runs run_trial at derive_seed(grid.seed, c, t), as
     `pathmin search` would: its lazy bridge is sampled one query at a
     time, so there is no batch to draw.
@@ -152,23 +148,31 @@ def _cell_outcomes(grid, ci, cell):
     """The outcomes of one cell's trials, drawn from its streams (run_grid)."""
     gss = grid.method in ("naive-gss", "iter-gss")
     level = grid.level if gss else cell["l"]
+    kind = GRID_KINDS[grid.method]
+    descents = None if gss else make_rng(derive_seed(grid.seed, ci, 1))
+    outcomes = []
+    _draw_chunks(kind, level, grid.trials, grid.seed, (ci, 0),
+                 lambda _, chunk: outcomes.extend(
+                     _guarded_trial(grid, cell, grid.seed, GridPath(level, row, kind), descents)
+                     for row in chunk))
+    return outcomes
+
+
+def _draw_chunks(kind, level, count, seed, stream, consume):
+    """Pass each chunk of count level-`level` paths of kind to consume(start, chunk).
+
+    Chunk k holds rows start = k * n to min(start + n, count), n being
+    max(1, CHUNK_VALUES // (2**level + 1)), drawn by simulate_bridge_batch
+    (CAUCHY: simulate_cauchy_batch) from derive_seed(seed, *stream, k).  No
+    chunk is bound here, so only one is alive at a time.  A level whose
+    path holds over MAX_BATCH_VALUES values raises ValueError first.
+    """
     if level < 0 or 2 ** level + 1 > MAX_BATCH_VALUES:
         raise ValueError(f"grid level {level} outside 0..{MAX_BATCH_VALUES.bit_length() - 2}")
-    kind = GRID_KINDS[grid.method]
     simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
-    descents = None if gss else make_rng(derive_seed(grid.seed, ci, 1))
-
-    def run_chunk(chunk):
-        return [_guarded_trial(grid, cell, grid.seed, GridPath(level, row, kind), descents)
-                for row in chunk]
-
     n = max(1, CHUNK_VALUES // (2 ** level + 1))
-    outcomes = []
-    for k, done in enumerate(range(0, grid.trials, n)):
-        # a chunk is bound only inside run_chunk, so it is freed before the next draw
-        outcomes += run_chunk(simulate(derive_seed(grid.seed, ci, 0, k), level,
-                                       min(n, grid.trials - done)))
-    return outcomes
+    for k, start in enumerate(range(0, count, n)):
+        consume(start, simulate(derive_seed(seed, *stream, k), level, min(n, count - start)))
 
 
 def _guarded_trial(grid, cell, tseed, path=None, descents=None):
@@ -215,29 +219,24 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
                        seed: int = 0) -> RangeDistribution:
     """Simulate n_paths grid paths and collect their range statistics.
 
-    Paths are simulated in fixed-size internal batches, each on its own
-    seed sub-stream, so the result depends only on (kind, level, n_paths,
-    seed).  A batch over MAX_BATCH_VALUES grid values raises ValueError
-    before anything is simulated.
+    The paths are drawn in a grid cell's chunks (run_grid), but chunk k
+    comes from derive_seed(seed, k).  So the result depends only on (kind,
+    level, n_paths, seed), and memory peaks at one chunk beside the n_paths
+    ranges and gaps.  A level past MAX_BATCH_VALUES raises ValueError.
     """
     if kind not in (BRIDGE, CAUCHY):
         raise ValueError(f"unknown path kind '{kind}'")
     if n_paths < 1:
         raise ValueError("need at least one path")
-    batch = min(n_paths, _BATCH_PATHS)
-    if batch * (2 ** level + 1) > MAX_BATCH_VALUES:
-        raise ValueError(f"a batch of {batch} level-{level} paths exceeds the limit "
-                         f"of {MAX_BATCH_VALUES} grid values (1 GiB)")
-    ranges = np.empty(n_paths)
-    gaps = np.empty(n_paths)
-    times = dyadic_times(level)
-    simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
-    for chunk_idx, done in enumerate(range(0, n_paths, _BATCH_PATHS)):
-        m = min(_BATCH_PATHS, n_paths - done)
-        vals = simulate(derive_seed(seed, chunk_idx), level, m)
-        ranges[done:done + m] = vals.max(axis=1) - vals.min(axis=1)
-        gaps[done:done + m] = np.abs(times[np.argmax(vals, axis=1)]
-                                     - times[np.argmin(vals, axis=1)])
+    ranges, gaps = np.empty(n_paths), np.empty(n_paths)
+
+    def collect(start, vals):
+        rows = slice(start, start + len(vals))
+        ranges[rows] = vals.max(axis=1) - vals.min(axis=1)
+        # |argmax - argmin| / 2**level is exactly the gap of the dyadic times
+        gaps[rows] = np.abs(np.argmax(vals, axis=1) - np.argmin(vals, axis=1)) / 2 ** level
+
+    _draw_chunks(kind, level, n_paths, seed, (), collect)
     finite = ranges[np.isfinite(ranges)]
     hist_hi = float(np.quantile(finite, 0.995))
     edges = np.linspace(0.0, max(hist_hi, 1e-12), bins + 1)

@@ -9,12 +9,10 @@ the grid with exact inverse-CDF increments.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -52,8 +50,8 @@ class LazyBridgePath:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.rng = make_rng(seed)
-        self._times = array("d", [0.0, 1.0])     # flat float64, so a fill reads it uncopied
-        self._values = array("d", [0.0, 0.0])
+        self._times = np.array([0.0, 1.0])       # sampled times in order, and their values;
+        self._values = np.array([0.0, 0.0])      # replaced on each draw, never changed in place
 
     @property
     def n_sampled(self) -> int:
@@ -61,34 +59,36 @@ class LazyBridgePath:
 
     def sampled(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the sampled times and values, in time order."""
-        return np.array(self._times), np.array(self._values)
+        return self._times.copy(), self._values.copy()
 
     def query(self, t: float) -> float:
         """Value of the bridge at t, sampling it first if needed."""
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"query time {t} outside [0, 1]")
-        times, values = self._times, self._values
-        i = bisect.bisect_left(times, t)
-        if times[i] == t:      # t <= 1, and 1 is always sampled
-            return values[i]
-        mean, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
-        v = mean + math.sqrt(var) * float(self.rng.standard_normal())
-        times.insert(i, t)
-        values.insert(i, v)
-        return v
+        i = int(np.searchsorted(self._times, t))
+        if self._times[i] != t:      # t <= 1, and 1 is always sampled
+            self._draw(np.array([t]))
+        return float(self._values[i])
 
     def _fill(self, level: int) -> np.ndarray:
         """Values at k / 2**level, one draw per level: a coarser time splits any two new ones."""
-        for t in (dyadic_times(d)[1::2] for d in range(1, level + 1)):
-            times, values = np.frombuffer(self._times), np.frombuffer(self._values)
-            i = np.searchsorted(times, t)
-            t, i = t[times[i] != t], i[times[i] != t]
-            mean, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
-            v = mean + np.sqrt(var) * self.rng.standard_normal(len(t))
-            self._times = array("d", np.insert(times, i, t).tobytes())
-            self._values = array("d", np.insert(values, i, v).tobytes())
-        return np.frombuffer(self._values)[np.searchsorted(self._times, dyadic_times(level))]
+        for d in range(1, level + 1):
+            self._draw(np.arange(1, 2 ** d, 2) / 2 ** d)
+        if len(self._times) == 2 ** level + 1:    # the store is the grid
+            return self._values.copy()
+        return self._values[np.searchsorted(self._times, dyadic_times(level))]
+
+    def _draw(self, t: np.ndarray) -> None:
+        """Sample those of the sorted times t not yet sampled, each from its two
+        store neighbours, between which no other time of t may lie."""
+        times, values = self._times, self._values
+        i = np.searchsorted(times, t)
+        new = times[i] != t
+        t, i = t[new], i[new]
+        v, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
+        v += np.sqrt(var) * self.rng.standard_normal(len(t))     # the mean, plus its draw
+        self._times, self._values = np.insert(times, i, t), np.insert(values, i, v)
 
 
 def _bridge_law(t, tl, tr, vl, vr):

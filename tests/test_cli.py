@@ -417,17 +417,6 @@ def test_range_command(tmp_path):
     assert (tmp_path / "out.hist.csv").exists()
 
 
-def test_range_batch_past_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    def never(*args):
-        raise AssertionError("an oversized batch must be rejected before simulating")
-
-    monkeypatch.setattr("pathmin.bench.simulate_bridge_batch", never)
-    rc, out = run(tmp_path, "range", "--seed", "1", "--level", "20", "--paths", "4096")
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": 4}))

@@ -215,6 +215,20 @@ def test_bridge_batch_peaks_at_twice_its_result():
     assert peak <= 2.1 * out.nbytes
 
 
+def test_lazy_fill_peaks_under_seven_grids():
+    # the last level's draw holds the old store, its new times and their
+    # neighbours' laws beside the new store: about 6.2 grids at most
+    path = new_bridge(1)
+    path.query(0.3)
+    tracemalloc.start()
+    try:
+        grid = fill_dyadic(path, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * grid.values.nbytes
+
+
 def test_cauchy_batch_peaks_at_twice_its_result():
     # the increments are built in the uniforms' array, so the batch holds
     # that array and its result at once, and no temporary beside them
