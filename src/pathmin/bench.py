@@ -15,7 +15,7 @@ from .report import write_csv, write_json
 from .rng import derive_seed, make_rng
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
-MAX_BATCH_VALUES = 2 ** 27     # most grid values of one drawn path: 1 GiB of float64
+MAX_LEVEL = 24                 # largest grid level: 2**24 + 1 float64 values take 128 MiB
 CHUNK_VALUES = 2 ** 16         # grid values per drawn chunk of paths: 512 KiB
 # the path kind of each grid method, whose cells run_grid draws in chunks
 GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauchy": CAUCHY}
@@ -64,8 +64,7 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
     after the search).  The MCB descents draw from `descents` if it is
     given, else from make_rng(derive_seed(seed, 1)); harmonic draws from
-    derive_seed(seed, 1).  The GSS reports, and MCB reports of given
-    descents, carry seed itself.  `pathmin search --seed S` runs
+    derive_seed(seed, 1).  `pathmin search --seed S` runs
     run_trial(..., S).  cell holds 'm' for iter-gss, 'l', 'r', 'g' for MCB,
     and for harmonic 'budget', 'beta', 'strategy' (one of
     harmonic.STRATEGIES) and 'solver' (a harmonic.SOLVER_EDGES key).
@@ -74,16 +73,15 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
         if path is None:
             path = fill_dyadic(derive_seed(seed, 0), level)
         if method == "naive-gss":
-            rep = golden_section(path, (0.0, 1.0), gss, seed=seed)
+            rep = golden_section(path, (0.0, 1.0), gss)
         else:
-            rep = iterative_gss(path, cell["m"], gss, seed=seed)
+            rep = iterative_gss(path, cell["m"], gss)
     elif method in ("mcb", "mcb-cauchy"):
         if path is None:
             simulate = fill_dyadic if method == "mcb" else simulate_cauchy
             path = simulate(derive_seed(seed, 0), cell["l"])
-        params = McbParams(r=cell["r"], g=cell["g"],
-                           seed=derive_seed(seed, 1) if descents is None else seed)
-        rep = mcb_search(path, params, descents)
+        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"]),
+                         make_rng(derive_seed(seed, 1)) if descents is None else descents)
     elif method == "harmonic":
         lazy = path is None
         path = new_bridge(derive_seed(seed, 0)) if lazy else path
@@ -106,11 +104,11 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
       the n = max(1, CHUNK_VALUES // (2**level + 1)) paths that
       _draw_chunks draws from derive_seed(grid.seed, c, 0, k).  The level
       is grid.level for the GSS methods and cell['l'] for the MCB ones, and
-      one past MAX_BATCH_VALUES values raises ValueError;
+      one outside 0..MAX_LEVEL raises ValueError;
     - descents: the MCB searches of the cell draw from one generator,
       make_rng(derive_seed(grid.seed, c, 1)), in trial order.
-    The reports carry grid.seed.  So a cell's results depend only on
-    (grid.seed, c, trials, level), and it peaks at one chunk of paths.
+    So a cell's results depend only on (grid.seed, c, trials, level), and
+    it peaks at one chunk of paths.
     A harmonic trial t runs run_trial at derive_seed(grid.seed, c, t), as
     `pathmin search` would: its lazy bridge is sampled one query at a
     time, so there is no batch to draw.
@@ -164,11 +162,11 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
     Chunk k holds rows start = k * n to min(start + n, count), n being
     max(1, CHUNK_VALUES // (2**level + 1)), drawn by simulate_bridge_batch
     (CAUCHY: simulate_cauchy_batch) from derive_seed(seed, *stream, k).  No
-    chunk is bound here, so only one is alive at a time.  A level whose
-    path holds over MAX_BATCH_VALUES values raises ValueError first.
+    chunk is bound here, so only one is alive at a time.  A level outside
+    0..MAX_LEVEL raises ValueError first.
     """
-    if level < 0 or 2 ** level + 1 > MAX_BATCH_VALUES:
-        raise ValueError(f"grid level {level} outside 0..{MAX_BATCH_VALUES.bit_length() - 2}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"grid level {level} outside 0..{MAX_LEVEL}")
     simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
     n = max(1, CHUNK_VALUES // (2 ** level + 1))
     for k, start in enumerate(range(0, count, n)):
@@ -222,7 +220,7 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
     The paths are drawn in a grid cell's chunks (run_grid), but chunk k
     comes from derive_seed(seed, k).  So the result depends only on (kind,
     level, n_paths, seed), and memory peaks at one chunk beside the n_paths
-    ranges and gaps.  A level past MAX_BATCH_VALUES raises ValueError.
+    ranges and gaps.  A level outside 0..MAX_LEVEL raises ValueError.
     """
     if kind not in (BRIDGE, CAUCHY):
         raise ValueError(f"unknown path kind '{kind}'")

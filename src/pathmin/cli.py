@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (GRID_KINDS, TrialGrid, mcb_grid, range_distribution, run_grid,
-                    run_trial, save_bench_csv, save_bench_json, save_range_csv)
+from .bench import (GRID_KINDS, MAX_LEVEL, TrialGrid, mcb_grid, range_distribution,
+                    run_grid, run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
 from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracle,
                        save_measures_csv)
@@ -39,7 +39,6 @@ from .scmap import WalkPolygon
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
 STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
 GRID_METHODS = list(GRID_KINDS)   # bench's methods
-MAX_LEVEL = 24   # largest grid level: 2**24 + 1 float64 values take 128 MiB
 MAX_WALK_EDGES = max(SOLVER_EDGES.values())   # longest walk any solver takes
 
 
@@ -109,9 +108,9 @@ def cmd_search(args) -> int:
     if rep.params.get("fallbacks"):
         print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
               f"back to uniform weights", file=sys.stderr)
-    rep.seed = args.seed
     gm = grid.grid_min
-    payload = {**dataclasses.asdict(rep), "grid_min": {"time": gm.time, "value": gm.value},
+    payload = {**dataclasses.asdict(rep), "seed": args.seed,
+               "grid_min": {"time": gm.time, "value": gm.value},
                "error_vs_grid_min": rep.min_value - gm.value, "meta": _meta(args)}
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "

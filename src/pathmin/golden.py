@@ -83,7 +83,7 @@ def _gss_core(oracle, a, b, params, trace=None):
 
 
 def golden_section(path, interval=(0.0, 1.0), params: GssParams | None = None,
-                   seed: int | None = None, trace: list | None = None) -> SearchReport:
+                   trace: list | None = None) -> SearchReport:
     """Minimise a path oracle on an interval by golden-section bracketing.
 
     `path` may be a lazily-sampled bridge, a grid path (evaluated by
@@ -102,12 +102,10 @@ def golden_section(path, interval=(0.0, 1.0), params: GssParams | None = None,
         argmin_t=oracle.best_t, min_value=oracle.best_v, queries=oracle.count,
         wall_time=elapsed, method="golden-section",
         params={"epsilon": params.epsilon, "max_iters": params.max_iters,
-                "interval": [a, b], "iterations": iters},
-        seed=seed)
+                "interval": [a, b], "iterations": iters})
 
 
-def iterative_gss(path, m: int, params: GssParams | None = None,
-                  seed: int | None = None) -> SearchReport:
+def iterative_gss(path, m: int, params: GssParams | None = None) -> SearchReport:
     """Golden-section search on each of 2**m equal panels, keeping the best.
 
     The two endpoints of [0, 1] are evaluated once up front and always
@@ -130,5 +128,4 @@ def iterative_gss(path, m: int, params: GssParams | None = None,
         argmin_t=oracle.best_t, min_value=oracle.best_v, queries=oracle.count,
         wall_time=elapsed, method="iterative-gss",
         params={"m": m, "epsilon": params.epsilon, "max_iters": params.max_iters,
-                "iterations": total_iters},
-        seed=seed)
+                "iterations": total_iters})

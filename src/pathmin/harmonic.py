@@ -167,8 +167,7 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
         queries=budget + 2, wall_time=elapsed, method="harmonic-bisection",
         params={"budget": budget, "beta": params.beta, "strategy": params.strategy,
                 "solver": params.solver, "fallbacks": fallbacks,
-                "midpoints": midpoints},
-        seed=params.seed)
+                "midpoints": midpoints})
 
 
 # ---------------------------------------------------------------------------

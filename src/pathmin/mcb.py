@@ -8,18 +8,15 @@ import numpy as np
 
 from .paths import GridPath
 from .report import SearchReport
-from .rng import make_rng
 
 
 @dataclass
 class McbParams:
     r: int        # descent depth: fair bits per descent
     g: int        # number of descents
-    seed: int = 0
 
 
-def mcb_search(path: GridPath, params: McbParams,
-               rng: np.random.Generator | None = None) -> SearchReport:
+def mcb_search(path: GridPath, params: McbParams, rng: np.random.Generator) -> SearchReport:
     """Monte-Carlo bisection minimum search on a grid path.
 
     Each of the g descents draws one cell index k, uniform on the 2^r
@@ -31,8 +28,7 @@ def mcb_search(path: GridPath, params: McbParams,
     evaluated first, so the search makes g + 2 oracle queries (repeat
     visits are queried again; the distinct count is reported in
     params['unique_queries']).  Ties keep the earliest candidate.  The
-    descents draw from rng, by default make_rng(params.seed); the report
-    carries params.seed either way.
+    descents draw from rng.
     """
     if params.r < 1:
         raise ValueError("descent depth r must be >= 1")
@@ -40,7 +36,6 @@ def mcb_search(path: GridPath, params: McbParams,
         raise ValueError("descent count g must be >= 1")
     if params.r > path.level:
         raise ValueError(f"descent depth {params.r} exceeds grid level {path.level}")
-    rng = make_rng(params.seed) if rng is None else rng
     t0 = time.perf_counter()
     cells = rng.integers(0, 2 ** params.r, size=params.g)
     # node floor((2k + 1) / 2^(r+1) * 2^level): the midpoint, or the left node
@@ -54,5 +49,4 @@ def mcb_search(path: GridPath, params: McbParams,
         argmin_t=float(cand[best] / n), min_value=float(vals[best]),
         queries=params.g + 2, wall_time=elapsed, method="mcb",
         params={"l": path.level, "r": params.r, "g": params.g,
-                "unique_queries": int(np.count_nonzero(np.bincount(cand)))},
-        seed=params.seed)
+                "unique_queries": int(np.count_nonzero(np.bincount(cand)))})

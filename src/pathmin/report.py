@@ -24,7 +24,6 @@ class SearchReport:
     wall_time: float
     method: str
     params: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:

@@ -20,7 +20,7 @@ from pathmin.harmonic import edge_measures, mc_hitting_oracle
 from pathmin.mcb import McbParams, mcb_search
 from pathmin.paths import (CauchyBridgeCdf, cauchy_bridge_cdf, dyadic_times,
                            fill_dyadic, new_bridge, simulate_bridge_batch)
-from pathmin.rng import derive_seed
+from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import (WalkPolygon, sc_forward_map, solve_prevertices_full,
                            solve_prevertices_perturbative, turning_angles)
 
@@ -106,7 +106,7 @@ def test_c05_mcb_exhaustiveness(report):
     hits = 0
     for s in range(100):
         grid = fill_dyadic(derive_seed(11, s), 8)
-        rep = mcb_search(grid, McbParams(r=8, g=2 ** 12, seed=derive_seed(12, s)))
+        rep = mcb_search(grid, McbParams(r=8, g=2 ** 12), make_rng(derive_seed(12, s)))
         hits += rep.min_value == grid.grid_min.value
     ok = hits >= 99
     report(5, "bisection exhaustiveness at g = 2^12", ok,

@@ -138,13 +138,14 @@ def test_invalid_cell_raises():
 
 
 def test_grid_level_past_batch_cap_raises(monkeypatch):
-    # one level-27 path holds 2**27 + 1 values, past MAX_BATCH_VALUES
+    # levels past MAX_LEVEL = 24 raise before anything is drawn
     def never(*args):
         raise AssertionError("nothing may be simulated")
 
     monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", never)
     monkeypatch.setattr(pathmin.bench, "simulate_cauchy_batch", never)
-    for grid in (TrialGrid(method="naive-gss", cells=[{}], trials=1, level=27),
+    for grid in (TrialGrid(method="naive-gss", cells=[{}], trials=1, level=25),
+                 TrialGrid(method="naive-gss", cells=[{}], trials=1, level=27),
                  TrialGrid(method="mcb", cells=[{"l": -1, "r": 1, "g": 1}], trials=1)):
         with pytest.raises(ValueError, match="grid level"):
             run_grid(grid)

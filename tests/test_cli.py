@@ -250,6 +250,7 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
     assert rc == 0
     rep = json.loads(out.read_text())
     trial, grid = run_trial(method, cell, 13, level=7, gss=GssParams(), path=path)
+    assert rep["seed"] == 13
     assert rep["min_value"] == trial.min_value
     assert rep["argmin_t"] == trial.argmin_t
     assert rep["queries"] == trial.queries

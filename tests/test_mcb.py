@@ -25,7 +25,7 @@ def descent_grid(r):
 
 
 def descent_midpoint(r, seed):
-    return mcb_search(descent_grid(r), McbParams(r=r, g=1, seed=seed)).argmin_t
+    return mcb_search(descent_grid(r), McbParams(r=r, g=1), make_rng(seed)).argmin_t
 
 
 def descent_cell(r, seed):
@@ -65,7 +65,7 @@ def test_descent_reaches_every_cell_midpoint():
 
 def test_descent_rejects_zero_depth():
     with pytest.raises(ValueError):
-        mcb_search(descent_grid(1), McbParams(r=0, g=1))
+        mcb_search(descent_grid(1), McbParams(r=0, g=1), make_rng(0))
 
 
 def test_descent_cells_are_uniform():
@@ -79,7 +79,7 @@ def test_descent_cells_are_uniform():
 
 def test_search_query_count_is_g_plus_two():
     grid = fill_dyadic(1, 6)
-    rep = mcb_search(grid, McbParams(r=4, g=37, seed=0))
+    rep = mcb_search(grid, McbParams(r=4, g=37), make_rng(0))
     assert rep.queries == 39
     assert rep.method == "mcb"
     assert rep.params["unique_queries"] <= min(39, 2 ** 4 + 2)
@@ -93,12 +93,12 @@ class ReadLog(np.ndarray):
         return super().__getitem__(idx).view(np.ndarray)
 
 
-def logged_search(grid, params):
+def logged_search(grid, params, rng):
     """(report, every grid index the search read, in order)."""
     logged = grid.values.view(ReadLog)
     logged.reads = []
     object.__setattr__(grid, "values", logged)
-    rep = mcb_search(grid, params)
+    rep = mcb_search(grid, params, rng)
     return rep, np.concatenate(logged.reads)
 
 
@@ -111,7 +111,7 @@ search_cases = st.integers(1, 14).flatmap(lambda level: st.tuples(
 @given(search_cases)
 def test_unique_queries_counts_distinct_indices_read(case):
     level, r, g, seed = case
-    rep, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g, seed=seed))
+    rep, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g), make_rng(seed))
     assert len(reads) == rep.queries == g + 2
     assert rep.params["unique_queries"] == len(np.unique(reads)) <= g + 2
 
@@ -122,7 +122,7 @@ def test_descents_read_the_nodes_of_their_drawn_cells(case):
     # reference: the float midpoint (2k + 1) / 2^(r+1) of each drawn cell,
     # scaled to the grid and floored onto its node
     level, r, g, seed = case
-    _, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g, seed=seed))
+    _, reads = logged_search(fill_dyadic(seed, level), McbParams(r=r, g=g), make_rng(seed))
     k = make_rng(seed).integers(0, 2 ** r, size=g)
     mids = (2 * k + 1) / 2.0 ** (r + 1)
     assert reads[:2].tolist() == [0, 2 ** level]
@@ -133,7 +133,7 @@ def test_deep_descent_cells_are_uniform():
     # r = l: every descent reads its own cell's left node, so the reads
     # after the two endpoints are the drawn cell indices themselves
     r = 12
-    _, reads = logged_search(fill_dyadic(4, r), McbParams(r=r, g=2 ** 16, seed=4))
+    _, reads = logged_search(fill_dyadic(4, r), McbParams(r=r, g=2 ** 16), make_rng(4))
     assert len(reads) == 2 ** 16 + 2
     counts = np.bincount(reads[2:], minlength=2 ** r)
     assert len(counts) == 2 ** r
@@ -146,7 +146,7 @@ def test_search_allocates_no_bit_matrix():
     grid = fill_dyadic(5, 14)
     tracemalloc.start()
     try:
-        mcb_search(grid, McbParams(r=14, g=2 ** 16, seed=5))
+        mcb_search(grid, McbParams(r=14, g=2 ** 16), make_rng(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -155,9 +155,9 @@ def test_search_allocates_no_bit_matrix():
 
 def test_search_is_deterministic_in_seed():
     grid = fill_dyadic(2, 8)
-    a = mcb_search(grid, McbParams(r=6, g=100, seed=5))
-    b = mcb_search(grid, McbParams(r=6, g=100, seed=5))
-    c = mcb_search(grid, McbParams(r=6, g=100, seed=6))
+    a = mcb_search(grid, McbParams(r=6, g=100), make_rng(5))
+    b = mcb_search(grid, McbParams(r=6, g=100), make_rng(5))
+    c = mcb_search(grid, McbParams(r=6, g=100), make_rng(6))
     assert a.argmin_t == b.argmin_t
     assert a.min_value == b.min_value
     assert (a.argmin_t, a.min_value) != (c.argmin_t, c.min_value) or \
@@ -167,7 +167,7 @@ def test_search_is_deterministic_in_seed():
 def test_search_estimate_never_beats_grid_minimum():
     for seed in range(10):
         grid = fill_dyadic(seed, 8)
-        rep = mcb_search(grid, McbParams(r=5, g=50, seed=seed))
+        rep = mcb_search(grid, McbParams(r=5, g=50), make_rng(seed))
         assert rep.min_value >= grid.grid_min.value
         assert rep.min_value <= min(grid.values[0], grid.values[-1])
 
@@ -176,7 +176,7 @@ def test_full_depth_midpoints_evaluate_left_node():
     # r = level puts descent midpoints mid-cell; the left grid node stands in
     values = np.array([0.0, -3.0, 1.0, 2.0, 0.0])
     grid = GridPath(level=2, values=values, kind=CAUCHY)
-    rep = mcb_search(grid, McbParams(r=2, g=64, seed=1))
+    rep = mcb_search(grid, McbParams(r=2, g=64), make_rng(1))
     # with 64 descents every cell is hit; best left node is -3 at t = 1/4
     assert rep.min_value == -3.0
     assert rep.argmin_t == 0.25
@@ -185,7 +185,7 @@ def test_full_depth_midpoints_evaluate_left_node():
 def test_shallow_descent_lands_on_grid_nodes():
     # r < level: cell midpoints are themselves grid nodes, queried exactly
     grid = fill_dyadic(9, 6)
-    rep = mcb_search(grid, McbParams(r=3, g=200, seed=2))
+    rep = mcb_search(grid, McbParams(r=3, g=200), make_rng(2))
     candidates = np.concatenate([[0.0, 1.0], (2 * np.arange(8) + 1) / 16.0])
     assert rep.argmin_t in candidates
     node_vals = [grid.interp(t) for t in candidates]
@@ -198,7 +198,7 @@ def test_exhaustive_coverage_finds_grid_minimum():
     hits = 0
     for seed in range(5):
         grid = fill_dyadic(100 + seed, 6)
-        rep = mcb_search(grid, McbParams(r=6, g=16 * 2 ** 6, seed=seed))
+        rep = mcb_search(grid, McbParams(r=6, g=16 * 2 ** 6), make_rng(seed))
         left_nodes = grid.values[:-1].min()
         want = min(left_nodes, grid.values[-1])
         hits += rep.min_value == want
@@ -208,8 +208,8 @@ def test_exhaustive_coverage_finds_grid_minimum():
 def test_depth_exceeding_level_raises():
     grid = fill_dyadic(3, 4)
     with pytest.raises(ValueError):
-        mcb_search(grid, McbParams(r=5, g=10))
+        mcb_search(grid, McbParams(r=5, g=10), make_rng(0))
     with pytest.raises(ValueError):
-        mcb_search(grid, McbParams(r=0, g=10))
+        mcb_search(grid, McbParams(r=0, g=10), make_rng(0))
     with pytest.raises(ValueError):
-        mcb_search(grid, McbParams(r=2, g=0))
+        mcb_search(grid, McbParams(r=2, g=0), make_rng(0))
