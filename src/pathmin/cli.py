@@ -33,7 +33,7 @@ from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracl
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
-from .rng import derive_seed
+from .rng import derive_seed, make_rng
 from .scmap import WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
@@ -135,7 +135,7 @@ def cmd_measure(args) -> int:
     oracle = None
     if args.oracle is not None:
         oracle = mc_hitting_oracle(poly, walkers=args.oracle, dt=args.dt,
-                                   seed=derive_seed(args.seed, 1))
+                                   rng=make_rng(derive_seed(args.seed, 1)))
     save_measures_csv(em, args.out, extra_meta=_meta(args), oracle=oracle)
     top = int(np.argmax(em.weights))
     line = (f"{poly.n_edges} edges, beta = {poly.beta}: heaviest edge {top + 1} "

@@ -215,9 +215,9 @@ def _fold(x):
     return 1.0 - np.abs(1.0 - np.mod(x, 2.0))
 
 
-def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4,
-                      seed: int = 0) -> EdgeMeasures:
-    """Estimate the edge hitting weights by walk-on-spheres.
+def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4, *,
+                      rng: np.random.Generator) -> EdgeMeasures:
+    """Estimate the edge hitting weights by walk-on-spheres, every draw from rng.
 
     The horizontal coordinate lives on the whole line and is folded onto
     [0, 1] by the period-2 reflection, which realises the reflecting walls
@@ -252,7 +252,6 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     y_min = float(yb.min())
     u, v = np.empty((2, n * min(walkers, max(1, NEAREST_BLOCK // n))))
 
-    rng = make_rng(seed)
     x = _fold(2.0 * rng.random(walkers))
     y = np.full(walkers, y_min)
     counts = np.zeros(n, dtype=np.int64)

@@ -44,12 +44,12 @@ class LazyBridgePath:
         var  = (t - t_l) * (t_r - t) / (t_r - t_l)
 
     The draw is stored, so re-querying any time returns the same value and
-    the realisation is a function of the seed and the query sequence only.
+    the realisation is a function of the generator's state and the query
+    sequence only.  new_bridge(seed) is the seeded entry point.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.rng = make_rng(seed)
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
         self._times = np.array([0.0, 1.0])       # sampled times in order, and their values;
         self._values = np.array([0.0, 0.0])      # replaced on each draw, never changed in place
 
@@ -97,8 +97,8 @@ def _bridge_law(t, tl, tr, vl, vr):
 
 
 def new_bridge(seed: int) -> LazyBridgePath:
-    """Fresh lazily-sampled Brownian bridge."""
-    return LazyBridgePath(seed)
+    """Fresh lazily-sampled Brownian bridge drawing from make_rng(seed)."""
+    return LazyBridgePath(make_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class GridPath:
     level: int
     values: np.ndarray
     kind: str
-    seed: int | None = None
 
     def __post_init__(self):
         n = 2 ** self.level
@@ -155,16 +154,15 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
 
     An int seed gives simulate_bridge_batch(seed, level, 1)[0].  A LazyBridgePath
     keeps what it has sampled and draws the rest one dyadic level per draw, bit
-    for bit as query() would breadth-first, left to right.  A fresh bridge draws
-    as the batch of its seed does but forms each mean and variance from its
-    neighbours, so the two agree to an ulp, not bitwise.
+    for bit as query() would breadth-first, left to right.  A fresh new_bridge(seed)
+    draws as the batch of its seed does but forms each mean and variance from its
+    neighbours, so the two agree to an ulp, not bitwise.  The grid records no seed.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    lazy = isinstance(path_or_seed, LazyBridgePath)
-    seed = path_or_seed.seed if lazy else int(path_or_seed)
-    values = path_or_seed._fill(level) if lazy else simulate_bridge_batch(seed, level, 1)[0]
-    return GridPath(level=level, values=values, kind=BRIDGE, seed=seed)
+    values = (path_or_seed._fill(level) if isinstance(path_or_seed, LazyBridgePath)
+              else simulate_bridge_batch(path_or_seed, level, 1)[0])
+    return GridPath(level=level, values=values, kind=BRIDGE)
 
 
 def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
@@ -184,8 +182,7 @@ def simulate_cauchy(seed: int, level: int) -> GridPath:
     simulate_cauchy_batch(seed, level, 1)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return GridPath(level=level, values=simulate_cauchy_batch(seed, level, 1)[0],
-                    kind=CAUCHY, seed=int(seed))
+    return GridPath(level=level, values=simulate_cauchy_batch(seed, level, 1)[0], kind=CAUCHY)
 
 
 def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
@@ -283,18 +280,18 @@ def cauchy_bridge_cdf(u: float, v) :
 def save_grid_csv(grid: GridPath, out_path: str, extra_meta: dict | None = None) -> None:
     """Write 't,value' rows at 17 significant digits plus a JSON sidecar.
 
-    The sidecar lands at '<out_path>.meta.json' and carries at least
-    {seed, level, kind}; extra_meta entries are merged on top.
+    The sidecar lands at '<out_path>.meta.json' and holds {level, kind} with
+    extra_meta's entries merged on top; a grid records no seed, so a caller
+    that drew it from one puts it in extra_meta.
     """
     write_csv(out_path, ["t", "value"], zip(grid.times, grid.values))
-    meta = {"seed": grid.seed, "level": grid.level, "kind": grid.kind}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_json(f"{out_path}.meta.json", meta)
+    write_json(f"{out_path}.meta.json",
+               {"level": grid.level, "kind": grid.kind, **(extra_meta or {})})
 
 
 def load_grid_csv(path: str) -> GridPath:
-    """Read a grid CSV written by save_grid_csv (sidecar required); bad input raises ValueError."""
+    """Read a grid CSV written by save_grid_csv; its sidecar's level and kind
+    are required and its other entries ignored.  Bad input raises ValueError."""
     times, values = load_walk_csv(path)
     with open(f"{path}.meta.json") as fh:
         meta = json.load(fh)
@@ -307,7 +304,7 @@ def load_grid_csv(path: str) -> GridPath:
         raise ValueError(f"{path}: times are not the level-{level} grid k / 2**{level}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: grid values must be finite")
-    return GridPath(level=level, values=values, kind=meta["kind"], seed=meta.get("seed"))
+    return GridPath(level=level, values=values, kind=meta["kind"])
 
 
 def load_walk_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -160,7 +160,6 @@ class PreVertexSolution:
     prevertices: np.ndarray      # z_1 .. z_{n+1} with z_1 = 0, z_{n+1} = 1
     residual_norm: float
     iterations: int
-    solver: str
     residual_evals: int = 0
 
 
@@ -534,7 +533,7 @@ def solve_prevertices_full(poly: WalkPolygon,
     if reason != "converged":
         raise ScSolverError(f"side-length solve stalled ({reason}) at relative residual {rel:.3e}")
     return PreVertexSolution(poly=poly, prevertices=z, residual_norm=rel, iterations=iters,
-                             solver="full", residual_evals=evals)
+                             residual_evals=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +611,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
     s = d @ kk
     xi = -(np.sin(np.pi * tau) / 2.0) * (math.pi * c * tau + s)
     z[1:-1] = z0[1:-1] + xi
-    return PreVertexSolution(poly=poly, prevertices=z, residual_norm=math.nan,
-                             iterations=0, solver="perturbative")
+    return PreVertexSolution(poly=poly, prevertices=z, residual_norm=math.nan, iterations=0)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_c10_harmonic_measure_cross_validation(report):
         poly = make_bridge_walk(derive_seed(55, i), 6, beta=0.5)
         analytic = edge_measures(poly, solver="full")
         mc = mc_hitting_oracle(poly, walkers=100_000, dt=1e-5,
-                               seed=derive_seed(56, i))
+                               rng=make_rng(derive_seed(56, i)))
         z = np.max(np.abs(mc.weights - analytic.weights) / mc.stderr)
         worst = max(worst, float(z))
     ok = worst < 4.0
@@ -224,7 +224,7 @@ def test_c11_measure_normalization(report):
         count += 1
     for seed in range(3):
         poly = make_bridge_walk(derive_seed(112, seed), 4, beta=0.4)
-        em = mc_hitting_oracle(poly, walkers=2000, dt=1e-4, seed=seed)
+        em = mc_hitting_oracle(poly, walkers=2000, dt=1e-4, rng=make_rng(seed))
         worst_sum = max(worst_sum, abs(float(em.weights.sum()) - 1.0))
         min_weight = min(min_weight, float(em.weights.min()))
         count += 1

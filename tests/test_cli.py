@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pathmin
-from pathmin.bench import run_trial
+from pathmin.bench import TrialGrid, run_grid, run_trial, save_bench_csv
 from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
 from pathmin.paths import load_grid_csv
@@ -105,6 +105,7 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     # a list option takes comma-separated integers, none of them blank
     (["bench", "--method", "mcb", "--n", ",", "--trials", "1"], "--n", "invalid int list"),
     (["bench", "--method", "mcb", "--n", "1,,2", "--trials", "1"], "--n", "invalid int list"),
+    (["bench", "--method", "mcb", "--n", "8..1", "--trials", "1"], "--n", "empty range"),
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag,
                                             bound):
@@ -373,6 +374,28 @@ def test_bench_small_grid(tmp_path):
     assert len(rows) == 3
     assert (tmp_path / "out.json").exists()
     assert (tmp_path / "out.meta.json").exists()
+
+
+@pytest.mark.parametrize("method, flags, cells", [
+    ("naive-gss", [], [{}]),
+    ("iter-gss", ["--m", "0..2"], [{"m": 0}, {"m": 1}, {"m": 2}]),
+])
+def test_bench_gss_csv_is_run_grid(tmp_path, method, flags, cells):
+    # the same grid run in-process gives the same CSV, wall times aside
+    rc, out = run(tmp_path, "bench", "--method", method, *flags, "--level", "6",
+                  "--trials", "5", "--epsilon", "0.01", "--max-iters", "50", "--seed", "3")
+    assert rc == 0
+    ref = tmp_path / "ref.csv"
+    save_bench_csv(run_grid(TrialGrid(method=method, cells=cells, trials=5, seed=3, level=6,
+                                      gss=GssParams(epsilon=0.01, max_iters=50))), str(ref))
+
+    def table(path):
+        rows = list(csv.reader(path.open()))
+        wall = rows[0].index("mean_wall_time")
+        return [row[:wall] + row[wall + 1:] for row in rows]
+
+    assert table(out) == table(ref)
+    assert len(table(out)) == len(cells) + 1
 
 
 def test_bench_requires_cells_flag(tmp_path, capsys):

@@ -434,7 +434,7 @@ def test_nearest_edge_ties_go_to_the_lowest_edge(j, depth, seed):
 def test_oracle_matches_flat_two_edge_split():
     for split in (0.5, 0.1, 0.93):
         poly = flat_polygon([0.0, split, 1.0])
-        em = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, seed=1)
+        em = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, rng=make_rng(1))
         assert em.stderr is not None
         assert abs(em.weights.sum() - 1.0) < 1e-12
         assert np.all(np.abs(em.weights - [split, 1.0 - split]) < 3.5 * em.stderr)
@@ -446,7 +446,7 @@ def test_oracle_matches_flat_uneven_widths():
               [0.0, 0.05, 0.1, 0.9, 1.0],
               [0.0, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0]):
         t = np.array(t)
-        em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, seed=2)
+        em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, rng=make_rng(2))
         assert np.all(np.abs(em.weights - np.diff(t)) < 3.5 * em.stderr)
 
 
@@ -455,14 +455,14 @@ def test_oracle_matches_flat_walk_with_one_low_vertex():
     # the graph and sphere jumps and Cauchy re-entries run
     poly = WalkPolygon(times=np.array([0.0, 0.2, 0.45, 0.7, 1.0]),
                        values=np.array([0.0, 0.0, -1.0, 0.0, 0.0]))
-    mc = mc_hitting_oracle(poly, walkers=20_000, dt=1e-4, seed=6)
+    mc = mc_hitting_oracle(poly, walkers=20_000, dt=1e-4, rng=make_rng(6))
     an = edge_measures(poly, solver="full")
     assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
 
 
 def test_oracle_matches_analytic_weights_on_a_walk():
     poly = make_bridge_walk(77, 4, beta=0.4)
-    mc = mc_hitting_oracle(poly, walkers=6000, dt=1e-4, seed=3)
+    mc = mc_hitting_oracle(poly, walkers=6000, dt=1e-4, rng=make_rng(3))
     an = edge_measures(poly, solver="full")
     assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
 
@@ -472,7 +472,7 @@ def test_oracle_matches_analytic_weights_on_a_steep_walk():
     # far below one walker, so stderr is floored at one walker
     walkers = 100_000
     poly = make_bridge_walk(derive_seed(77, 16), 16, beta=1.0)
-    mc = mc_hitting_oracle(poly, walkers=walkers, dt=1e-4, seed=4)
+    mc = mc_hitting_oracle(poly, walkers=walkers, dt=1e-4, rng=make_rng(4))
     an = edge_measures(poly, solver="full")
     se = np.maximum(mc.stderr, 1.0 / walkers)
     assert np.all(np.abs(mc.weights - an.weights) < 4.0 * se)
@@ -482,7 +482,7 @@ def test_oracle_round_cap_raises(monkeypatch):
     monkeypatch.setattr("pathmin.harmonic.MAX_WALK_ROUNDS", 1)
     poly = make_bridge_walk(77, 4, beta=0.4)
     with pytest.raises(RuntimeError, match="still alive after 1 rounds"):
-        mc_hitting_oracle(poly, walkers=100, seed=5)
+        mc_hitting_oracle(poly, walkers=100, rng=make_rng(5))
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-4])
@@ -491,24 +491,28 @@ def test_oracle_rejects_dt_that_is_not_finite_and_positive(dt):
     poly = make_bridge_walk(77, 4, beta=0.4)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="dt must be finite and positive"):
-        mc_hitting_oracle(poly, walkers=10, dt=dt, seed=5)
+        mc_hitting_oracle(poly, walkers=10, dt=dt, rng=make_rng(5))
     assert time.perf_counter() - start < 1.0
 
 
-def test_oracle_rejects_walker_edges_past_memory_cap(monkeypatch):
+def test_oracle_rejects_walker_edges_past_memory_cap():
+    # a walker count out of range raises before the generator is touched
     class Drawn(Exception):
         pass
 
-    def stop(*args):
-        raise Drawn
+    class Refusing:
+        def __getattr__(self, name):
+            raise Drawn
 
-    monkeypatch.setattr("pathmin.harmonic.make_rng", stop)
     poly = flat_polygon(np.linspace(0.0, 1.0, 7))   # 6 edges
     for walkers in (MAX_WALKER_EDGES // 6 + 1, 10**10):
         with pytest.raises(ValueError, match="limit"):
-            mc_hitting_oracle(poly, walkers=walkers)
+            mc_hitting_oracle(poly, walkers=walkers, rng=Refusing())
+    for walkers in (0, -3):
+        with pytest.raises(ValueError, match="at least one walker"):
+            mc_hitting_oracle(poly, walkers=walkers, rng=Refusing())
     with pytest.raises(Drawn):
-        mc_hitting_oracle(poly, walkers=MAX_WALKER_EDGES // 6)
+        mc_hitting_oracle(poly, walkers=MAX_WALKER_EDGES // 6, rng=Refusing())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -516,7 +520,7 @@ def test_oracle_rejects_walker_edges_past_memory_cap(monkeypatch):
        st.integers(1, 300))
 def test_oracle_counts_every_walker_once(n, beta, seed, walkers):
     poly = make_bridge_walk(seed, n, beta=beta)
-    em = mc_hitting_oracle(poly, walkers=walkers, dt=1e-3, seed=seed)
+    em = mc_hitting_oracle(poly, walkers=walkers, dt=1e-3, rng=make_rng(seed))
     counts = em.weights * walkers
     assert np.all(em.weights >= 0.0)
     assert abs(em.weights.sum() - 1.0) < 1e-12
@@ -531,12 +535,12 @@ def test_oracle_counts_are_pinned():
     bridge = new_bridge(derive_seed(11, 100))
     t = np.arange(7) / 6.0
     poly = WalkPolygon(times=t, values=np.array([bridge.query(s) for s in t]), beta=0.5)
-    em = mc_hitting_oracle(poly, walkers=20_000, seed=1)
+    em = mc_hitting_oracle(poly, walkers=20_000, rng=make_rng(1))
     assert np.round(em.weights * 20_000).astype(int).tolist() == [
         3347, 5103, 2759, 3178, 3525, 2088]
     assert 5000 > NEAREST_BLOCK // 32
     em = mc_hitting_oracle(make_bridge_walk(derive_seed(77, 32), 32, beta=1.0),
-                           walkers=5000, seed=2)
+                           walkers=5000, rng=make_rng(2))
     assert np.round(em.weights * 5000).astype(int).tolist() == [
         0, 0, 183, 41, 745, 425, 1, 475, 1459, 272, 4, 9, 73, 109, 67, 282,
         3, 0, 0, 0, 13, 184, 210, 19, 1, 1, 0, 19, 196, 112, 54, 43]
@@ -544,8 +548,8 @@ def test_oracle_counts_are_pinned():
 
 def test_oracle_is_deterministic_per_seed():
     poly = flat_polygon([0.0, 0.5, 1.0])
-    a = mc_hitting_oracle(poly, walkers=500, dt=1e-3, seed=9)
-    b = mc_hitting_oracle(poly, walkers=500, dt=1e-3, seed=9)
+    a = mc_hitting_oracle(poly, walkers=500, dt=1e-3, rng=make_rng(9))
+    b = mc_hitting_oracle(poly, walkers=500, dt=1e-3, rng=make_rng(9))
     assert np.array_equal(a.weights, b.weights)
 
 

@@ -101,7 +101,6 @@ def test_fill_from_seed_matches_fill_through_queries():
     fresh = fill_dyadic(11, 4)
     assert np.max(np.abs(fresh.values - via_path.values)) <= 1e-15
     assert fresh.kind == BRIDGE
-    assert fresh.seed == 11
 
 
 @pytest.mark.parametrize("prior", ["none", "dyadic", "harmonic"])
@@ -139,6 +138,11 @@ def test_grid_path_validates_shape_and_pinning():
         GridPath(level=2, values=np.array([0.0, 0.0]), kind=BRIDGE)
     with pytest.raises(ValueError):
         GridPath(level=1, values=np.array([0.0, 1.0, 2.0]), kind=BRIDGE)
+    with pytest.raises(ValueError, match="start at 0"):
+        GridPath(level=1, values=np.array([1.0, 2.0, 3.0]), kind=CAUCHY)
+    for make in (fill_dyadic, simulate_cauchy, lambda s, lv: fill_dyadic(new_bridge(s), lv)):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            make(0, -1)
 
 
 def test_grid_min_takes_earliest_tie():
@@ -153,6 +157,9 @@ def test_grid_interp_is_piecewise_linear():
         assert grid.interp(t) == grid.values[i]
     mid = 0.5 * (grid.values[3] + grid.values[4])
     assert abs(grid.interp((3.5) / 8.0) - mid) < 1e-15
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            grid.interp(t)
 
 
 def test_bridge_batch_moments_and_covariance():
@@ -314,7 +321,6 @@ def test_grid_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, grid.values)
     assert back.kind == grid.kind
     assert back.level == grid.level
-    assert back.seed == grid.seed
 
 
 def test_grid_csv_rejects_non_dyadic_times(tmp_path):
@@ -347,3 +353,8 @@ def test_walk_csv_errors_name_the_line(tmp_path):
     short_row.write_text("t,value\n0,0\n0.5\n")
     with pytest.raises(ValueError, match="line 3"):
         load_walk_csv(str(short_row))
+
+    empty = tmp_path / "e.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="empty file"):
+        load_walk_csv(str(empty))

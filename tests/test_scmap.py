@@ -57,6 +57,13 @@ def test_polygon_validates_nodes():
     with pytest.raises(ValueError):
         WalkPolygon(times=np.array([0.0, 0.5, 1.0]),
                     values=np.array([0.0, 1.0, 0.5]))
+    with pytest.raises(ValueError, match="equal length"):
+        WalkPolygon(times=np.array([0.0, 0.5, 1.0]), values=np.zeros(2))
+    with pytest.raises(ValueError, match="at least one edge"):
+        WalkPolygon(times=np.array([0.0]), values=np.zeros(1))
+    for times in ([0.1, 0.5, 1.0], [0.0, 0.5, 0.9]):
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
+            WalkPolygon(times=np.array(times), values=np.zeros(3))
 
 
 @pytest.mark.parametrize("times, values, beta, what", [
@@ -409,7 +416,6 @@ def test_flat_prevertices_are_arcsine_points():
     t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
     sol = solve_prevertices_full(flat_polygon(t))
     assert np.max(np.abs(sol.prevertices - np.sin(0.5 * np.pi * t) ** 2)) < 1e-10
-    assert sol.solver == "full"
 
 
 def test_cold_solve_reports_convergence():
@@ -610,7 +616,6 @@ def test_perturbative_is_exact_for_flat_walks():
     t = np.linspace(0.0, 1.0, 7)
     sol = solve_prevertices_perturbative(flat_polygon(t))
     assert np.array_equal(sol.prevertices, np.sin(0.5 * np.pi * t) ** 2)
-    assert sol.solver == "perturbative"
 
 
 def test_perturbative_pins_endpoint_prevertices_exactly():
@@ -711,6 +716,9 @@ def test_flat_map_continues_into_the_lower_halfplane():
     zs = np.array([0.5 - 0.3j, 0.2 - 0.05j, 0.9 - 1.2j])
     ref = (2.0 / np.pi) * np.arcsin(np.sqrt(zs))
     assert np.max(np.abs(sc_forward_map(sol, zs) - ref)) < 1e-10
+    for z in (0.5 + 0.1j, np.array([0.5 - 0.3j, 0.2 + 1e-6j])):
+        with pytest.raises(ValueError, match="lower half-plane"):
+            sc_forward_map(sol, z)
 
 
 def test_map_endpoints_are_exact():
