@@ -9,7 +9,10 @@ w_k = t_{k-1} + i * beta * W_{k-1}, and infinity to the bottom of the
 walls.  solve_prevertices_full recovers the pre-vertices from the polygon
 side lengths by one Newton iteration with step halving on compound
 Gauss-Jacobi quadratures of |phi'|, started from a solved walk: the flat
-walk, or a previous solution whose nodes the walk contains.
+walk, or a previous solution whose nodes the walk contains.  Every solve
+keeps one record, its relative residual, Newton iterations and residual
+evaluations: a converged solve returns it in its PreVertexSolution, and a
+missed one raises it in its ScSolverError, with the reason it stopped.
 solve_prevertices_perturbative linearises the pre-vertices in the walk
 amplitude around the flat-strip solution sin^2(pi t / 2).
 
@@ -52,7 +55,19 @@ LAM_ONE = -math.log(2.0)     # integral_0^1 log|sin(pi u / 2)| du
 
 
 class ScSolverError(RuntimeError):
-    """Pre-vertex solve failure."""
+    """Pre-vertex solve failure.
+
+    A Newton solve of solve_prevertices_full that misses RESIDUAL_ACCEPT
+    carries its record, under PreVertexSolution's names: stop, the reason
+    it gave up, and the residual_norm, iterations and residual_evals it
+    stopped at.  Every other failure leaves all four None.
+    """
+
+    def __init__(self, message, *, stop=None, residual_norm=None, iterations=None,
+                 residual_evals=None):
+        super().__init__(message)
+        self.stop, self.residual_norm = stop, residual_norm
+        self.iterations, self.residual_evals = iterations, residual_evals
 
 
 @dataclass(frozen=True)
@@ -107,22 +122,12 @@ class WalkPolygon:
         return self.times + 1j * self.scaled_values()
 
 
-@dataclass(frozen=True)
-class TurningAngles:
-    """Interior angle fractions at the n+2 polygon vertices.
+def turning_angles(poly: WalkPolygon) -> np.ndarray:
+    """Interior angle fractions alpha of the n + 2 polygon vertices, from
+    the edge slopes.
 
     alpha[k] (0-based) is the fraction at vertex w_{k+1}; the final entry
     is the vertex at infinity closing the walls, with fraction 0.
-    """
-
-    alpha: np.ndarray
-
-    def defect_sum(self) -> float:
-        return float(np.sum(1.0 - self.alpha))
-
-
-def turning_angles(poly: WalkPolygon) -> TurningAngles:
-    """Interior angle fractions of the walk polygon from the edge slopes.
 
     With a_k = atan(edge slope of the scaled walk) / pi, each graph vertex
     splits into half-angles eta^+ = 1/2 + a (taken from the outgoing edge)
@@ -138,7 +143,7 @@ def turning_angles(poly: WalkPolygon) -> TurningAngles:
     alpha = np.zeros(n + 2)
     alpha[:n] += 0.5 + a
     alpha[1:n + 1] += 0.5 - a
-    return TurningAngles(alpha=alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -151,9 +156,11 @@ class PreVertexSolution:
     pre-vertices; the perturbative solver does not evaluate it and leaves
     it nan.
 
-    The full solver returns only converged solutions and also reports how
-    many side-length residuals its Newton solve evaluated; the
-    perturbative solver runs no Newton solve and leaves residual_evals 0.
+    The full solver returns only converged solutions, with the Newton
+    iterations and side-length residual evaluations of its one solve; a
+    missed solve raises ScSolverError with the same record and its stop
+    reason.  The perturbative solver runs no Newton solve and leaves
+    iterations and residual_evals 0.
     """
 
     poly: WalkPolygon
@@ -414,8 +421,18 @@ def _residual_jacobian(z, p, layout):
     return dpred[:-1] @ (ahead * np.diff(z)[:-1])
 
 
-def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
-    """Newton with step halving on the side-length conditions from z0.
+def solve_prevertices_full(poly: WalkPolygon,
+                           initial_guess: PreVertexSolution | None = None) -> PreVertexSolution:
+    """Pre-vertices from the side-length conditions, by one Newton solve
+    with step halving.
+
+    Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
+    matches each predicted relative side length |I_k| / sum|I_j| to the
+    polygon's L_k / L_total.  Without initial_guess, or for a flat poly,
+    the solve starts from the flat walk's pre-vertices sin^2(pi t / 2),
+    exact for a flat poly.  Otherwise initial_guess must be a solution of
+    a walk whose nodes are all nodes of poly, and its pre-vertices,
+    interpolated onto poly's nodes, are the start.
 
     Each iteration solves the Newton system once, with the analytic
     Jacobian of _residual_jacobian, whose panel-endpoint terms come from
@@ -426,8 +443,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     1, 1/2, 1/4, ... along that Newton step, up to STEP_HALVINGS of them,
     and takes the first that lowers the residual norm (Dennis & Schnabel
     1996, Numerical Methods for Unconstrained Optimization and Nonlinear
-    Equations, sec. 6.3); an unevaluable trial counts as rejected.  Only
-    an unevaluable start or a vertex angle of 0 raises.
+    Equations, sec. 6.3); an unevaluable trial counts as rejected.
 
     The iteration stops at the quadrature's noise floor: once the max
     relative side-length error is at most RESIDUAL_ACCEPT, and either the
@@ -435,15 +451,26 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     step is rejected, further steps only move the pre-vertices within the
     rule's own error.  Reaching RESIDUAL_TARGET stops it as well.
 
-    Returns (z, rel, iters, residual_evals, stop_reason).  stop_reason is
-    'converged' when the max relative side-length error ended at or below
-    RESIDUAL_ACCEPT; otherwise it says why the iteration gave up:
-    'crowded' (the Jacobian could not be evaluated, or the Newton system is
-    singular), 'no_descent' (no step length gave a smaller residual),
-    'stagnation' (STAGNATION_LIMIT sub-0.1% improvements in a row) or
-    'budget' (NEWTON_BUDGET steps).
+    Raises ValueError for a walk of more than MAX_VERTICES finite vertices
+    or an initial_guess with a node that poly lacks, and ScSolverError for
+    a vertex angle of 0, an unevaluable or unsorted start, or a solve that
+    misses RESIDUAL_ACCEPT.  A miss carries its record (see ScSolverError)
+    with the stop reason: 'crowded' (the Jacobian could not be evaluated,
+    or the Newton system is singular), 'no_descent' (no step length gave a
+    smaller residual), 'stagnation' (STAGNATION_LIMIT sub-0.1%
+    improvements in a row) or 'budget' (NEWTON_BUDGET iterations).
     """
-    p = turning_angles(poly).alpha[:-1] - 1.0
+    n = poly.n_edges
+    if n + 1 > MAX_VERTICES:
+        raise ValueError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
+    if initial_guess is None or not np.any(poly.scaled_values()):
+        z0 = np.sin(0.5 * np.pi * poly.times) ** 2
+    else:
+        start = initial_guess.poly
+        if not np.all(np.isin(start.times, poly.times)):
+            raise ValueError("initial_guess must solve a walk whose nodes are all nodes of poly")
+        z0 = np.interp(poly.times, start.times, initial_guess.prevertices)
+    p = turning_angles(poly)[:-1] - 1.0
     if not np.all(p > -1.0):    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
         raise ScSolverError("a vertex angle rounds to 0; the walk is too steep to solve")
     heads = _gj_heads(p)
@@ -456,13 +483,13 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
     evals = 1
     iters = 0
     stagnant = 0
-    reason = "budget"
+    stop = "budget"
     while rel > RESIDUAL_TARGET and iters < NEWTON_BUDGET:
         iters += 1
         try:
             step = np.linalg.solve(_residual_jacobian(z, p, layout), -f)
         except (ScSolverError, np.linalg.LinAlgError):
-            reason = "crowded"
+            stop = "crowded"
             break
         base = norm
         for _ in range(STEP_HALVINGS):
@@ -481,7 +508,7 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
                 break
             step *= 0.5
         else:
-            reason = "no_descent"
+            stop = "no_descent"
             break
         # at the quadrature's noise floor a step no longer cuts |f| tenfold
         if rel <= RESIDUAL_ACCEPT and norm > 0.1 * base:
@@ -489,49 +516,11 @@ def _newton_side_solve(poly: WalkPolygon, z0: np.ndarray):
         # crowding stalls show up as a long grind of sub-0.1% improvements
         stagnant = stagnant + 1 if norm > base * 0.999 else 0
         if stagnant >= STAGNATION_LIMIT:
-            reason = "stagnation"
+            stop = "stagnation"
             break
-    if rel <= RESIDUAL_ACCEPT:
-        reason = "converged"
-    return z, rel, iters, evals, reason
-
-
-def solve_prevertices_full(poly: WalkPolygon,
-                           initial_guess: PreVertexSolution | None = None) -> PreVertexSolution:
-    """Pre-vertices from the side-length conditions, solved by Newton.
-
-    Unknowns are the n - 1 log-ratios of pre-vertex gaps; the residual
-    matches each predicted relative side length |I_k| / sum|I_j| to the
-    polygon's L_k / L_total.  The Newton step uses the analytic Jacobian
-    of the side integrals, computed on the quadrature nodes of the
-    integrals themselves (panel-endpoint terms by the affine substitution
-    x = z_k + g_k * s), halved until the residual falls.
-
-    Every solve is one Newton solve (_newton_side_solve) on poly itself.
-    Without initial_guess, or for a flat poly, it starts from the flat
-    walk's pre-vertices sin^2(pi t / 2), exact for a flat poly.  Otherwise
-    initial_guess must be a solution of a walk whose nodes are all nodes
-    of poly, and its pre-vertices, interpolated onto poly's nodes, are
-    the start.
-
-    Raises ValueError for a walk of more than MAX_VERTICES finite vertices
-    or an initial_guess with a node that poly lacks, and ScSolverError for
-    a vertex angle of 0 or a Newton solve that misses RESIDUAL_ACCEPT,
-    naming its stop reason and relative residual.
-    """
-    n = poly.n_edges
-    if n + 1 > MAX_VERTICES:
-        raise ValueError(f"walk has {n + 1} vertices; full solver caps at {MAX_VERTICES}")
-    if initial_guess is None or not np.any(poly.scaled_values()):
-        z0 = np.sin(0.5 * np.pi * poly.times) ** 2
-    else:
-        start = initial_guess.poly
-        if not np.all(np.isin(start.times, poly.times)):
-            raise ValueError("initial_guess must solve a walk whose nodes are all nodes of poly")
-        z0 = np.interp(poly.times, start.times, initial_guess.prevertices)
-    z, rel, iters, evals, reason = _newton_side_solve(poly, z0)
-    if reason != "converged":
-        raise ScSolverError(f"side-length solve stalled ({reason}) at relative residual {rel:.3e}")
+    if not rel <= RESIDUAL_ACCEPT:   # a nan residual misses too
+        raise ScSolverError(f"side-length solve stalled ({stop}) at relative residual {rel:.3e}",
+                            stop=stop, residual_norm=rel, iterations=iters, residual_evals=evals)
     return PreVertexSolution(poly=poly, prevertices=z, residual_norm=rel, iterations=iters,
                              residual_evals=evals)
 
@@ -656,7 +645,7 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
     or an array and matches the input shape.
     """
     z = sol.prevertices
-    p = turning_angles(sol.poly).alpha[:-1] - 1.0
+    p = turning_angles(sol.poly)[:-1] - 1.0
     # phase of the integrand is constant on each panel: -pi * sum of the
     # exponents of the pre-vertices still ahead
     tail = np.cumsum(p[::-1])[::-1]

@@ -145,7 +145,7 @@ def test_c07_angle_bookkeeping(report):
     for i in range(1000):
         poly = make_bridge_walk(derive_seed(70, i), 2 + i % 15,
                                 beta=0.05 + (i % 20) * 0.05)
-        worst = max(worst, abs(turning_angles(poly).defect_sum() - 2.0))
+        worst = max(worst, abs(np.sum(1.0 - turning_angles(poly)) - 2.0))
     ok = worst < 1e-12
     report(7, "turning-angle defects sum to 2", ok,
             f"worst |sum - 2| = {worst:.1e} over 1000 walks")

@@ -189,6 +189,11 @@ def test_search_harmonic_warns_about_fallback_rounds(tmp_path, capsys):
     rc, _ = run(tmp_path, *argv, "--seed", "1")
     assert rc == 0
     assert "warning" not in capsys.readouterr().err
+    # the full solver's missed solves fall back too
+    rc, out = run(tmp_path, "search", "--method", "harmonic", "--budget", "62", "--seed", "1")
+    assert rc == 0
+    assert "warning: 34 of 61 rounds fell back to uniform weights" in capsys.readouterr().err
+    assert json.loads(out.read_text())["params"]["fallbacks"] == 34
 
 
 def test_search_accepts_saved_grid(tmp_path):
@@ -339,6 +344,15 @@ def test_measure_numerical_failure_exits_three(tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_measure_newton_miss_exits_three(tmp_path, capsys):
+    # the cold solve of the 63-edge walk stops short of RESIDUAL_ACCEPT
+    rc = main(["measure", "--walk-nodes", "63", "--seed", "1", "--out", str(tmp_path / "m.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numerical failure: side-length solve stalled "
+                                       "(no_descent) at relative residual 3.725e-08\n")
     assert not (tmp_path / "m.csv").exists()
 
 

@@ -95,20 +95,20 @@ def test_polygon_scales_heights_by_beta():
 
 
 def test_flat_walk_angles():
-    ta = turning_angles(flat_polygon([0.0, 0.3, 0.7, 1.0]))
-    assert np.allclose(ta.alpha, [0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-15)
-    assert abs(ta.defect_sum() - 2.0) < 1e-15
+    alpha = turning_angles(flat_polygon([0.0, 0.3, 0.7, 1.0]))
+    assert np.allclose(alpha, [0.5, 1.0, 1.0, 0.5, 0.0], atol=1e-15)
+    assert abs(np.sum(1.0 - alpha) - 2.0) < 1e-15
 
 
 def test_peak_and_trough_angles():
     peak = WalkPolygon(times=np.array([0.0, 0.5, 1.0]),
                        values=np.array([0.0, 1.0, 0.0]), beta=1.0)
-    a = turning_angles(peak).alpha
+    a = turning_angles(peak)
     # seen from below, an upward tent apex subtends less than a half turn
     assert abs(a[1] - (1.0 - 2.0 * math.atan(2.0) / math.pi)) < 1e-14
     trough = WalkPolygon(times=np.array([0.0, 0.5, 1.0]),
                          values=np.array([0.0, -1.0, 0.0]), beta=1.0)
-    a = turning_angles(trough).alpha
+    a = turning_angles(trough)
     assert abs(a[1] - (1.0 + 2.0 * math.atan(2.0) / math.pi)) < 1e-14
 
 
@@ -122,13 +122,13 @@ def test_angles_match_slope_geometry():
         want[1:-2] = 1.0 + np.diff(th)
         want[-2] = 0.5 - th[-1]
         want[-1] = 0.0
-        assert np.max(np.abs(turning_angles(poly).alpha - want)) < 1e-12
+        assert np.max(np.abs(turning_angles(poly) - want)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(walks(st.integers(1, MAX_VERTICES - 1), st.floats(0.0, 10.0)))
 def test_angle_defects_always_sum_to_two(poly):
-    assert abs(turning_angles(poly).defect_sum() - 2.0) < 1e-12
+    assert abs(np.sum(1.0 - turning_angles(poly)) - 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +305,15 @@ def test_side_integrals_match_mpmath_reference():
     # fails an under-resolved rule: 8 nodes miss it on every set
     # (6.5e-14 to 3.9e-13).
     walk = solve_prevertices_full(make_bridge_walk(5, 12, beta=1.0))
-    cases = [(walk.prevertices, turning_angles(walk.poly).alpha[:-1] - 1.0)]
+    cases = [(walk.prevertices, turning_angles(walk.poly)[:-1] - 1.0)]
     for log_ratio in (10, 20, 30):
-        p = turning_angles(make_bridge_walk(log_ratio, 10, beta=1.0)).alpha[:-1] - 1.0
+        p = turning_angles(make_bridge_walk(log_ratio, 10, beta=1.0))[:-1] - 1.0
         cases.append((_origin_cluster(10, log_ratio, log_ratio), p))
     for log_ratio in (20, 30):
-        p = turning_angles(make_bridge_walk(log_ratio + 1, 10, beta=1.0)).alpha[:-1] - 1.0
+        p = turning_angles(make_bridge_walk(log_ratio + 1, 10, beta=1.0))[:-1] - 1.0
         cases.append((1.0 - _origin_cluster(10, log_ratio, log_ratio + 1)[::-1], p))
     for log_ratio in (20, 30):
-        p = turning_angles(make_bridge_walk(log_ratio + 2, 10, beta=1.0)).alpha[:-1] - 1.0
+        p = turning_angles(make_bridge_walk(log_ratio + 2, 10, beta=1.0))[:-1] - 1.0
         cases.append((_mid_cluster(5, log_ratio, log_ratio + 2), p))
     with mpmath.workdps(20):
         for z, p in cases:
@@ -366,8 +366,8 @@ def test_jacobian_matches_mpmath_central_differences():
     # own error near 1e-20; the analytic entries agree to about 1e-14 on
     # the walk and 3e-11 on the cluster
     sol = solve_prevertices_full(make_bridge_walk(5, 5, beta=1.0))
-    p_cluster = turning_angles(make_bridge_walk(10, 5, beta=1.0)).alpha[:-1] - 1.0
-    cases = [(sol.prevertices, turning_angles(sol.poly).alpha[:-1] - 1.0),
+    p_cluster = turning_angles(make_bridge_walk(10, 5, beta=1.0))[:-1] - 1.0
+    cases = [(sol.prevertices, turning_angles(sol.poly)[:-1] - 1.0),
              (1.0 - _origin_cluster(5, 10, 10)[::-1], p_cluster)]
     with mpmath.workdps(30):
         for z, p in cases:
@@ -476,8 +476,9 @@ def test_singular_newton_system_stops_the_direct_solve_as_crowded(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(scmap.np.linalg, "solve", singular_once)
-    with pytest.raises(ScSolverError, match="crowded"):
+    with pytest.raises(ScSolverError) as exc:
         solve_prevertices_full(poly)
+    assert exc.value.stop == "crowded"
     assert len(calls) == 1
 
 
@@ -522,19 +523,24 @@ def test_perturbed_start_reaches_the_same_solution():
     assert np.max(np.abs(again.prevertices - sol.prevertices)) < 1e-6
 
 
+def counted_calls(monkeypatch, name):
+    """A list that gains one entry per call of scmap's function name."""
+    calls, original = [], getattr(scmap, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scmap, name, counted)
+    return calls
+
+
 def test_each_residual_builds_the_only_layout(monkeypatch):
     # the Jacobian takes the accepted residual's node layout, so a solve
     # builds one layout per residual evaluation and none for its Jacobians
     poly = make_bridge_walk(2, 8, beta=1.0)
     start = solve_prevertices_full(sub_walk(poly, slice(None, None, 2)))
-    calls = []
-    side_nodes = scmap._side_nodes
-
-    def counted(*args):
-        calls.append(1)
-        return side_nodes(*args)
-
-    monkeypatch.setattr(scmap, "_side_nodes", counted)
+    calls = counted_calls(monkeypatch, "_side_nodes")
     for guess in (None, start):
         calls.clear()
         sol = solve_prevertices_full(poly, initial_guess=guess)
@@ -543,30 +549,17 @@ def test_each_residual_builds_the_only_layout(monkeypatch):
 
 
 def test_heads_are_looked_up_once_per_newton_solve_and_forward_map(monkeypatch):
-    # every layout of a Newton solve shares one exponent vector, so the
-    # solve (and a forward map, however many points it takes) looks the
-    # head rules up once
+    # every layout of a solve shares one exponent vector, so the solve
+    # (and a forward map, however many points it takes) looks the head
+    # rules up once
     poly = make_bridge_walk(2, 8, beta=1.0)
     start = solve_prevertices_full(sub_walk(poly, slice(None, None, 2)))
-    lookups, solves = [], []
-    gj_heads, newton = scmap._gj_heads, scmap._newton_side_solve
-
-    def counted_heads(*args):
-        lookups.append(1)
-        return gj_heads(*args)
-
-    def counted_newton(*args):
-        solves.append(1)
-        return newton(*args)
-
-    monkeypatch.setattr(scmap, "_gj_heads", counted_heads)
-    monkeypatch.setattr(scmap, "_newton_side_solve", counted_newton)
+    lookups = counted_calls(monkeypatch, "_gj_heads")
     for guess in (None, start):
         lookups.clear()
-        solves.clear()
         sol = solve_prevertices_full(poly, initial_guess=guess)
-        assert sol.residual_evals > len(solves) >= 1
-        assert len(lookups) == len(solves)
+        assert sol.residual_evals > 1
+        assert len(lookups) == 1
     lookups.clear()
     sc_forward_map(sol, np.linspace(0.0, 1.0, 7) - 0.1j)
     assert len(lookups) == 1
@@ -580,16 +573,43 @@ def test_stalled_warm_start_fails_after_one_newton_solve(monkeypatch):
     poly = make_bridge_walk(15, 6, beta=5.0)
     assert solve_prevertices_full(poly).residual_norm <= RESIDUAL_ACCEPT
     start = solve_prevertices_full(sub_walk(poly, [0, 1, 3, 4, 5, 6]))
-    solves, newton = [], scmap._newton_side_solve
-
-    def counted_newton(*args):
-        solves.append(1)
-        return newton(*args)
-
-    monkeypatch.setattr(scmap, "_newton_side_solve", counted_newton)
-    with pytest.raises(ScSolverError, match="no_descent"):
+    lookups = counted_calls(monkeypatch, "_gj_heads")
+    with pytest.raises(ScSolverError) as exc:
         solve_prevertices_full(poly, initial_guess=start)
-    assert len(solves) == 1
+    assert exc.value.stop == "no_descent"
+    assert len(lookups) == 1
+
+
+def singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def stop_case(stop, monkeypatch):
+    """A walk whose cold solve misses RESIDUAL_ACCEPT, stopping for stop."""
+    if stop == "crowded":
+        monkeypatch.setattr(scmap.np.linalg, "solve", singular)
+        return make_bridge_walk(2, 8, beta=1.0)
+    if stop == "budget":
+        monkeypatch.setattr(scmap, "NEWTON_BUDGET", 1)
+        return make_bridge_walk(2, 8, beta=1.0)
+    # stagnation stops after 11 iterations and 56 residuals at 1.141e-03,
+    # no_descent after 9 and 37 at 3.413e-06
+    return make_bridge_walk({"stagnation": 0, "no_descent": 1}[stop], 12, beta=3.0)
+
+
+@pytest.mark.parametrize("stop", ["stagnation", "no_descent", "crowded", "budget"])
+def test_a_missed_solve_carries_its_record(stop, monkeypatch):
+    poly = stop_case(stop, monkeypatch)
+    evals = counted_calls(monkeypatch, "_side_nodes")
+    with pytest.raises(ScSolverError) as info:
+        solve_prevertices_full(poly)
+    exc = info.value
+    assert exc.stop == stop
+    assert exc.residual_evals == len(evals)
+    assert exc.iterations >= 1
+    assert exc.residual_norm > RESIDUAL_ACCEPT
+    assert str(exc) == (f"side-length solve stalled ({exc.stop}) "
+                        f"at relative residual {exc.residual_norm:.3e}")
 
 
 def test_vertex_cap_raises():
@@ -601,8 +621,9 @@ def test_unsorted_guess_raises():
     poly = make_bridge_walk(5, 4, beta=0.3)
     sol = solve_prevertices_full(poly)
     bad = dataclasses.replace(sol, prevertices=np.array([0.0, 0.6, 0.4, 0.8, 1.0]))
-    with pytest.raises(ScSolverError):
+    with pytest.raises(ScSolverError, match="not strictly increasing") as exc:
         solve_prevertices_full(poly, initial_guess=bad)
+    assert exc.value.stop is None
     # a start walk must not have a node the target lacks
     with pytest.raises(ValueError, match="nodes"):
         solve_prevertices_full(sub_walk(poly, [0, 1, 3, 4]), initial_guess=sol)
@@ -657,7 +678,7 @@ def test_perturbative_residual_check_fills_norm():
     poly = make_bridge_walk(2, 6, beta=0.02)
     sol = solve_prevertices_perturbative(poly)
     assert math.isnan(sol.residual_norm)
-    p = turning_angles(poly).alpha[:-1] - 1.0
+    p = turning_angles(poly)[:-1] - 1.0
     targets = poly.edge_lengths() / poly.edge_lengths().sum()
     _, rel, _ = scmap._side_residual(sol.prevertices, p, scmap._gj_rule(p), targets)
     assert rel < 1e-2
@@ -681,8 +702,9 @@ def test_full_solver_reports_a_vertex_angle_that_rounds_to_zero():
     # atan(2e20) / pi rounds to 1/2: the spike's angle is 0, its exponent
     # -1, and no Gauss-Jacobi rule exists for it
     poly = WalkPolygon(times=[0.0, 0.5, 1.0], values=[0.0, 1.0, 0.0], beta=1e20)
-    with pytest.raises(ScSolverError, match="rounds to 0"):
+    with pytest.raises(ScSolverError, match="rounds to 0") as exc:
         solve_prevertices_full(poly)
+    assert exc.value.stop is None
 
 
 def test_perturbative_walk_past_edge_cap_raises_before_allocating(monkeypatch):
