@@ -66,10 +66,14 @@ class LazyBridgePath:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"query time {t} outside [0, 1]")
-        i = int(np.searchsorted(self._times, t))
-        if self._times[i] != t:      # t <= 1, and 1 is always sampled
-            self._draw(np.array([t]))
-        return float(self._values[i])
+        times, values = self._times, self._values
+        i = int(times.searchsorted(t))
+        if times[i] == t:      # t <= 1, and 1 is always sampled
+            return float(values[i])
+        v, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
+        v += math.sqrt(var) * self.rng.standard_normal()     # the mean, plus its draw
+        self._times, self._values = _inserted(times, i, t), _inserted(values, i, v)
+        return float(v)
 
     def _fill(self, level: int) -> np.ndarray:
         """Values at k / 2**level, one draw per level: a coarser time splits any two new ones."""
@@ -89,6 +93,13 @@ class LazyBridgePath:
         v, var = _bridge_law(t, times[i - 1], times[i], values[i - 1], values[i])
         v += np.sqrt(var) * self.rng.standard_normal(len(t))     # the mean, plus its draw
         self._times, self._values = np.insert(times, i, t), np.insert(values, i, v)
+
+
+def _inserted(a, i, x):
+    """A copy of a with x inserted before index i; cheaper than np.insert for one value."""
+    out = np.empty(len(a) + 1)
+    out[:i], out[i], out[i + 1:] = a[:i], x, a[i:]
+    return out
 
 
 def _bridge_law(t, tl, tr, vl, vr):

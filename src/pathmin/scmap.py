@@ -25,20 +25,26 @@ smooth factor is analytic inside the Bernstein ellipse rho = 3 + sqrt(8)
 of every segment, head or tail, and a GJ_POINTS-node rule errs like
 rho^(-2 GJ_POINTS): 4e-19 at 12 nodes, below float64's 1.1e-16.  The Newton
 Jacobian is analytic and uses the same nodes (_side_integrals_dz).  Each
-accepted Newton point builds its node layout once, in the residual, and
-the Jacobian takes it from there; below RESIDUAL_ACCEPT, Newton stops
-once a step is rejected or no longer cuts the residual tenfold, where only
-the rule's own error is left.  The forward map integrates from the nearest
-pre-vertex with the same rule.  Every Gauss rule, Gauss-Legendre (p = 0)
-included, comes from numpy alone, by the Golub-Welsch method with one
-Newton polish (_gj_rule); the heads are kept in a bounded table keyed by
-exponent, and each Newton solve or forward map looks its heads up there
-once (_gj_heads).
+Newton solve or forward map builds its quadrature plan once
+(_quadrature_plan): the part of the layout that depends on the exponents
+alone, that is the half-panels' anchors, signs and exponents, their
+Gauss-Jacobi head rows and the Jacobian's ahead mask.  Each accepted
+Newton point builds its node layout once from that plan, in the
+residual, segment by segment (_graded_rule), and the Jacobian takes it
+from there, with the segment owners that name each node's panel; below
+RESIDUAL_ACCEPT, Newton stops once a step is rejected or no longer cuts
+the residual tenfold, where only the rule's own error is left.  The
+forward map integrates from the nearest pre-vertex with the same graded
+rule and plan.  Every Gauss rule, Gauss-Legendre (p = 0) included, comes
+from numpy alone, by the Golub-Welsch method with one Newton polish
+(_gj_rule); the heads are kept in a bounded table keyed by exponent, and
+each plan looks its heads up there once (_gj_heads).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,6 +231,7 @@ def _gj_rule(p):
 
 
 _GL_X, _GL_W = (row[0] for row in _gj_rule(np.zeros(1)))   # Gauss-Legendre: p = 0
+_GL_X1 = _GL_X + 1.0
 
 # Head table: exponent -> its rule, nodes and weights stacked as (2, GJ_POINTS).
 # A lookup that leaves more than GJ_TABLE_ROWS rules in it clears it after
@@ -247,8 +254,35 @@ def _gj_heads(p):
     return rules[:, 0], rules[:, 1]
 
 
-def _graded_rule(head, span, p_anchor, head_x, head_w):
-    """Nodes of the graded rule on half-panels [0, span] off their anchors.
+class _Plan(NamedTuple):
+    """The part of the side-integral layout that depends on the exponents
+    alone (_quadrature_plan).  All but ahead hold one row per half-panel,
+    2k and 2k + 1 making panel k."""
+
+    anchor: np.ndarray     # anchor pre-vertex: k, then k + 1
+    sign: np.ndarray       # +1 off the anchor toward z_{k+1}, -1 toward z_k
+    p_anchor: np.ndarray   # the anchor's exponent, as a column
+    rows: tuple            # _graded_rule's head rows: 1 + GJ nodes, GJ weights, p_anchor + 1
+    ahead: np.ndarray      # [i > m], the chain rule of _residual_jacobian
+
+
+def _quadrature_plan(p):
+    """The plan of a Newton solve or forward map with exponents p, built
+    once and passed to every layout: the anchors and signs of the
+    half-panels, their exponents, their Gauss-Jacobi head rows (looked up
+    once, _gj_heads) and the Jacobian's ahead mask."""
+    n = len(p) - 1
+    anchor = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1).ravel()
+    head_x, head_w = _gj_heads(p)
+    p_anchor = p[anchor, None]
+    return _Plan(anchor, np.tile([1.0, -1.0], n), p_anchor,
+                 (1.0 + head_x[anchor], head_w[anchor], p_anchor + 1.0),
+                 np.arange(n + 1)[:, None] > np.arange(n - 1))
+
+
+def _graded_rule(head, span, rows):
+    """Nodes of the graded rule on half-panels [0, span] off their anchors,
+    segment by segment.
 
     A half-panel runs from an anchor pre-vertex with exponent p_anchor
     toward a point no nearer to any other pre-vertex, so every point of
@@ -256,86 +290,87 @@ def _graded_rule(head, span, p_anchor, head_x, head_w):
     [0, head] absorbs u^{p_anchor}; Gauss-Legendre segments follow at
     c_m = head * 2^m with length min(span - c_m, c_m), each as long as
     its distance from the anchor, until span is covered, so a half-panel
-    takes 1 + ceil(log2(span / head)) segments.  head_x and head_w hold
-    the Gauss-Jacobi rule of each half-panel's p_anchor, one row each.
+    takes 1 + ceil(log2(span / head)) segments.  rows holds each
+    half-panel's head rows from its plan (_Plan.rows).
 
-    Returns (owner, u, w, at_head): for every node, its half-panel, its
-    offset from the anchor, its weight and whether it is a Gauss-Jacobi
-    head node.  Nodes are grouped by half-panel, head first.
+    Returns (owner, first, u, w): each segment's half-panel, the index of
+    each half-panel's head segment, and every segment's GJ_POINTS offsets
+    from the anchor and weights, one row per segment.  Segments are
+    grouped by half-panel, head first.
     """
-    n_tail = np.ceil(np.log2(span * (1.0 - 1e-14) / head))
-    n_seg = 1 + np.maximum(n_tail, 0.0).astype(int)
-    seg_owner = np.repeat(np.arange(len(head)), n_seg)
-    m = np.arange(len(seg_owner)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
-    at_head = m == 0
-    c = head[seg_owner] * 2.0 ** (m - 1.0)
-    half = 0.5 * np.minimum(span[seg_owner] - c, c)
-    u = c[:, None] + half[:, None] * (_GL_X + 1.0)
+    head_x1, head_w, p1 = rows
+    n_seg = 1 + np.maximum(np.ceil(np.log2(span * (1.0 - 1e-14) / head)), 0.0).astype(int)
+    owner = np.repeat(np.arange(len(head)), n_seg)
+    first = n_seg.cumsum() - n_seg
+    m = np.arange(len(owner)) - first[owner]
+    c = head[owner] * 2.0 ** (m - 1.0)
+    half = 0.5 * np.minimum(span[owner] - c, c)
+    u = c[:, None] + half[:, None] * _GL_X1
     w = half[:, None] * _GL_W
     head_half = 0.5 * head[:, None]
-    u[at_head] = head_half * (1.0 + head_x)
-    w[at_head] = head_w * head_half ** (p_anchor[:, None] + 1.0)
-    return (np.repeat(seg_owner, GJ_POINTS), u.ravel(), w.ravel(),
-            np.repeat(at_head, GJ_POINTS))
+    u[first] = head_half * head_x1
+    w[first] = head_w * head_half ** p1
+    return owner, first, u, w
 
 
-def _side_nodes(z, p, heads):
+def _side_nodes(z, p, plan):
     """Quadrature layout of the side integrals, grouped by panel.
 
     Each panel [z_k, z_{k+1}] splits at its midpoint into two half-panels,
     graded from their end pre-vertices by _graded_rule: a Gauss-Jacobi
     head of length min(span, nearest gap / 2), then Gauss-Legendre
     segments doubling in length, each as long as its distance from that
-    pre-vertex; heads holds the head rule of each p_j (_gj_heads).
+    pre-vertex.  plan (_quadrature_plan) holds what does not move with z:
+    the half-panels' anchors, signs and exponents and the head rules.
     Distances to the pre-vertices are formed as (z_anchor - z_j) + offset
     by _distances, never as x - z_j after rounding x = z_anchor + offset,
     so crowded pre-vertices away from z = 0 keep full relative precision.
 
-    Returns the layout (starts, a, offset, wf, integrals): the first node
-    of each panel, every node's anchor pre-vertex and signed offset from
-    it, the weighted integrand w * prod_j |x - z_j|^{p_j} at every node,
-    with the anchor factor taken out at the head nodes, whose weights
-    absorb it, and each panel's integral of prod_j |x - z_j|^{p_j}, summed
-    and checked finite once here.  The layout holds no node-by-pre-vertex
-    array, so it costs little to keep for a Jacobian at the same point.
+    Returns the layout (starts, owner, a, offset, wf, integrals): the
+    first node of each panel, every segment's half-panel, anchor
+    pre-vertex and signed node offsets from it (a row per segment), the
+    weighted integrand w * prod_j |x - z_j|^{p_j} at every node, with the
+    anchor factor taken out at the head nodes, whose weights absorb it,
+    and each panel's integral of prod_j |x - z_j|^{p_j}, summed and
+    checked finite once here.  The Jacobian takes its panels from the
+    segment owners.  The layout holds no node-by-pre-vertex array, so it
+    costs little to keep for a Jacobian at the same point.
     """
-    n_pan = len(z) - 1
-    k = np.arange(n_pan)
-    gaps = np.diff(z)
-    near = np.minimum(np.concatenate([[np.inf], gaps]), np.concatenate([gaps, [np.inf]]))
-    anchor = np.stack([k, k + 1], axis=1).ravel()   # half-panels 2k and 2k + 1 make panel k
-    span = np.repeat(0.5 * gaps, 2)
-    head = np.minimum(span, 0.5 * near[anchor])
-    if not np.all(head > 0.0):
+    half_gaps = 0.5 * (z[1:] - z[:-1])
+    near = np.full(len(z) + 1, np.inf)
+    near[1:-1] = half_gaps
+    # half the nearest gap never passes the half-panel's span
+    head = np.minimum(near[:-1], near[1:])[plan.anchor]
+    if not (head > 0.0).all():
         raise ScSolverError("degenerate panel: coincident pre-vertices")
-    head_x, head_w = heads
-    owner, u, w, at_head = _graded_rule(head, span, p[anchor], head_x[anchor], head_w[anchor])
-    a = anchor[owner]
-    offset = np.where(owner % 2 == 0, u, -u)
+    owner, first, u, w = _graded_rule(head, np.repeat(half_gaps, 2), plan.rows)
+    a = plan.anchor[owner]
+    offset = u * plan.sign[owner, None]
     log_abs = _distances(z, a, offset)          # becomes log|x - z_j| in place
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.abs(log_abs, out=log_abs)
         np.log(log_abs, out=log_abs)
         log_f = log_abs @ p
-        log_f[at_head] -= p[a[at_head]] * np.log(u[at_head])
-        wf = w * np.exp(log_f)
-        starts = np.searchsorted(owner, 2 * k)
-        return starts, a, offset, wf, _require_finite(np.add.reduceat(wf, starts))
+        log_f.reshape(-1, GJ_POINTS)[first] -= plan.p_anchor * np.log(u[first])
+        wf = w.ravel() * np.exp(log_f)
+        starts = GJ_POINTS * first[::2]
+        return starts, owner, a, offset, wf, _require_finite(np.add.reduceat(wf, starts))
 
 
 def _distances(z, a, offset):
-    """d[i, j] = x_i - z_j for the nodes x_i = z_{a_i} + offset_i, formed
-    as (z_{a_i} - z_j) + offset_i.  The only node-by-pre-vertex array of
-    a residual or a Jacobian, so that glibc malloc does not trim the heap
-    when a second one is freed and page-fault it back in on the next call.
+    """d[i, j] = x_i - z_j for the nodes x_i = z_{a_s} + offset_{s, g} of
+    segment s, formed as (z_{a_s} - z_j) + offset_{s, g}, one row per node.
+    The only node-by-pre-vertex array of a residual or a Jacobian, so that
+    glibc malloc does not trim the heap when a second one is freed and
+    page-fault it back in on the next call.
     """
-    d = (z[:, None] - z[None, :])[a]
-    d += offset[:, None]
+    d = np.repeat(z[a, None] - z, GJ_POINTS, axis=0)
+    d += offset.reshape(-1, 1)
     return d
 
 
 def _require_finite(out):
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ScSolverError("quadrature node collided with a pre-vertex; "
                             "pre-vertices too crowded for float arithmetic")
     return out
@@ -354,19 +389,20 @@ def _side_integrals_dz(z, p, layout):
 
     where S' = sum of p_j / (x - z_j) over j outside {k, k + 1}.  Every
     integrand keeps F's endpoint singularities, so the nodes of the
-    integrals, the layout of _side_nodes at (z, p), serve them too.
+    integrals, the layout of _side_nodes at (z, p), serve them too; the
+    layout's segment owners name each node's panel.
     """
-    starts, a, offset, wf, integrals = layout
+    starts, owner, a, offset, wf, integrals = layout
     k = np.arange(len(z) - 1)
-    panel = np.repeat(k, np.diff(np.append(starts, len(wf))))
-    node = np.arange(len(wf))
-    gaps = np.diff(z)
+    seg, panel = np.arange(len(owner)), owner // 2
+    gaps = z[1:] - z[:-1]
     d = _distances(z, a, offset)
-    d_lo, d_hi = d[node, panel], d[node, panel + 1]
+    by_seg = d.reshape(len(owner), GJ_POINTS, len(z))    # a view: d[seg, node in seg, j]
+    d_lo, d_hi = by_seg[seg, :, panel].ravel(), by_seg[seg, :, panel + 1].ravel()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = np.reciprocal(d, out=d)
-        inv[node, panel] = 0.0
-        inv[node, panel + 1] = 0.0
+        by_seg[seg, :, panel] = 0.0
+        by_seg[seg, :, panel + 1] = 0.0
         wf_s = wf * (inv @ p)                 # weighted F * S' at every node
         inv *= wf[:, None]
         jac = np.add.reduceat(inv, starts) * -p
@@ -378,9 +414,12 @@ def _side_integrals_dz(z, p, layout):
 
 
 def _z_from_log_gaps(y: np.ndarray) -> np.ndarray:
-    g = np.concatenate([np.exp(y), [1.0]])
-    cs = np.concatenate([[0.0], np.cumsum(g)])
-    return cs / cs[-1]
+    z = np.empty(len(y) + 2)
+    z[0], z[-1] = 0.0, 1.0
+    np.exp(y, out=z[1:-1])
+    z.cumsum(out=z)
+    z /= z[-1]
+    return z
 
 
 def _log_gaps_from_z(z: np.ndarray) -> np.ndarray:
@@ -390,7 +429,7 @@ def _log_gaps_from_z(z: np.ndarray) -> np.ndarray:
     return np.log(gaps[:-1] / gaps[-1])
 
 
-def _side_residual(z, p, heads, targets):
+def _side_residual(z, p, plan, targets):
     """(residual vector, max relative error, layout) of the side-length
     conditions.
 
@@ -398,27 +437,25 @@ def _side_residual(z, p, heads, targets):
     is redundant and the residual keeps only the first n - 1 components.
     layout is the _side_nodes layout at z, for a Jacobian at the same point.
     """
-    layout = _side_nodes(z, p, heads)
+    layout = _side_nodes(z, p, plan)
     pred = layout[-1] / layout[-1].sum()
-    rel = float(np.max(np.abs(pred / targets - 1.0)))
+    rel = float(np.abs(pred / targets - 1.0).max())
     return (pred - targets)[:-1], rel, layout
 
 
-def _residual_jacobian(z, p, layout):
+def _residual_jacobian(z, p, plan, layout):
     """Jacobian of the residual of _side_residual in the log-gap unknowns.
 
     pred = I / sum(I) gives dpred = (dI - pred * sum_k dI_k) / sum(I), and
     z_i = c_i / c_n with c the cumulative gaps gives
     dz_i / dy_m = (z_{m+1} - z_m) * ([m < i] - z_i).  Scaling every z_j by
     one factor scales every I_k by a common power of it, so pred does not
-    see the -z_i term, and it is left out.
+    see the -z_i term, and it is left out; plan holds the mask [m < i].
     """
     a, da = _side_integrals_dz(z, p, layout)
     total = a.sum()
-    dpred = (da - np.outer(a / total, da.sum(axis=0))) / total
-    n = len(z) - 1
-    ahead = np.arange(n + 1)[:, None] > np.arange(n - 1)[None, :]
-    return dpred[:-1] @ (ahead * np.diff(z)[:-1])
+    dpred = (da - (a / total)[:, None] * da.sum(axis=0)) / total
+    return dpred[:-1] @ (plan.ahead * (z[1:-1] - z[:-2]))
 
 
 def solve_prevertices_full(poly: WalkPolygon,
@@ -439,7 +476,8 @@ def solve_prevertices_full(poly: WalkPolygon,
     the affine substitution x = z_k + g_k * s, on the nodes of the side
     integrals.  The accepted residual hands its node layout to that
     Jacobian, so every residual evaluation builds one layout and the
-    Jacobian builds none.  The iteration then tries the step lengths
+    Jacobian builds none; every layout starts from the solve's one
+    quadrature plan.  The iteration then tries the step lengths
     1, 1/2, 1/4, ... along that Newton step, up to STEP_HALVINGS of them,
     and takes the first that lowers the residual norm (Dennis & Schnabel
     1996, Numerical Methods for Unconstrained Optimization and Nonlinear
@@ -467,19 +505,20 @@ def solve_prevertices_full(poly: WalkPolygon,
         z0 = np.sin(0.5 * np.pi * poly.times) ** 2
     else:
         start = initial_guess.poly
-        if not np.all(np.isin(start.times, poly.times)):
+        # both walks end at t = 1, so every index is in range
+        if not (poly.times[poly.times.searchsorted(start.times)] == start.times).all():
             raise ValueError("initial_guess must solve a walk whose nodes are all nodes of poly")
         z0 = np.interp(poly.times, start.times, initial_guess.prevertices)
     p = turning_angles(poly)[:-1] - 1.0
-    if not np.all(p > -1.0):    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
+    if not (p > -1.0).all():    # atan(slope) / pi rounds to +-1/2 beyond about 1e16
         raise ScSolverError("a vertex angle rounds to 0; the walk is too steep to solve")
-    heads = _gj_heads(p)
+    plan = _quadrature_plan(p)
     lengths = poly.edge_lengths()
     targets = lengths / lengths.sum()
     y = _log_gaps_from_z(z0)
     z = _z_from_log_gaps(y)
-    f, rel, layout = _side_residual(z, p, heads, targets)
-    norm = float(np.linalg.norm(f))
+    f, rel, layout = _side_residual(z, p, plan, targets)
+    norm = math.sqrt(f @ f)
     evals = 1
     iters = 0
     stagnant = 0
@@ -487,18 +526,18 @@ def solve_prevertices_full(poly: WalkPolygon,
     while rel > RESIDUAL_TARGET and iters < NEWTON_BUDGET:
         iters += 1
         try:
-            step = np.linalg.solve(_residual_jacobian(z, p, layout), -f)
+            step = np.linalg.solve(_residual_jacobian(z, p, plan, layout), -f)
         except (ScSolverError, np.linalg.LinAlgError):
             stop = "crowded"
             break
         base = norm
         for _ in range(STEP_HALVINGS):
-            y_new = np.clip(y + step, -60.0, 60.0)
+            y_new = (y + step).clip(-60.0, 60.0)
             z_new = _z_from_log_gaps(y_new)
             evals += 1
             try:
-                f_new, rel_new, layout = _side_residual(z_new, p, heads, targets)
-                norm_new = float(np.linalg.norm(f_new))
+                f_new, rel_new, layout = _side_residual(z_new, p, plan, targets)
+                norm_new = math.sqrt(f_new @ f_new)
             except ScSolverError:   # an unevaluable trial is a rejected one
                 norm_new = math.inf
             if norm_new < base:
@@ -549,7 +588,7 @@ def lam_log_sin(x):
     vals = np.zeros_like(ax)
     pos = ax > 0.0
     xi = ax[pos]
-    u = 0.5 * xi[:, None] * (_GL_X + 1.0)
+    u = 0.5 * xi[:, None] * _GL_X1
     smooth = (np.log(np.sinc(0.5 * u)) @ _GL_W) * 0.5 * xi
     vals[pos] = smooth + xi * (np.log(0.5 * np.pi * xi) - 1.0)
     vals = np.where(refl, 2.0 * LAM_ONE - vals, vals)
@@ -615,11 +654,12 @@ def _branch_log(w):
     return np.log(np.abs(w)) + 1j * theta
 
 
-def _complex_segment_integral(z, p, heads, j, z_to):
+def _complex_segment_integral(z, p, plan, j, z_to):
     """integral of prod_i (zeta - z_i)^{p_i} along the straight segment
     z_j -> z_to, where z_to is no nearer to any other pre-vertex than to
     z_j.  The segment then stays in z_j's (convex) Voronoi cell, so it is
-    one half-panel of the graded rule anchored at z_j, headed by heads' row j.
+    one half-panel of the graded rule anchored at z_j, with the head rows
+    of a plan half-panel anchored there: 2j - 1, or 0 at z_1.
     """
     direction = z_to - z[j]
     span = abs(direction)
@@ -627,13 +667,14 @@ def _complex_segment_integral(z, p, heads, j, z_to):
         return 0.0 + 0.0j
     unit = direction / span
     near = float(np.min(np.abs(np.delete(z, j) - z[j])))
-    _, u, w, at_head = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]),
-                                    p[j:j + 1], heads[0][j:j + 1], heads[1][j:j + 1])
+    h = max(2 * j - 1, 0)
+    _, first, u, w = _graded_rule(np.array([min(span, 0.5 * near)]), np.array([span]),
+                                  [row[h:h + 1] for row in plan.rows])
     # zeta - z_i formed as (z_j - z_i) + unit * u, like the side integrals
-    log_f = _branch_log((z[j] - z)[None, :] + (unit * u)[:, None]) @ p
+    log_f = _branch_log((z[j] - z)[None, :] + (unit * u.ravel())[:, None]) @ p
     # (zeta - z_j)^{p_j} = u^{p_j} * unit^{p_j}; the head weights absorb u^{p_j}
-    log_f[at_head] -= p[j] * np.log(u[at_head])
-    return unit * np.dot(w, np.exp(log_f))
+    log_f.reshape(-1, GJ_POINTS)[first] -= p[j] * np.log(u[first])
+    return unit * np.dot(w.ravel(), np.exp(log_f))
 
 
 def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
@@ -649,8 +690,8 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
     # phase of the integrand is constant on each panel: -pi * sum of the
     # exponents of the pre-vertices still ahead
     tail = np.cumsum(p[::-1])[::-1]
-    heads = _gj_heads(p)
-    panels = _side_nodes(z, p, heads)[-1] * np.exp(-1j * np.pi * tail[1:])
+    plan = _quadrature_plan(p)
+    panels = _side_nodes(z, p, plan)[-1] * np.exp(-1j * np.pi * tail[1:])
     scale = 1.0 / np.sum(panels)
     images = scale * np.concatenate([[0.0], np.cumsum(panels)])
 
@@ -659,7 +700,7 @@ def sc_forward_map(sol: PreVertexSolution, z_points) -> np.ndarray | complex:
             raise ValueError("the map is defined on the closed lower half-plane")
         # anchor at the nearest pre-vertex, so the graded rule applies
         j = int(np.argmin(np.abs(z - z_point)))
-        return complex(images[j] + scale * _complex_segment_integral(z, p, heads, j, z_point))
+        return complex(images[j] + scale * _complex_segment_integral(z, p, plan, j, z_point))
 
     zs = np.asarray(z_points, dtype=complex)
     if zs.ndim == 0:

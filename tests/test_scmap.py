@@ -317,7 +317,7 @@ def test_side_integrals_match_mpmath_reference():
         cases.append((_mid_cluster(5, log_ratio, log_ratio + 2), p))
     with mpmath.workdps(20):
         for z, p in cases:
-            ints = _side_nodes(z, p, scmap._gj_rule(p))[-1]
+            ints = _side_nodes(z, p, scmap._quadrature_plan(p))[-1]
             err = np.max(np.abs(ints / _mp_side_integrals(z, p) - 1.0))
             assert err < 1e-9
             assert err < 2e-14
@@ -332,8 +332,8 @@ def test_side_integrals_are_reflection_symmetric(case):
     # anchor or direction between them breaks the symmetry
     y, p = case
     z, p = _z_from_log_gaps(np.array(y)), np.array(p)
-    direct = _side_nodes(z, p, scmap._gj_rule(p))[-1]
-    mirrored = _side_nodes(1.0 - z[::-1], p[::-1], scmap._gj_rule(p[::-1]))[-1][::-1]
+    direct = _side_nodes(z, p, scmap._quadrature_plan(p))[-1]
+    mirrored = _side_nodes(1.0 - z[::-1], p[::-1], scmap._quadrature_plan(p[::-1]))[-1][::-1]
     assert np.max(np.abs(mirrored / direct - 1.0)) < 1e-9
 
 
@@ -371,7 +371,8 @@ def test_jacobian_matches_mpmath_central_differences():
              (1.0 - _origin_cluster(5, 10, 10)[::-1], p_cluster)]
     with mpmath.workdps(30):
         for z, p in cases:
-            layout = _side_nodes(z, p, scmap._gj_rule(p))
+            plan = scmap._quadrature_plan(p)
+            layout = _side_nodes(z, p, plan)
             gaps = np.diff(z)
             near = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
             z_mp = [mpmath.mpf(v) for v in z]
@@ -382,7 +383,7 @@ def test_jacobian_matches_mpmath_central_differences():
                     for m in range(len(z) - 2)]
             ref = _mp_central(lambda x: _mp_pred(x, p)[:-1], y_mp,
                               [mpmath.mpf(1e-10)] * len(y_mp))
-            assert np.max(np.abs(_residual_jacobian(z, p, layout) / ref - 1.0)) < 1e-8
+            assert np.max(np.abs(_residual_jacobian(z, p, plan, layout) / ref - 1.0)) < 1e-8
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -393,17 +394,17 @@ def test_jacobian_matches_central_differences(case):
     # central differences of the quadrature itself in the log-gap unknowns;
     # each row (one side-length equation) is compared at its own scale
     y, p = np.array(case[0]), np.array(case[1])
-    heads = scmap._gj_rule(p)
+    plan = scmap._quadrature_plan(p)
     h = 1e-5
 
     def pred(y):
-        a = _side_nodes(_z_from_log_gaps(y), p, heads)[-1]
+        a = _side_nodes(_z_from_log_gaps(y), p, plan)[-1]
         return (a / a.sum())[:-1]
 
     ref = np.column_stack([(pred(y + h * e) - pred(y - h * e)) / (2.0 * h)
                            for e in np.eye(len(y))])
     z = _z_from_log_gaps(y)
-    jac = _residual_jacobian(z, p, _side_nodes(z, p, heads))
+    jac = _residual_jacobian(z, p, plan, _side_nodes(z, p, plan))
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.max(np.abs(jac - ref) / scale) < 1e-5
 
@@ -550,19 +551,27 @@ def test_each_residual_builds_the_only_layout(monkeypatch):
 
 def test_heads_are_looked_up_once_per_newton_solve_and_forward_map(monkeypatch):
     # every layout of a solve shares one exponent vector, so the solve
-    # (and a forward map, however many points it takes) looks the head
-    # rules up once
+    # (and a forward map, however many points it takes) builds one plan
+    # and looks the head rules up once; the one graded rule lays out every
+    # residual's side integrals and every forward-map point's segment
     poly = make_bridge_walk(2, 8, beta=1.0)
     start = solve_prevertices_full(sub_walk(poly, slice(None, None, 2)))
+    plans = counted_calls(monkeypatch, "_quadrature_plan")
     lookups = counted_calls(monkeypatch, "_gj_heads")
+    rules = counted_calls(monkeypatch, "_graded_rule")
     for guess in (None, start):
-        lookups.clear()
+        for calls in (plans, lookups, rules):
+            calls.clear()
         sol = solve_prevertices_full(poly, initial_guess=guess)
         assert sol.residual_evals > 1
-        assert len(lookups) == 1
-    lookups.clear()
-    sc_forward_map(sol, np.linspace(0.0, 1.0, 7) - 0.1j)
-    assert len(lookups) == 1
+        assert len(plans) == len(lookups) == 1
+        assert len(rules) == sol.residual_evals
+    for calls in (plans, lookups, rules):
+        calls.clear()
+    points = np.linspace(0.0, 1.0, 7) - 0.1j
+    sc_forward_map(sol, points)
+    assert len(plans) == len(lookups) == 1
+    assert len(rules) == 1 + len(points)
 
 
 def test_stalled_warm_start_fails_after_one_newton_solve(monkeypatch):
@@ -680,7 +689,7 @@ def test_perturbative_residual_check_fills_norm():
     assert math.isnan(sol.residual_norm)
     p = turning_angles(poly)[:-1] - 1.0
     targets = poly.edge_lengths() / poly.edge_lengths().sum()
-    _, rel, _ = scmap._side_residual(sol.prevertices, p, scmap._gj_rule(p), targets)
+    _, rel, _ = scmap._side_residual(sol.prevertices, p, scmap._quadrature_plan(p), targets)
     assert rel < 1e-2
 
 
