@@ -63,11 +63,11 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     a level-cell['l'] bridge or Cauchy grid for the MCB methods, a lazy
     bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
     after the search).  The MCB descents draw from `descents` if it is
-    given, else from make_rng(derive_seed(seed, 1)); harmonic draws from
-    derive_seed(seed, 1).  `pathmin search --seed S` runs
-    run_trial(..., S).  cell holds 'm' for iter-gss, 'l', 'r', 'g' for MCB,
-    and for harmonic 'budget', 'beta', 'strategy' (one of
-    harmonic.STRATEGIES) and 'solver' (a harmonic.SOLVER_EDGES key).
+    given, else from make_rng(derive_seed(seed, 1)); the harmonic search
+    draws nothing, so a harmonic trial uses only derive_seed(seed, 0).
+    `pathmin search --seed S` runs run_trial(..., S).  cell holds 'm' for
+    iter-gss, 'l', 'r', 'g' for MCB, and for harmonic 'budget', 'beta' and
+    'solver' (a harmonic.SOLVER_EDGES key).
     """
     if method in ("naive-gss", "iter-gss"):
         if path is None:
@@ -85,9 +85,8 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     elif method == "harmonic":
         lazy = path is None
         path = new_bridge(derive_seed(seed, 0)) if lazy else path
-        rep = harmonic_bisection_search(path, cell["budget"], HmcParams(
-            beta=cell["beta"], strategy=cell["strategy"], solver=cell["solver"],
-            seed=derive_seed(seed, 1)))
+        rep = harmonic_bisection_search(path, cell["budget"],
+                                        HmcParams(beta=cell["beta"], solver=cell["solver"]))
         if lazy:
             path = fill_dyadic(path, level)
     else:
@@ -110,8 +109,8 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
     So a cell's results depend only on (grid.seed, c, trials, level), and
     it peaks at one chunk of paths.
     A harmonic trial t runs run_trial at derive_seed(grid.seed, c, t), as
-    `pathmin search` would: its lazy bridge is sampled one query at a
-    time, so there is no batch to draw.
+    `pathmin search` would: its lazy bridge, the trial's one draw, is
+    sampled one query at a time, so there is no batch to draw.
 
     Trials that hit a numerical failure (RuntimeError, which covers
     ScSolverError, or FloatingPointError) are counted as failures and

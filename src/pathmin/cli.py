@@ -10,8 +10,8 @@ Only argparse recognises options, by full name (allow_abbrev=False), and
 range is declared once, on the option, by its argparse type (_bounded for
 ints, MAX_LEVEL capping grid levels and panel exponents), so flags and
 --config entries are checked alike before any command runs.  search and
-bench share the grid method names; search and measure take the solver and
-strategy names and walk caps from harmonic.
+bench share the grid method names; search and measure take the solver
+names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -28,8 +28,7 @@ from . import __version__
 from .bench import (GRID_KINDS, MAX_LEVEL, TrialGrid, mcb_grid, range_distribution,
                     run_grid, run_trial, save_bench_csv, save_bench_json, save_range_csv)
 from .golden import GssParams
-from .harmonic import (SOLVER_EDGES, STRATEGIES, edge_measures, mc_hitting_oracle,
-                       save_measures_csv)
+from .harmonic import SOLVER_EDGES, edge_measures, mc_hitting_oracle, save_measures_csv
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
@@ -37,7 +36,6 @@ from .rng import derive_seed, make_rng
 from .scmap import WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
-STRATEGY_ALIASES = {"max": "max_measure", "sample": "sample_measure"}
 GRID_METHODS = list(GRID_KINDS)   # bench's methods
 MAX_WALK_EDGES = max(SOLVER_EDGES.values())   # longest walk any solver takes
 
@@ -100,9 +98,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_search(args) -> int:
     path = load_grid_csv(args.path) if args.path else None
-    strategy = STRATEGY_ALIASES.get(args.strategy, args.strategy)
     cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g, "budget": args.budget,
-            "beta": args.beta, "solver": args.solver, "strategy": strategy}
+            "beta": args.beta, "solver": args.solver}
     gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
     rep, grid = run_trial(args.method, cell, args.seed, args.level, gss, path)
     if rep.params.get("fallbacks"):
@@ -231,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"1..{cap} ({solver} solver)" for solver, cap in SOLVER_EDGES.items()))
     p.add_argument("--beta", type=_finite(">= 0"), default=1.0,
                    help="harmonic: amplitude, finite and >= 0")
-    p.add_argument("--strategy", default="max_measure",
-                   choices=[*STRATEGIES, *STRATEGY_ALIASES])
     p.add_argument("--solver", choices=list(SOLVER_EDGES), default="full",
                    help="harmonic: pre-vertex solver")
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .paths import as_oracle
 from .report import SearchReport, write_csv, write_json
-from .rng import make_rng
 from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
@@ -28,7 +27,6 @@ NEAREST_BLOCK = 2 ** 16      # walker-edges per distance chunk of the oracle
 MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 # pre-vertex solver -> the longest walk it takes in edges, its largest search budget
 SOLVER_EDGES = {"full": MAX_VERTICES - 1, "perturbative": MAX_PERTURBATIVE_EDGES}
-STRATEGIES = ("max_measure", "sample_measure")   # choose_edge's strategies
 
 
 @dataclass(frozen=True)
@@ -75,24 +73,11 @@ def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
     return _measures_from_solution(_solve(poly, solver))
 
 
-def choose_edge(weights: np.ndarray, strategy: str, rng) -> int:
-    """Pick an edge index (0-based) from non-negative edge weights.
-
-    'max_measure' takes the argmax, lowest index on ties; 'sample_measure'
-    draws one edge in proportion to the weights.  Others raise ValueError.
-    """
-    if strategy == "max_measure":
-        return int(np.argmax(weights))
-    if strategy == "sample_measure":
-        u = float(rng.random())
-        k = int(np.searchsorted(np.cumsum(weights), u * np.sum(weights), side="right"))
-        return min(k, len(weights) - 1)
-    raise ValueError(f"unknown strategy '{strategy}'")
-
-
 @dataclass
 class HmcParams:
     beta: float = 1.0
+    # strategy and seed stay only because perfbench/workloads.py passes them;
+    # the search reads no seed, and ROADMAP item 1 drops both fields
     strategy: str = "max_measure"
     solver: str = "full"
     seed: int = 0
@@ -105,21 +90,23 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     before any other query).  Each round queries t, starting at 1/2, and
     stops after budget midpoints.  Otherwise it solves the pre-vertices of
     the walk through every queried point at amplitude params.beta with
-    params.solver, weighs its edges and lets choose_edge pick the next t,
-    the chosen edge's midpoint.  The full solver starts from the last
-    solution it found, which a failed round keeps; a failed solve, one
-    Newton solve that missed, gives uniform weights, counted in
-    report.params['fallbacks'].  Queries =
-    budget + 2; report.params['midpoints'] lists the queried times in order.
+    params.solver, weighs its edges and takes the next t at the midpoint
+    of the heaviest edge, the lowest one on ties.  Nothing is drawn, so the
+    midpoints depend only on the path and params.  The full solver starts
+    from the last solution it found, which a failed round keeps; a failed
+    solve, one Newton solve that missed, gives uniform weights, counted in
+    report.params['fallbacks'].  Queries = budget + 2;
+    report.params['midpoints'] lists the queried times in order.
     A budget past the solver's SOLVER_EDGES entry (the last walk has budget
-    edges), a solver or strategy not in SOLVER_EDGES or STRATEGIES, or a
-    beta that is not finite and >= 0 raises ValueError before any query.
+    edges), a solver not in SOLVER_EDGES, a strategy other than
+    'max_measure', or a beta that is not finite and >= 0 raises ValueError
+    before any query.
     """
     params = params or HmcParams()
     cap = SOLVER_EDGES.get(params.solver)
     if cap is None:
         raise ValueError(f"unknown solver '{params.solver}'")
-    if params.strategy not in STRATEGIES:
+    if params.strategy != "max_measure":
         raise ValueError(f"unknown strategy '{params.strategy}'")
     if not 0.0 <= params.beta < np.inf:
         raise ValueError(f"beta must be finite and >= 0, got {params.beta}")
@@ -136,7 +123,6 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
                          "(exactly zero at both endpoints)")
     times = [0.0, 1.0]
     values = [v0, v1]
-    rng = make_rng(params.seed)
     midpoints = []
     fallbacks = 0
     warm = None
@@ -156,7 +142,7 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
         except ScSolverError:
             weights = np.full(poly.n_edges, 1.0 / poly.n_edges)
             fallbacks += 1
-        k = choose_edge(weights, params.strategy, rng)
+        k = int(np.argmax(weights))
         t = 0.5 * (times[k] + times[k + 1])
 
     vals = np.array(values)

@@ -169,7 +169,7 @@ def test_search_naive_gss_tags_method(tmp_path):
 
 def test_search_harmonic_flat_midpoint_sequence(tmp_path):
     rc, out = run(tmp_path, "search", "--method", "harmonic", "--beta", "0",
-                  "--strategy", "max", "--budget", "9", "--seed", "5")
+                  "--budget", "9", "--seed", "5")
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["params"]["strategy"] == "max_measure"
@@ -227,7 +227,7 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
     assert not out.exists()
 
 
-HARMONIC = {"budget": 8, "beta": 1.0, "strategy": "max_measure", "solver": "full"}
+HARMONIC = {"budget": 8, "beta": 1.0, "solver": "full"}
 
 
 @pytest.mark.parametrize("flags, method, cell", [
@@ -240,8 +240,7 @@ HARMONIC = {"budget": 8, "beta": 1.0, "strategy": "max_measure", "solver": "full
     (["--method", "harmonic", "--budget", "8", "--level", "7"], "harmonic", HARMONIC),
     # 4 of its 11 rounds fall back to uniform weights
     (["--method", "harmonic", "--budget", "12", "--level", "7", "--solver", "perturbative",
-      "--beta", "0.5", "--strategy", "sample"], "harmonic",
-     {"budget": 12, "beta": 0.5, "strategy": "sample_measure", "solver": "perturbative"}),
+      "--beta", "0.5"], "harmonic", {"budget": 12, "beta": 0.5, "solver": "perturbative"}),
     (["--method", "harmonic", "--budget", "8", "--path", "GRID"], "harmonic", HARMONIC),
 ])
 def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
@@ -509,7 +508,7 @@ def test_config_null_leaves_option_at_default(tmp_path):
 @pytest.mark.parametrize("argv", [["search", "--method", "harmonic"], ["simulate"]])
 def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, argv):
     cfg = tmp_path / "cfg.json"
-    option = "strategy" if argv[0] == "search" else "kind"
+    option = "solver" if argv[0] == "search" else "kind"
     cfg.write_text(json.dumps({option: "levy"}))
     rc = main(argv + ["--seed", "3", "--config", str(cfg),
                       "--out", str(tmp_path / "x")])
@@ -588,6 +587,9 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     # a seed is a non-negative integer, given as a flag or in a config
     (["simulate", "--seed", "-1"], None, "--seed"),
     (["simulate", "--config", "CFG"], {"seed": -1}, "--seed"),
+    # the harmonic search always bisects its heaviest edge: no strategy to pick
+    pytest.param(["search", "--method", "harmonic", "--strategy", "max", "--seed", "1"], None,
+                 "unrecognized arguments: --strategy max", id="no-strategy"),
 ])
 def test_misspelt_repeated_or_negative_option_is_usage_error(tmp_path, capsys, argv, config,
                                                              named):

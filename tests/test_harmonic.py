@@ -1,4 +1,4 @@
-"""Edge harmonic measures, bisection strategies and the walker oracle."""
+"""Edge harmonic measures, the guided bisection search and the walker oracle."""
 import bisect
 import csv
 import time
@@ -16,7 +16,6 @@ from pathmin.harmonic import (
     EdgeMeasures,
     HmcParams,
     _nearest_edge,
-    choose_edge,
     edge_measures,
     harmonic_bisection_search,
     mc_hitting_oracle,
@@ -91,48 +90,11 @@ def test_unknown_solver_raises():
 
 
 # ---------------------------------------------------------------------------
-# Edge choice
-
-
-def test_max_measure_takes_argmax():
-    # edges are numbered 0-based, so the 0.5 weight sits at index 1
-    assert choose_edge(np.array([0.2, 0.5, 0.3]), "max_measure", make_rng(0)) == 1
-
-
-def test_max_measure_breaks_ties_low():
-    assert choose_edge(np.full(4, 0.25), "max_measure", make_rng(0)) == 0
-
-
-def test_max_measure_ignores_rescaling():
-    w = np.array([0.2, 0.5, 0.3])
-    rng = make_rng(0)
-    assert choose_edge(7.0 * w, "max_measure", rng) == choose_edge(w, "max_measure", rng)
-
-
-def test_sample_measure_frequencies():
-    w = np.array([0.2, 0.5, 0.3])
-    rng = make_rng(17)
-    n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[choose_edge(w, "sample_measure", rng)] += 1
-    freq = counts / n
-    se = np.sqrt(w * (1.0 - w) / n)
-    assert np.all(np.abs(freq - w) < 3.0 * se)
-
-
-def test_choose_edge_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown strategy 'best_measure'"):
-        choose_edge(np.array([1.0]), "best_measure", make_rng(0))
-
-
-# ---------------------------------------------------------------------------
 # Guided bisection search
 
 
 def test_flat_search_bisects_widest_edge_leftmost_first():
-    rep = harmonic_bisection_search(new_bridge(5), 9,
-                                    HmcParams(beta=0.0, seed=5))
+    rep = harmonic_bisection_search(new_bridge(5), 9, HmcParams(beta=0.0))
     assert rep.params["midpoints"] == [0.5, 0.25, 0.75, 0.125, 0.375,
                                        0.625, 0.875, 0.0625, 0.1875]
     assert rep.queries == 11
@@ -193,6 +155,7 @@ def test_perturbative_budget_past_edge_cap_raises():
 BAD_OPTIONS = {
     "solver": ({"solver": "bogus"}, "unknown solver 'bogus'"),
     "strategy": ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+    "sample_measure": ({"strategy": "sample_measure"}, "unknown strategy 'sample_measure'"),
     "beta-nan": ({"beta": np.nan}, "beta must be finite and >= 0"),
     "beta-inf": ({"beta": np.inf}, "beta must be finite and >= 0"),
     "beta-negative": ({"beta": -0.5}, "beta must be finite and >= 0"),
@@ -202,7 +165,7 @@ BAD_OPTIONS = {
 @pytest.mark.parametrize("field", list(BAD_OPTIONS))
 @pytest.mark.parametrize("budget", [1, 2])
 def test_unknown_solver_or_strategy_raises_before_any_query(field, budget):
-    # a budget of 1 never reaches the solver, the walk or choose_edge, so
+    # a budget of 1 never reaches the solver, the walk or the edge choice, so
     # without an up-front check a bad option would pass silently
     options, message = BAD_OPTIONS[field]
     path = new_bridge(1)
@@ -212,7 +175,8 @@ def test_unknown_solver_or_strategy_raises_before_any_query(field, budget):
 
 
 def test_search_is_deterministic_per_seed():
-    params = HmcParams(beta=1.0, strategy="sample_measure", solver="full", seed=3)
+    # the search draws nothing, so one bridge seed fixes every midpoint
+    params = HmcParams(beta=1.0, solver="full")
     a = harmonic_bisection_search(new_bridge(8), 8, params)
     b = harmonic_bisection_search(new_bridge(8), 8, params)
     assert a.params["midpoints"] == b.params["midpoints"]
@@ -281,7 +245,7 @@ def test_search_midpoints_are_pinned():
 
 def test_report_tracks_best_queried_point():
     path = new_bridge(13)
-    rep = harmonic_bisection_search(path, 12, HmcParams(beta=0.5, seed=1))
+    rep = harmonic_bisection_search(path, 12, HmcParams(beta=0.5))
     times, values = path.sampled()
     assert rep.min_value == values.min()
     assert rep.argmin_t == times[np.argmin(values)]
@@ -307,14 +271,11 @@ def uniform_bisection(path, budget, rng):
 
 def test_guided_search_beats_uniform_bisection_on_average():
     # exploratory comparison: mean found-minimum over 60 fresh bridges,
-    # measure-sampled bisection vs uniformly random edge bisection
+    # heaviest-edge bisection vs uniformly random edge bisection
     n, budget = 60, 33
     guided = np.array([
-        harmonic_bisection_search(
-            new_bridge(derive_seed(900, i)), budget,
-            HmcParams(beta=1.0, strategy="sample_measure",
-                      solver="perturbative", seed=derive_seed(901, i)),
-        ).min_value
+        harmonic_bisection_search(new_bridge(derive_seed(900, i)), budget,
+                                  HmcParams(beta=1.0, solver="perturbative")).min_value
         for i in range(n)
     ])
     uniform = np.array([
@@ -332,7 +293,7 @@ def test_full_solver_search_beats_blind_bisection_on_the_same_grids():
     # 18 queries.  Bound, fixed before the first run: the paired mean of
     # each baseline's error minus harmonic's error is positive.
     n, budget = 20, 16
-    cell = {"budget": budget, "beta": 1.0, "strategy": "max_measure", "solver": "full"}
+    cell = {"budget": budget, "beta": 1.0, "solver": "full"}
     over_uniform, over_mcb = [], []
     for i in range(n):
         seed = derive_seed(704, i)

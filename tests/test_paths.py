@@ -117,7 +117,7 @@ def test_lazy_fill_matches_per_query_sampling(prior):
                     j = int(rng.integers(1, 21))
                     p.query(int(rng.integers(0, 2 ** j)) / 2 ** j)
             elif prior == "harmonic":
-                harmonic_bisection_search(p, 8, HmcParams(seed=seed))
+                harmonic_bisection_search(p, 8, HmcParams())
         grid = fill_dyadic(path, level)
         for d in range(1, level + 1):
             for t in dyadic_times(d)[1::2]:
