@@ -1,8 +1,7 @@
 """Benchmark harness: accuracy/runtime grids and path range statistics."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,7 +10,7 @@ from .harmonic import HmcParams, harmonic_bisection_search
 from .mcb import McbParams, mcb_search
 from .paths import (BRIDGE, CAUCHY, GridPath, fill_dyadic, new_bridge, simulate_bridge_batch,
                     simulate_cauchy, simulate_cauchy_batch)
-from .report import write_csv, write_json
+from .report import write_csv
 from .rng import derive_seed, make_rng
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
@@ -258,11 +257,6 @@ def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
          r.cell.get("g", ""), r.mean_error, r.stderr_error, r.mean_wall_time,
          r.mean_queries, r.trials, r.failures, int(r.flagged)]
         for r in rows))
-
-
-def save_bench_json(rows: list[BenchRow], out_path: str,
-                    meta: dict[str, Any] | None = None) -> None:
-    write_json(out_path, {"meta": meta or {}, "rows": [asdict(r) for r in rows]})
 
 
 def save_range_csv(rd: RangeDistribution, out_path: str) -> None:

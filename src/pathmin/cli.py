@@ -2,9 +2,11 @@
 
 Every command requires an explicit --seed and records the tool version,
 the seed and the resolved parameters ('meta'), so a run can be reproduced
-from its artifacts alone: search embeds meta in its JSON report, and the
-other commands write a '<out>.meta.json' sidecar (bench also puts meta in
-'<out>.json').
+from its artifacts alone.  Each command writes one data file, '<out>', and
+one meta record: search's data file is its JSON report, which embeds meta
+and holds the seed nowhere else; the other commands write a CSV and a
+'<out>.meta.json' sidecar, and range also writes its histogram to
+'<out>.hist.csv'.
 Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bench import (GRID_KINDS, MAX_LEVEL, TrialGrid, mcb_grid, range_distribution,
-                    run_grid, run_trial, save_bench_csv, save_bench_json, save_range_csv)
+                    run_grid, run_trial, save_bench_csv, save_range_csv)
 from .golden import GssParams
 from .harmonic import SOLVER_EDGES, edge_measures, mc_hitting_oracle, save_measures_csv
 from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
@@ -106,8 +108,7 @@ def cmd_search(args) -> int:
         print(f"warning: {rep.params['fallbacks']} of {args.budget - 1} rounds fell "
               f"back to uniform weights", file=sys.stderr)
     gm = grid.grid_min
-    payload = {**dataclasses.asdict(rep), "seed": args.seed,
-               "grid_min": {"time": gm.time, "value": gm.value},
+    payload = {**dataclasses.asdict(rep), "grid_min": {"time": gm.time, "value": gm.value},
                "error_vs_grid_min": rep.min_value - gm.value, "meta": _meta(args)}
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
@@ -160,7 +161,6 @@ def cmd_bench(args) -> int:
                      seed=args.seed, level=args.level, gss=gss)
     rows = run_grid(grid)
     save_bench_csv(rows, args.out)
-    save_bench_json(rows, f"{args.out}.json", meta=_meta(args))
     write_json(f"{args.out}.meta.json", _meta(args))
     flagged = sum(r.flagged for r in rows)
     print(f"{args.method}: {len(rows)} cells x {args.trials} trials"

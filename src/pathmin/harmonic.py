@@ -11,7 +11,6 @@ route.
 """
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 
@@ -126,11 +125,10 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     midpoints = []
     fallbacks = 0
     warm = None
-    t = 0.5
+    k, t = 0, 0.5   # t is the midpoint of edge k, so it goes in at index k + 1
     while True:
-        i = bisect.bisect_left(times, t)
-        times.insert(i, t)
-        values.insert(i, fn(t))
+        times.insert(k + 1, t)
+        values.insert(k + 1, fn(t))
         midpoints.append(t)
         if len(midpoints) == budget:
             break
@@ -272,21 +270,20 @@ def save_measures_csv(
     extra_meta: dict | None = None,
     oracle: EdgeMeasures | None = None,
 ) -> None:
-    """Write 'k,t_left,t_right,weight,stderr' rows (k is 1-based) plus a sidecar.
+    """Write 'k,t_left,t_right,weight' rows (k is 1-based) plus a sidecar.
 
     When an ``oracle`` measure is given (a Monte-Carlo estimate over the same
-    edges) two extra columns, mc_weight and mc_stderr, are appended per row.
+    edges, with its standard errors) two extra columns, mc_weight and
+    mc_stderr, are appended per row.  The sidecar '<out_path>.meta.json'
+    holds extra_meta and is written only when extra_meta is given.
     """
     if oracle is not None and len(oracle.weights) != len(em.weights):
         raise ValueError("oracle edge count does not match the measure")
-    header = ["k", "t_left", "t_right", "weight", "stderr"]
+    header = ["k", "t_left", "t_right", "weight"]
+    cols = [range(1, len(em.weights) + 1), em.times[:-1], em.times[1:], em.weights]
     if oracle is not None:
         header += ["mc_weight", "mc_stderr"]
-    n = len(em.weights)
-    cols = [range(1, n + 1), em.times[:-1], em.times[1:], em.weights,
-            [""] * n if em.stderr is None else em.stderr]
-    if oracle is not None:
-        cols += [oracle.weights, [""] * n if oracle.stderr is None else oracle.stderr]
+        cols += [oracle.weights, oracle.stderr]
     write_csv(out_path, header, zip(*cols))
     if extra_meta is not None:
         write_json(f"{out_path}.meta.json", extra_meta)

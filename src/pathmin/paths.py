@@ -280,10 +280,6 @@ class CauchyBridgeCdf:
         return float(v)
 
 
-def cauchy_bridge_cdf(u: float, v) :
-    return CauchyBridgeCdf(u).cdf(v)
-
-
 # ---------------------------------------------------------------------------
 # Grid I/O
 

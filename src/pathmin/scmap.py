@@ -334,16 +334,20 @@ def _side_nodes(z, p, plan):
     and each panel's integral of prod_j |x - z_j|^{p_j}, summed and
     checked finite once here.  The Jacobian takes its panels from the
     segment owners.  The layout holds no node-by-pre-vertex array, so it
-    costs little to keep for a Jacobian at the same point.
+    costs little to keep for a Jacobian at the same point.  A head of 0,
+    or one so far below its span that their ratio could overflow, raises
+    ScSolverError ('degenerate panel'); a non-finite integral raises it too.
     """
     half_gaps = 0.5 * (z[1:] - z[:-1])
     near = np.full(len(z) + 1, np.inf)
     near[1:-1] = half_gaps
     # half the nearest gap never passes the half-panel's span
     head = np.minimum(near[:-1], near[1:])[plan.anchor]
-    if not (head > 0.0).all():
+    span = np.repeat(half_gaps, 2)
+    # head <= span; a ratio span / head past 2^1023 may overflow _graded_rule's count
+    if not (head > span * 2.0 ** -1023).all():
         raise ScSolverError("degenerate panel: coincident pre-vertices")
-    owner, first, u, w = _graded_rule(head, np.repeat(half_gaps, 2), plan.rows)
+    owner, first, u, w = _graded_rule(head, span, plan.rows)
     a = plan.anchor[owner]
     offset = u * plan.sign[owner, None]
     log_abs = _distances(z, a, offset)          # becomes log|x - z_j| in place

@@ -18,8 +18,8 @@ from pathmin.cli import main
 from pathmin.golden import INV_PHI, INV_PHI2, GssParams, golden_section
 from pathmin.harmonic import edge_measures, mc_hitting_oracle
 from pathmin.mcb import McbParams, mcb_search
-from pathmin.paths import (CauchyBridgeCdf, cauchy_bridge_cdf, dyadic_times,
-                           fill_dyadic, new_bridge, simulate_bridge_batch)
+from pathmin.paths import (CauchyBridgeCdf, dyadic_times, fill_dyadic, new_bridge,
+                           simulate_bridge_batch)
 from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import (WalkPolygon, sc_forward_map, solve_prevertices_full,
                            solve_prevertices_perturbative, turning_angles)
@@ -120,11 +120,11 @@ def test_c06_cauchy_bridge_cdf(report):
                       limit=200, epsabs=1e-13, epsrel=1e-13)
         return val * (np.pi * (4.0 + 4.0 * u * u)) / 2.0
 
-    quad_err = max(abs(cauchy_bridge_cdf(u, v) - oracle(u, v))
+    quad_err = max(abs(CauchyBridgeCdf(u).cdf(v) - oracle(u, v))
                    for u in (0.3, 0.7, 1.0, 2.5, 7.0)
                    for v in (-4.0, -0.5, 0.8, 3.0))
-    limit_err = max(abs(cauchy_bridge_cdf(u, -1e6)) +
-                    abs(cauchy_bridge_cdf(u, 1e6) - 1.0)
+    limit_err = max(abs(CauchyBridgeCdf(u).cdf(-1e6)) +
+                    abs(CauchyBridgeCdf(u).cdf(1e6) - 1.0)
                     for u in (0.5, 1.0, 2.0))
     round_err = 0.0
     for u in (0.5, 1.0, 2.0):

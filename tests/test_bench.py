@@ -1,6 +1,5 @@
 """Benchmark harness: trial grids, aggregation, range statistics, writers."""
 import csv
-import json
 import math
 import tracemalloc
 
@@ -17,7 +16,6 @@ from pathmin.bench import (
     range_distribution,
     run_grid,
     save_bench_csv,
-    save_bench_json,
     save_range_csv,
 )
 from pathmin.golden import GssParams, iterative_gss
@@ -260,16 +258,6 @@ def test_bench_csv_layout(tmp_path):
     assert got[1][1:5] == ["", "", "", ""]
     assert got[2][2:5] == ["4", "4", "16"]
     assert got[2][-1] == "1"
-
-
-def test_bench_json_carries_meta(tmp_path):
-    rows = run_grid(TrialGrid(method="mcb", cells=[{"l": 4, "r": 4, "g": 8}],
-                              trials=2, seed=1))
-    out = tmp_path / "bench.json"
-    save_bench_json(rows, str(out), meta={"who": "test"})
-    payload = json.loads(out.read_text())
-    assert payload["meta"] == {"who": "test"}
-    assert payload["rows"][0]["cell"] == {"l": 4, "r": 4, "g": 8}
 
 
 def test_range_csv_and_histogram_sidecar(tmp_path):

@@ -141,7 +141,7 @@ def test_search_mcb_default_budget(tmp_path):
     assert rep["method"] == "mcb"
     assert rep["queries"] == 1026
     assert rep["error_vs_grid_min"] >= 0.0
-    assert rep["seed"] == 4
+    assert rep["meta"]["seed"] == 4
 
 
 def test_search_reports_are_reproducible_minus_wall_time(tmp_path):
@@ -255,7 +255,7 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
     assert rc == 0
     rep = json.loads(out.read_text())
     trial, grid = run_trial(method, cell, 13, level=7, gss=GssParams(), path=path)
-    assert rep["seed"] == 13
+    assert rep["meta"]["seed"] == 13
     assert rep["min_value"] == trial.min_value
     assert rep["argmin_t"] == trial.argmin_t
     assert rep["queries"] == trial.queries
@@ -307,12 +307,12 @@ def test_search_harmonic_rejects_unpinned_grid(tmp_path):
 
 def test_measure_flat_walk_weights_are_widths(tmp_path):
     walk = tmp_path / "walk.csv"
-    walk.write_text("t,value\n0,0\n0.25,0\n0.5,0\n1,0\n")
+    walk.write_text("t,value\n0,0\n\n0.25,0\n0.5,0\n\n1,0\n")   # blank rows are skipped
     rc = main(["measure", "--walk", str(walk), "--beta", "0", "--seed", "1",
                "--out", str(tmp_path / "m.csv")])
     assert rc == 0
     rows = list(csv.reader((tmp_path / "m.csv").open()))
-    assert rows[0] == ["k", "t_left", "t_right", "weight", "stderr"]
+    assert rows[0] == ["k", "t_left", "t_right", "weight"]
     weights = [float(r[3]) for r in rows[1:]]
     assert np.allclose(weights, [0.25, 0.25, 0.5], atol=1e-12)
 
@@ -322,8 +322,8 @@ def test_measure_oracle_flag_appends_columns(tmp_path):
                "--oracle", "400", "--out", str(tmp_path / "m.csv")])
     assert rc == 0
     rows = list(csv.reader((tmp_path / "m.csv").open()))
-    assert rows[0][-2:] == ["mc_weight", "mc_stderr"]
-    assert all(len(r) == 7 for r in rows[1:])
+    assert rows[0] == ["k", "t_left", "t_right", "weight", "mc_weight", "mc_stderr"]
+    assert all(len(r) == 6 for r in rows[1:])
 
 
 def test_measure_rejects_malformed_walk(tmp_path, capsys):
@@ -385,8 +385,32 @@ def test_bench_small_grid(tmp_path):
     assert rc == 0
     rows = list(csv.reader(out.open()))
     assert len(rows) == 3
-    assert (tmp_path / "out.json").exists()
     assert (tmp_path / "out.meta.json").exists()
+
+
+def test_each_command_writes_one_data_file_and_one_meta_record(tmp_path):
+    # search embeds meta in its report; the others write a sidecar, and
+    # range also writes its histogram
+    runs = {
+        "simulate": ["simulate", "--level", "3"],
+        "search": ["search", "--method", "mcb", "--l", "4", "--r", "4", "--g", "8"],
+        "measure": ["measure", "--walk-nodes", "3", "--beta", "0.2"],
+        "oracle": ["measure", "--walk-nodes", "3", "--beta", "0.2", "--oracle", "50"],
+        "bench": ["bench", "--method", "mcb", "--n", "2", "--trials", "2"],
+        "range": ["range", "--level", "3", "--paths", "5", "--bins", "4"],
+    }
+    written = {"search": ["out"], "range": ["out", "out.hist.csv", "out.meta.json"]}
+    for name, argv in runs.items():
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / name / "out")]) == 0
+        files = sorted(p.name for p in (tmp_path / name).iterdir())
+        assert files == written.get(name, ["out", "out.meta.json"]), name
+    rep = json.loads((tmp_path / "search" / "out").read_text())
+    assert "seed" not in rep and rep["meta"]["seed"] == 1
+    header = ["k", "t_left", "t_right", "weight"]
+    assert next(csv.reader((tmp_path / "measure" / "out").open())) == header
+    assert next(csv.reader((tmp_path / "oracle" / "out").open())) == header + [
+        "mc_weight", "mc_stderr"]
 
 
 @pytest.mark.parametrize("method, flags, cells", [

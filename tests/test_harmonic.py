@@ -524,7 +524,7 @@ def test_measures_csv_layout(tmp_path):
     out = tmp_path / "m.csv"
     save_measures_csv(em, str(out), extra_meta={"note": 1})
     rows = list(csv.reader(out.open()))
-    assert rows[0] == ["k", "t_left", "t_right", "weight", "stderr"]
+    assert rows[0] == ["k", "t_left", "t_right", "weight"]
     assert rows[1][0] == "1" and rows[2][0] == "2"
     assert float(rows[1][3]) == 0.25
     assert (tmp_path / "m.csv.meta.json").exists()
@@ -538,8 +538,8 @@ def test_measures_csv_appends_oracle_columns(tmp_path):
     out = tmp_path / "m.csv"
     save_measures_csv(em, str(out), oracle=mc)
     rows = list(csv.reader(out.open()))
-    assert rows[0][-2:] == ["mc_weight", "mc_stderr"]
-    assert float(rows[1][5]) == 0.26
+    assert rows[0] == ["k", "t_left", "t_right", "weight", "mc_weight", "mc_stderr"]
+    assert float(rows[1][4]) == 0.26 and float(rows[1][5]) == 0.01
     short = EdgeMeasures(times=np.array([0.0, 1.0]), weights=np.array([1.0]))
     with pytest.raises(ValueError):
         save_measures_csv(em, str(out), oracle=short)

@@ -14,7 +14,6 @@ from pathmin.paths import (
     CauchyBridgeCdf,
     GridPath,
     as_oracle,
-    cauchy_bridge_cdf,
     dyadic_times,
     fill_dyadic,
     load_grid_csv,
@@ -276,7 +275,7 @@ def _quadrature_cdf(u: float, v: float) -> float:
 @pytest.mark.parametrize("u", [0.3, 1.0, 2.5, 7.0])
 def test_cdf_matches_defining_quadrature(u):
     for v in (-6.0, -1.3, 0.0, 0.4, 2.0, 9.0):
-        assert abs(cauchy_bridge_cdf(u, v) - _quadrature_cdf(u, v)) < 1e-10
+        assert abs(CauchyBridgeCdf(u).cdf(v) - _quadrature_cdf(u, v)) < 1e-10
 
 
 def test_cdf_limits_and_monotonicity():
@@ -298,7 +297,7 @@ def test_ppf_roundtrip():
 
 def test_sample_is_inverse_cdf():
     v = CauchyBridgeCdf(1.5).ppf(0.75)
-    assert abs(cauchy_bridge_cdf(1.5, v) - 0.75) < 1e-9
+    assert abs(CauchyBridgeCdf(1.5).cdf(v) - 0.75) < 1e-9
 
 
 def test_cdf_rejects_nonpositive_halfspan():
@@ -345,8 +344,9 @@ def test_walk_csv_errors_name_the_line(tmp_path):
         load_walk_csv(str(bad_header))
 
     bad_row = tmp_path / "r.csv"
-    bad_row.write_text("t,value\n0,0\n0.5,oops\n1,0\n")
-    with pytest.raises(ValueError, match="line 3"):
+    # blank rows are skipped but counted
+    bad_row.write_text("t,value\n0,0\n\n0.5,oops\n1,0\n")
+    with pytest.raises(ValueError, match="line 4"):
         load_walk_csv(str(bad_row))
 
     short_row = tmp_path / "s.csv"

@@ -337,6 +337,20 @@ def test_side_integrals_are_reflection_symmetric(case):
     assert np.max(np.abs(mirrored / direct - 1.0)) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gap, message", [
+    (0.0, "degenerate panel"),
+    # half the gap is 2^-1023 of the panel's span or less, so span / head may overflow
+    (1e-310, "degenerate panel"),
+    # laid out, but near the crowded pair the integrand overflows before its weight scales it
+    (1e-300, "too crowded for float arithmetic"),
+])
+def test_side_nodes_reject_a_panel_they_cannot_lay_out(gap, message):
+    z, p = np.array([0.0, gap, 0.5, 1.0]), np.array([-0.5, -0.9, -0.3, -0.3])
+    with pytest.raises(ScSolverError, match=message):
+        _side_nodes(z, p, scmap._quadrature_plan(p))
+
+
 # ---------------------------------------------------------------------------
 # Analytic Jacobian
 
@@ -626,12 +640,18 @@ def test_vertex_cap_raises():
         solve_prevertices_full(make_bridge_walk(0, MAX_VERTICES, beta=0.1))
 
 
+@pytest.mark.filterwarnings("error")
 def test_unsorted_guess_raises():
     poly = make_bridge_walk(5, 4, beta=0.3)
     sol = solve_prevertices_full(poly)
     bad = dataclasses.replace(sol, prevertices=np.array([0.0, 0.6, 0.4, 0.8, 1.0]))
     with pytest.raises(ScSolverError, match="not strictly increasing") as exc:
         solve_prevertices_full(poly, initial_guess=bad)
+    assert exc.value.stop is None
+    # a sorted start whose first gap is too small to lay out is unevaluable
+    tiny = dataclasses.replace(sol, prevertices=np.array([0.0, 1e-310, 0.4, 0.8, 1.0]))
+    with pytest.raises(ScSolverError, match="degenerate panel") as exc:
+        solve_prevertices_full(poly, initial_guess=tiny)
     assert exc.value.stop is None
     # a start walk must not have a node the target lacks
     with pytest.raises(ValueError, match="nodes"):
