@@ -199,8 +199,6 @@ class RangeDistribution:
     """
 
     kind: str
-    level: int
-    n_paths: int
     ranges: np.ndarray
     arg_gaps: np.ndarray
     bin_edges: np.ndarray
@@ -237,8 +235,7 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
     hist_hi = float(np.quantile(finite, 0.995))
     edges = np.linspace(0.0, max(hist_hi, 1e-12), bins + 1)
     density, _ = np.histogram(finite[finite <= hist_hi], bins=edges, density=True)
-    return RangeDistribution(kind=kind, level=level, n_paths=n_paths,
-                             ranges=ranges, arg_gaps=gaps,
+    return RangeDistribution(kind=kind, ranges=ranges, arg_gaps=gaps,
                              bin_edges=edges, density=density)
 
 

@@ -129,18 +129,19 @@ def _load_polygon(args) -> WalkPolygon:
 
 def cmd_measure(args) -> int:
     poly = _load_polygon(args)
-    em = edge_measures(poly, solver=args.solver)
+    weights = edge_measures(poly, solver=args.solver)
     oracle = None
     if args.oracle is not None:
         oracle = mc_hitting_oracle(poly, walkers=args.oracle, dt=args.dt,
                                    rng=make_rng(derive_seed(args.seed, 1)))
-    save_measures_csv(em, args.out, extra_meta=_meta(args), oracle=oracle)
-    top = int(np.argmax(em.weights))
+    t = poly.times
+    save_measures_csv(t, weights, args.out, extra_meta=_meta(args), oracle=oracle)
+    top = int(np.argmax(weights))
     line = (f"{poly.n_edges} edges, beta = {poly.beta}: heaviest edge {top + 1} "
-            f"on [{em.times[top]:.6g}, {em.times[top + 1]:.6g}] "
-            f"w = {em.weights[top]:.6g}")
+            f"on [{t[top]:.6g}, {t[top + 1]:.6g}] w = {weights[top]:.6g}")
     if oracle is not None:
-        line += f" (mc {oracle.weights[top]:.6g} +- {oracle.stderr[top]:.6g})"
+        mc_weight, mc_stderr = oracle
+        line += f" (mc {mc_weight[top]:.6g} +- {mc_stderr[top]:.6g})"
     print(f"{line} -> {args.out}")
     return 0
 

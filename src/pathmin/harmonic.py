@@ -28,28 +28,17 @@ MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 SOLVER_EDGES = {"full": MAX_VERTICES - 1, "perturbative": MAX_PERTURBATIVE_EDGES}
 
 
-@dataclass(frozen=True)
-class EdgeMeasures:
-    """Per-edge hitting weights of a walk polygon.
+def _edge_weights(z: np.ndarray) -> np.ndarray:
+    """Arcsine measure of each pre-vertex interval of z, renormalised to sum to one.
 
-    times holds the n + 1 node times; weights the n edge probabilities,
-    non-negative and summing to one.  stderr is filled by the Monte-Carlo
-    oracle and left None by the analytic solvers.
+    weight_k = (2 / pi) * (asin sqrt(z_{k+1}) - asin sqrt(z_k)); pre-vertices
+    that are not strictly increasing, NaN among them, raise ScSolverError.
     """
-
-    times: np.ndarray
-    weights: np.ndarray
-    stderr: np.ndarray | None = None
-
-
-def _measures_from_solution(sol) -> EdgeMeasures:
-    z = sol.prevertices
     if not np.all(np.diff(z) > 0.0):
         raise ScSolverError("pre-vertices out of order; amplitude too large "
                             "for the chosen solver")
     w = (2.0 / np.pi) * np.diff(np.arcsin(np.sqrt(z)))
-    w = w / w.sum()
-    return EdgeMeasures(times=sol.poly.times.copy(), weights=w)
+    return w / w.sum()
 
 
 def _solve(poly: WalkPolygon, solver: str, warm=None):
@@ -61,15 +50,16 @@ def _solve(poly: WalkPolygon, solver: str, warm=None):
     raise ValueError(f"unknown solver '{solver}'")
 
 
-def edge_measures(poly: WalkPolygon, solver: str = "full") -> EdgeMeasures:
+def edge_measures(poly: WalkPolygon, solver: str = "full") -> np.ndarray:
     """Harmonic-measure weight of each walk edge seen from deep below.
 
-    weight_k = (2 / pi) * (asin sqrt(z_{k+1}) - asin sqrt(z_k)) over the
-    pre-vertices of a cold solve by solver, a key of SOLVER_EDGES,
-    renormalised against float drift.  Raises ValueError for an unknown
-    solver or a walk past its cap, ScSolverError for a failed solve.
+    Returns the n edge weights, non-negative and summing to one: the
+    arcsine measures (_edge_weights) of the pre-vertices of a cold solve by
+    solver, a key of SOLVER_EDGES.  Raises ValueError for an unknown solver
+    or a walk past its cap, ScSolverError for a failed solve or pre-vertices
+    out of order.
     """
-    return _measures_from_solution(_solve(poly, solver))
+    return _edge_weights(_solve(poly, solver).prevertices)
 
 
 @dataclass
@@ -135,7 +125,7 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
         poly = WalkPolygon(times=np.array(times), values=np.array(values), beta=params.beta)
         try:
             sol = _solve(poly, params.solver, warm)
-            weights = _measures_from_solution(sol).weights
+            weights = _edge_weights(sol.prevertices)
             warm = sol
         except ScSolverError:
             weights = np.full(poly.n_edges, 1.0 / poly.n_edges)
@@ -200,7 +190,7 @@ def _fold(x):
 
 
 def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4, *,
-                      rng: np.random.Generator) -> EdgeMeasures:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the edge hitting weights by walk-on-spheres, every draw from rng.
 
     The horizontal coordinate lives on the whole line and is folded onto
@@ -218,10 +208,11 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     source of bias.  Memory peaks near 85 B per walker, plus 1 MiB for
     distances, taken NEAREST_BLOCK walker-edges at a time.
 
-    Returns EdgeMeasures with binomial standard errors.  Raises
-    ValueError, before drawing anything, when walkers < 1, walkers x edges
-    > MAX_WALKER_EDGES or dt is not finite and positive, and RuntimeError
-    if any walker survives MAX_WALK_ROUNDS rounds.
+    Returns (weights, stderr): each edge's share of the walkers and its
+    binomial standard error.  Raises ValueError, before drawing anything,
+    when walkers < 1, walkers x edges > MAX_WALKER_EDGES or dt is not
+    finite and positive, and RuntimeError if any walker survives
+    MAX_WALK_ROUNDS rounds.
     """
     if walkers < 1:
         raise ValueError("need at least one walker")
@@ -260,30 +251,33 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
         x = _fold(x)
 
     w = counts / float(walkers)
-    stderr = np.sqrt(w * (1.0 - w) / walkers)
-    return EdgeMeasures(times=t.copy(), weights=w, stderr=stderr)
+    return w, np.sqrt(w * (1.0 - w) / walkers)
 
 
 def save_measures_csv(
-    em: EdgeMeasures,
+    times: np.ndarray,
+    weights: np.ndarray,
     out_path: str,
     extra_meta: dict | None = None,
-    oracle: EdgeMeasures | None = None,
+    oracle: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """Write 'k,t_left,t_right,weight' rows (k is 1-based) plus a sidecar.
 
-    When an ``oracle`` measure is given (a Monte-Carlo estimate over the same
-    edges, with its standard errors) two extra columns, mc_weight and
-    mc_stderr, are appended per row.  The sidecar '<out_path>.meta.json'
-    holds extra_meta and is written only when extra_meta is given.
+    times holds the walk's n + 1 node times and weights its n edge weights.
+    When an ``oracle`` pair (mc_weight, mc_stderr) is given, a Monte-Carlo
+    estimate over the same edges as mc_hitting_oracle returns it, those two
+    columns are appended per row.  The sidecar '<out_path>.meta.json' holds
+    extra_meta and is written only when extra_meta is given.
     """
-    if oracle is not None and len(oracle.weights) != len(em.weights):
+    if len(times) != len(weights) + 1:
+        raise ValueError("a walk of n edges needs n + 1 times")
+    if oracle is not None and len(oracle[0]) != len(weights):
         raise ValueError("oracle edge count does not match the measure")
     header = ["k", "t_left", "t_right", "weight"]
-    cols = [range(1, len(em.weights) + 1), em.times[:-1], em.times[1:], em.weights]
+    cols = [range(1, len(weights) + 1), times[:-1], times[1:], weights]
     if oracle is not None:
         header += ["mc_weight", "mc_stderr"]
-        cols += [oracle.weights, oracle.stderr]
+        cols += oracle
     write_csv(out_path, header, zip(*cols))
     if extra_meta is not None:
         write_json(f"{out_path}.meta.json", extra_meta)

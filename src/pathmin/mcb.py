@@ -27,8 +27,8 @@ def mcb_search(path: GridPath, params: McbParams, rng: np.random.Generator) -> S
     left node stands in as the evaluated candidate.  The endpoints are
     evaluated first, so the search makes g + 2 oracle queries (repeat
     visits are queried again; the distinct count is reported in
-    params['unique_queries']).  Ties keep the earliest candidate.  The
-    descents draw from rng.
+    params['unique_queries'], counted in memory that grows with g, not with
+    2^level).  Ties keep the earliest candidate.  The descents draw from rng.
     """
     if params.r < 1:
         raise ValueError("descent depth r must be >= 1")
@@ -45,8 +45,12 @@ def mcb_search(path: GridPath, params: McbParams, rng: np.random.Generator) -> S
     vals = path.values[cand]
     best = int(np.argmin(vals))
     elapsed = time.perf_counter() - t0
+    # bincount's n + 1 counters beat sorting only while the descents crowd
+    # the grid; past 128 a candidate, its memory and time would grow with n
+    dense = n <= 128 * len(cand)
+    unique = np.count_nonzero(np.bincount(cand)) if dense else len(np.unique(cand))
     return SearchReport(
         argmin_t=float(cand[best] / n), min_value=float(vals[best]),
         queries=params.g + 2, wall_time=elapsed, method="mcb",
         params={"l": path.level, "r": params.r, "g": params.g,
-                "unique_queries": int(np.count_nonzero(np.bincount(cand)))})
+                "unique_queries": int(unique)})

@@ -195,9 +195,9 @@ def test_c10_harmonic_measure_cross_validation(report):
     for i in range(10):
         poly = make_bridge_walk(derive_seed(55, i), 6, beta=0.5)
         analytic = edge_measures(poly, solver="full")
-        mc = mc_hitting_oracle(poly, walkers=100_000, dt=1e-5,
-                               rng=make_rng(derive_seed(56, i)))
-        z = np.max(np.abs(mc.weights - analytic.weights) / mc.stderr)
+        mc, se = mc_hitting_oracle(poly, walkers=100_000, dt=1e-5,
+                                   rng=make_rng(derive_seed(56, i)))
+        z = np.max(np.abs(mc - analytic) / se)
         worst = max(worst, float(z))
     ok = worst < 4.0
     report(10, "walker oracle matches analytic measures", ok,
@@ -212,21 +212,21 @@ def test_c11_measure_normalization(report):
     for seed in range(40):
         poly = make_bridge_walk(derive_seed(110, seed), 3 + seed % 6,
                                 beta=0.2 + (seed % 5) * 0.2)
-        em = edge_measures(poly, solver="full")
-        worst_sum = max(worst_sum, abs(float(em.weights.sum()) - 1.0))
-        min_weight = min(min_weight, float(em.weights.min()))
+        w = edge_measures(poly, solver="full")
+        worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
+        min_weight = min(min_weight, float(w.min()))
         count += 1
     for seed in range(20):
         poly = make_bridge_walk(derive_seed(111, seed), 8, beta=0.03)
-        em = edge_measures(poly, solver="perturbative")
-        worst_sum = max(worst_sum, abs(float(em.weights.sum()) - 1.0))
-        min_weight = min(min_weight, float(em.weights.min()))
+        w = edge_measures(poly, solver="perturbative")
+        worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
+        min_weight = min(min_weight, float(w.min()))
         count += 1
     for seed in range(3):
         poly = make_bridge_walk(derive_seed(112, seed), 4, beta=0.4)
-        em = mc_hitting_oracle(poly, walkers=2000, dt=1e-4, rng=make_rng(seed))
-        worst_sum = max(worst_sum, abs(float(em.weights.sum()) - 1.0))
-        min_weight = min(min_weight, float(em.weights.min()))
+        w, _ = mc_hitting_oracle(poly, walkers=2000, dt=1e-4, rng=make_rng(seed))
+        worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
+        min_weight = min(min_weight, float(w.min()))
         count += 1
     ok = worst_sum < 1e-10 and min_weight >= 0.0
     report(11, "edge measures normalize", ok,

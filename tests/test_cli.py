@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pathmin
+from conftest import make_bridge_walk
 from pathmin.bench import TrialGrid, run_grid, run_trial, save_bench_csv
 from pathmin.cli import MAX_LEVEL, main
 from pathmin.golden import GssParams
@@ -344,6 +345,21 @@ def test_measure_numerical_failure_exits_three(tmp_path, capsys):
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_measure_pre_vertices_out_of_order_exit_three(tmp_path, capsys):
+    # the perturbative solve of this beta = 1 walk returns crossed pre-vertices
+    poly = make_bridge_walk(0, 12, beta=1.0)
+    walk = tmp_path / "walk.csv"
+    nodes = zip(poly.times.tolist(), poly.values.tolist())
+    walk.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in nodes))
+    out = tmp_path / "m.csv"
+    rc = main(["measure", "--walk", str(walk), "--solver", "perturbative", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numerical failure: pre-vertices out of order; "
+                                       "amplitude too large for the chosen solver\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.csv"]
 
 
 def test_measure_newton_miss_exits_three(tmp_path, capsys):

@@ -13,8 +13,8 @@ from pathmin.bench import run_trial
 from pathmin.harmonic import (
     MAX_WALKER_EDGES,
     NEAREST_BLOCK,
-    EdgeMeasures,
     HmcParams,
+    _edge_weights,
     _nearest_edge,
     edge_measures,
     harmonic_bisection_search,
@@ -40,29 +40,29 @@ def flat_polygon(times):
 def test_flat_weights_equal_edge_widths(solver):
     # arcsin(sqrt(sin^2(pi t / 2))) telescopes back to t itself
     t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
-    em = edge_measures(flat_polygon(t), solver=solver)
-    assert np.max(np.abs(em.weights - np.diff(t))) < 1e-12
-    assert em.stderr is None
+    w = edge_measures(flat_polygon(t), solver=solver)
+    assert type(w) is np.ndarray and w.shape == (4,)
+    assert np.max(np.abs(w - np.diff(t))) < 1e-12
 
 
 def test_flat_equal_dyadic_weights_are_quarters():
-    em = edge_measures(flat_polygon([0.0, 0.25, 0.5, 0.75, 1.0]))
-    assert np.max(np.abs(em.weights - 0.25)) < 1e-12
+    w = edge_measures(flat_polygon([0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert np.max(np.abs(w - 0.25)) < 1e-12
 
 
 def test_single_edge_gets_all_the_measure():
-    em = edge_measures(flat_polygon([0.0, 1.0]))
-    assert em.weights.shape == (1,)
-    assert em.weights[0] == 1.0
+    w = edge_measures(flat_polygon([0.0, 1.0]))
+    assert w.shape == (1,)
+    assert w[0] == 1.0
 
 
 @pytest.mark.parametrize("beta", [0.3, 1.0])
 def test_weights_are_a_probability_vector(beta):
     for seed in range(6):
         poly = make_bridge_walk(seed, 7, beta=beta)
-        em = edge_measures(poly, solver="full")
-        assert np.all(em.weights >= 0.0)
-        assert abs(em.weights.sum() - 1.0) < 1e-10
+        w = edge_measures(poly, solver="full")
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) < 1e-10
 
 
 def test_weights_reverse_with_the_walk():
@@ -70,8 +70,8 @@ def test_weights_reverse_with_the_walk():
         poly = make_bridge_walk(seed, 6, beta=0.6)
         rev = WalkPolygon(times=1.0 - poly.times[::-1],
                           values=poly.values[::-1], beta=0.6)
-        w = edge_measures(poly, solver="full").weights
-        w_rev = edge_measures(rev, solver="full").weights
+        w = edge_measures(poly, solver="full")
+        w_rev = edge_measures(rev, solver="full")
         assert np.max(np.abs(w_rev - w[::-1])) < 1e-9
 
 
@@ -79,9 +79,24 @@ def test_perturbative_weights_match_full_at_small_amplitude():
     beta = 0.04
     for seed in range(10):
         poly = make_bridge_walk(seed, 8, beta=beta)
-        w_full = edge_measures(poly, solver="full").weights
-        w_pert = edge_measures(poly, solver="perturbative").weights
+        w_full = edge_measures(poly, solver="full")
+        w_pert = edge_measures(poly, solver="perturbative")
         assert np.max(np.abs(w_full - w_pert)) < 20.0 * beta ** 2
+
+
+@pytest.mark.parametrize("z", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0],
+                               [0.0, np.nan, 1.0]], ids=["tie", "swap", "nan"])
+def test_weights_of_pre_vertices_out_of_order_raise(z):
+    with pytest.raises(ScSolverError, match="pre-vertices out of order"):
+        _edge_weights(np.array(z))
+
+
+def test_perturbative_solve_past_its_amplitude_raises():
+    # beta = 1 is far outside the first-order solve's range: its pre-vertices cross
+    for seed in range(3):
+        with pytest.raises(ScSolverError, match="pre-vertices out of order; amplitude "
+                                                "too large for the chosen solver"):
+            edge_measures(make_bridge_walk(seed, 12, beta=1.0), solver="perturbative")
 
 
 def test_unknown_solver_raises():
@@ -395,10 +410,9 @@ def test_nearest_edge_ties_go_to_the_lowest_edge(j, depth, seed):
 def test_oracle_matches_flat_two_edge_split():
     for split in (0.5, 0.1, 0.93):
         poly = flat_polygon([0.0, split, 1.0])
-        em = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, rng=make_rng(1))
-        assert em.stderr is not None
-        assert abs(em.weights.sum() - 1.0) < 1e-12
-        assert np.all(np.abs(em.weights - [split, 1.0 - split]) < 3.5 * em.stderr)
+        w, se = mc_hitting_oracle(poly, walkers=4000, dt=1e-4, rng=make_rng(1))
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.all(np.abs(w - [split, 1.0 - split]) < 3.5 * se)
 
 
 def test_oracle_matches_flat_uneven_widths():
@@ -407,8 +421,8 @@ def test_oracle_matches_flat_uneven_widths():
               [0.0, 0.05, 0.1, 0.9, 1.0],
               [0.0, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0]):
         t = np.array(t)
-        em = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, rng=make_rng(2))
-        assert np.all(np.abs(em.weights - np.diff(t)) < 3.5 * em.stderr)
+        w, se = mc_hitting_oracle(flat_polygon(t), walkers=4000, dt=1e-4, rng=make_rng(2))
+        assert np.all(np.abs(w - np.diff(t)) < 3.5 * se)
 
 
 def test_oracle_matches_flat_walk_with_one_low_vertex():
@@ -416,16 +430,16 @@ def test_oracle_matches_flat_walk_with_one_low_vertex():
     # the graph and sphere jumps and Cauchy re-entries run
     poly = WalkPolygon(times=np.array([0.0, 0.2, 0.45, 0.7, 1.0]),
                        values=np.array([0.0, 0.0, -1.0, 0.0, 0.0]))
-    mc = mc_hitting_oracle(poly, walkers=20_000, dt=1e-4, rng=make_rng(6))
+    mc, se = mc_hitting_oracle(poly, walkers=20_000, dt=1e-4, rng=make_rng(6))
     an = edge_measures(poly, solver="full")
-    assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
+    assert np.all(np.abs(mc - an) < 4.0 * se)
 
 
 def test_oracle_matches_analytic_weights_on_a_walk():
     poly = make_bridge_walk(77, 4, beta=0.4)
-    mc = mc_hitting_oracle(poly, walkers=6000, dt=1e-4, rng=make_rng(3))
+    mc, se = mc_hitting_oracle(poly, walkers=6000, dt=1e-4, rng=make_rng(3))
     an = edge_measures(poly, solver="full")
-    assert np.all(np.abs(mc.weights - an.weights) < 4.0 * mc.stderr)
+    assert np.all(np.abs(mc - an) < 4.0 * se)
 
 
 def test_oracle_matches_analytic_weights_on_a_steep_walk():
@@ -433,10 +447,10 @@ def test_oracle_matches_analytic_weights_on_a_steep_walk():
     # far below one walker, so stderr is floored at one walker
     walkers = 100_000
     poly = make_bridge_walk(derive_seed(77, 16), 16, beta=1.0)
-    mc = mc_hitting_oracle(poly, walkers=walkers, dt=1e-4, rng=make_rng(4))
+    mc, mc_se = mc_hitting_oracle(poly, walkers=walkers, dt=1e-4, rng=make_rng(4))
     an = edge_measures(poly, solver="full")
-    se = np.maximum(mc.stderr, 1.0 / walkers)
-    assert np.all(np.abs(mc.weights - an.weights) < 4.0 * se)
+    se = np.maximum(mc_se, 1.0 / walkers)
+    assert np.all(np.abs(mc - an) < 4.0 * se)
 
 
 def test_oracle_round_cap_raises(monkeypatch):
@@ -481,10 +495,10 @@ def test_oracle_rejects_walker_edges_past_memory_cap():
        st.integers(1, 300))
 def test_oracle_counts_every_walker_once(n, beta, seed, walkers):
     poly = make_bridge_walk(seed, n, beta=beta)
-    em = mc_hitting_oracle(poly, walkers=walkers, dt=1e-3, rng=make_rng(seed))
-    counts = em.weights * walkers
-    assert np.all(em.weights >= 0.0)
-    assert abs(em.weights.sum() - 1.0) < 1e-12
+    w, _ = mc_hitting_oracle(poly, walkers=walkers, dt=1e-3, rng=make_rng(seed))
+    counts = w * walkers
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) < 1e-12
     assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
     assert int(np.round(counts).sum()) == walkers
 
@@ -496,13 +510,13 @@ def test_oracle_counts_are_pinned():
     bridge = new_bridge(derive_seed(11, 100))
     t = np.arange(7) / 6.0
     poly = WalkPolygon(times=t, values=np.array([bridge.query(s) for s in t]), beta=0.5)
-    em = mc_hitting_oracle(poly, walkers=20_000, rng=make_rng(1))
-    assert np.round(em.weights * 20_000).astype(int).tolist() == [
+    w, _ = mc_hitting_oracle(poly, walkers=20_000, rng=make_rng(1))
+    assert np.round(w * 20_000).astype(int).tolist() == [
         3347, 5103, 2759, 3178, 3525, 2088]
     assert 5000 > NEAREST_BLOCK // 32
-    em = mc_hitting_oracle(make_bridge_walk(derive_seed(77, 32), 32, beta=1.0),
-                           walkers=5000, rng=make_rng(2))
-    assert np.round(em.weights * 5000).astype(int).tolist() == [
+    w, _ = mc_hitting_oracle(make_bridge_walk(derive_seed(77, 32), 32, beta=1.0),
+                             walkers=5000, rng=make_rng(2))
+    assert np.round(w * 5000).astype(int).tolist() == [
         0, 0, 183, 41, 745, 425, 1, 475, 1459, 272, 4, 9, 73, 109, 67, 282,
         3, 0, 0, 0, 13, 184, 210, 19, 1, 1, 0, 19, 196, 112, 54, 43]
 
@@ -511,7 +525,7 @@ def test_oracle_is_deterministic_per_seed():
     poly = flat_polygon([0.0, 0.5, 1.0])
     a = mc_hitting_oracle(poly, walkers=500, dt=1e-3, rng=make_rng(9))
     b = mc_hitting_oracle(poly, walkers=500, dt=1e-3, rng=make_rng(9))
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +533,9 @@ def test_oracle_is_deterministic_per_seed():
 
 
 def test_measures_csv_layout(tmp_path):
-    em = EdgeMeasures(times=np.array([0.0, 0.4, 1.0]),
-                      weights=np.array([0.25, 0.75]))
     out = tmp_path / "m.csv"
-    save_measures_csv(em, str(out), extra_meta={"note": 1})
+    save_measures_csv(np.array([0.0, 0.4, 1.0]), np.array([0.25, 0.75]), str(out),
+                      extra_meta={"note": 1})
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["k", "t_left", "t_right", "weight"]
     assert rows[1][0] == "1" and rows[2][0] == "2"
@@ -530,16 +543,22 @@ def test_measures_csv_layout(tmp_path):
     assert (tmp_path / "m.csv.meta.json").exists()
 
 
-def test_measures_csv_appends_oracle_columns(tmp_path):
-    em = EdgeMeasures(times=np.array([0.0, 0.4, 1.0]),
-                      weights=np.array([0.25, 0.75]))
-    mc = EdgeMeasures(times=em.times, weights=np.array([0.26, 0.74]),
-                      stderr=np.array([0.01, 0.01]))
+def test_measures_csv_rejects_times_that_do_not_bound_the_edges(tmp_path):
     out = tmp_path / "m.csv"
-    save_measures_csv(em, str(out), oracle=mc)
+    for times in ([0.0, 1.0], [0.0, 0.2, 0.4, 1.0]):
+        with pytest.raises(ValueError, match="n \\+ 1 times"):
+            save_measures_csv(np.array(times), np.array([0.25, 0.75]), str(out))
+    assert not out.exists()
+
+
+def test_measures_csv_appends_oracle_columns(tmp_path):
+    times, weights = np.array([0.0, 0.4, 1.0]), np.array([0.25, 0.75])
+    mc = (np.array([0.26, 0.74]), np.array([0.01, 0.01]))
+    out = tmp_path / "m.csv"
+    save_measures_csv(times, weights, str(out), oracle=mc)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["k", "t_left", "t_right", "weight", "mc_weight", "mc_stderr"]
     assert float(rows[1][4]) == 0.26 and float(rows[1][5]) == 0.01
-    short = EdgeMeasures(times=np.array([0.0, 1.0]), weights=np.array([1.0]))
+    short = (np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        save_measures_csv(em, str(out), oracle=short)
+        save_measures_csv(times, weights, str(out), oracle=short)

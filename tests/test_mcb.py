@@ -153,6 +153,47 @@ def test_search_allocates_no_bit_matrix():
     assert peak < 4e6
 
 
+class DrawnCells:
+    """Generator stand-in that hands the search the given descent cells."""
+
+    def __init__(self, cells):
+        self.cells = np.array(cells, dtype=np.int64)
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == len(self.cells) and self.cells.max() < high
+        return self.cells
+
+
+@pytest.mark.parametrize("level, r, cells, unique", [
+    # r = l: cell k reads node k, so cell 0 reads the left endpoint again
+    (3, 3, [0, 0, 7], 3),        # 9 nodes for 5 candidates: counted densely
+    (12, 12, [0, 0, 7], 3),      # 4097 nodes for 5 candidates: counted sparsely
+    # r < l: cell k reads node (2k + 1) 2^(l - r - 1), never an endpoint
+    (6, 2, [0, 0, 3], 4),
+    (12, 4, [0, 0, 15], 4),
+])
+def test_unique_queries_at_full_and_partial_depth(level, r, cells, unique):
+    grid = fill_dyadic(level, level)
+    rep, reads = logged_search(grid, McbParams(r=r, g=len(cells)), DrawnCells(cells))
+    assert rep.params["unique_queries"] == len(np.unique(reads)) == unique
+
+
+def test_sparse_unique_count_allocates_no_grid_sized_counter():
+    # a bincount over the candidates would take 2^20 + 1 counters, 8 MiB,
+    # to count three of them
+    grid = fill_dyadic(1, 20)
+    params = McbParams(r=20, g=1)
+    mcb_search(grid, params, make_rng(0))   # numpy's first-call set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        rep = mcb_search(grid, params, make_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.params["unique_queries"] == 3
+    assert peak < 256 * 1024
+
+
 def test_search_is_deterministic_in_seed():
     grid = fill_dyadic(2, 8)
     a = mcb_search(grid, McbParams(r=6, g=100), make_rng(5))
