@@ -161,10 +161,12 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
     max(1, CHUNK_VALUES // (2**level + 1)), drawn by simulate_bridge_batch
     (CAUCHY: simulate_cauchy_batch) from derive_seed(seed, *stream, k).  No
     chunk is bound here, so only one is alive at a time.  A level outside
-    0..MAX_LEVEL raises ValueError first.
+    0..MAX_LEVEL or a kind other than those two raises ValueError first.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"grid level {level} outside 0..{MAX_LEVEL}")
+    if kind not in (BRIDGE, CAUCHY):
+        raise ValueError(f"unknown path kind '{kind}'")
     simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
     n = max(1, CHUNK_VALUES // (2 ** level + 1))
     for k, start in enumerate(range(0, count, n)):
@@ -216,10 +218,8 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
     The paths are drawn in a grid cell's chunks (run_grid), but chunk k
     comes from derive_seed(seed, k).  So the result depends only on (kind,
     level, n_paths, seed), and memory peaks at one chunk beside the n_paths
-    ranges and gaps.  A level outside 0..MAX_LEVEL raises ValueError.
+    ranges and gaps.  A bad level or kind raises ValueError (_draw_chunks).
     """
-    if kind not in (BRIDGE, CAUCHY):
-        raise ValueError(f"unknown path kind '{kind}'")
     if n_paths < 1:
         raise ValueError("need at least one path")
     ranges, gaps = np.empty(n_paths), np.empty(n_paths)

@@ -5,15 +5,16 @@ the seed and the resolved parameters ('meta'), so a run can be reproduced
 from its artifacts alone.  Each command writes one data file, '<out>', and
 one meta record: search's data file is its JSON report, which embeds meta
 and holds the seed nowhere else; the other commands write a CSV and a
-'<out>.meta.json' sidecar, and range also writes its histogram to
+'<out>.meta.json' sidecar (_write_meta; save_grid_csv adds the grid's
+level and kind to simulate's), and range also writes its histogram to
 '<out>.hist.csv'.
 Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
 ints, MAX_LEVEL capping grid levels and panel exponents), so flags and
 --config entries are checked alike before any command runs.  search and
-bench share the grid method names; search and measure take the solver
-names and walk caps from harmonic.
+bench take the grid method names from bench, search and measure the
+solver names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .rng import derive_seed, make_rng
 from .scmap import WalkPolygon
 
 KIND_ALIASES = {"bridge": BRIDGE, "brownian_bridge": BRIDGE, "cauchy": CAUCHY}
-GRID_METHODS = list(GRID_KINDS)   # bench's methods
 MAX_WALK_EDGES = max(SOLVER_EDGES.values())   # longest walk any solver takes
 
 
@@ -88,6 +88,11 @@ def _meta(args, **extra) -> dict:
             "seed": args.seed, "params": params, **extra}
 
 
+def _write_meta(args, **extra) -> None:
+    """Write the command's meta record to its '<out>.meta.json' sidecar."""
+    write_json(f"{args.out}.meta.json", _meta(args, **extra))
+
+
 def cmd_simulate(args) -> int:
     kind = KIND_ALIASES[args.kind]
     grid = (fill_dyadic if kind == BRIDGE else simulate_cauchy)(args.seed, args.level)
@@ -135,7 +140,8 @@ def cmd_measure(args) -> int:
         oracle = mc_hitting_oracle(poly, walkers=args.oracle, dt=args.dt,
                                    rng=make_rng(derive_seed(args.seed, 1)))
     t = poly.times
-    save_measures_csv(t, weights, args.out, extra_meta=_meta(args), oracle=oracle)
+    save_measures_csv(t, weights, args.out, oracle=oracle)
+    _write_meta(args)
     top = int(np.argmax(weights))
     line = (f"{poly.n_edges} edges, beta = {poly.beta}: heaviest edge {top + 1} "
             f"on [{t[top]:.6g}, {t[top + 1]:.6g}] w = {weights[top]:.6g}")
@@ -162,7 +168,7 @@ def cmd_bench(args) -> int:
                      seed=args.seed, level=args.level, gss=gss)
     rows = run_grid(grid)
     save_bench_csv(rows, args.out)
-    write_json(f"{args.out}.meta.json", _meta(args))
+    _write_meta(args)
     flagged = sum(r.flagged for r in rows)
     print(f"{args.method}: {len(rows)} cells x {args.trials} trials"
           + (f", {flagged} flagged" if flagged else "") + f" -> {args.out}")
@@ -175,8 +181,7 @@ def cmd_range(args) -> int:
                             seed=args.seed)
     save_range_csv(rd, args.out)
     med = float(np.median(rd.ranges))
-    write_json(f"{args.out}.meta.json",
-               _meta(args, mean_range=rd.mean_range, median_range=med))
+    _write_meta(args, mean_range=rd.mean_range, median_range=med)
     print(f"{kind} level {args.level}: {args.paths} paths, mean range "
           f"{rd.mean_range:.6g}, median {med:.6g} -> {args.out}")
     return 0
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_grid_level, default=10, help=f"dyadic grid level, {levels}")
 
     p = command("search", cmd_search, "run one budgeted minimum search")
-    p.add_argument("--method", choices=GRID_METHODS + ["harmonic"], required=True,
+    p.add_argument("--method", choices=[*GRID_KINDS, "harmonic"], required=True,
                    help="mcb-cauchy simulates a Cauchy path, the others a bridge")
     p.add_argument("--path", default=None,
                    help="grid CSV to search instead of simulating a path")
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle absorption shell width, finite and > 0")
 
     p = command("bench", cmd_bench, "accuracy/runtime grid over one method")
-    p.add_argument("--method", choices=GRID_METHODS, required=True)
+    p.add_argument("--method", choices=list(GRID_KINDS), required=True)
     p.add_argument("--trials", type=_bounded("trial count", 1), default=500,
                    help="trials per cell, >= 1")
     p.add_argument("--level", type=_grid_level, default=10,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import as_oracle
-from .report import SearchReport, write_csv, write_json
+from .report import SearchReport, write_csv
 from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
@@ -258,16 +258,14 @@ def save_measures_csv(
     times: np.ndarray,
     weights: np.ndarray,
     out_path: str,
-    extra_meta: dict | None = None,
     oracle: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Write 'k,t_left,t_right,weight' rows (k is 1-based) plus a sidecar.
+    """Write 'k,t_left,t_right,weight' rows, k counting from 1.
 
     times holds the walk's n + 1 node times and weights its n edge weights.
     When an ``oracle`` pair (mc_weight, mc_stderr) is given, a Monte-Carlo
     estimate over the same edges as mc_hitting_oracle returns it, those two
-    columns are appended per row.  The sidecar '<out_path>.meta.json' holds
-    extra_meta and is written only when extra_meta is given.
+    columns are appended per row.
     """
     if len(times) != len(weights) + 1:
         raise ValueError("a walk of n edges needs n + 1 times")
@@ -279,5 +277,3 @@ def save_measures_csv(
         header += ["mc_weight", "mc_stderr"]
         cols += oracle
     write_csv(out_path, header, zip(*cols))
-    if extra_meta is not None:
-        write_json(f"{out_path}.meta.json", extra_meta)

@@ -53,10 +53,6 @@ class LazyBridgePath:
         self._times = np.array([0.0, 1.0])       # sampled times in order, and their values;
         self._values = np.array([0.0, 0.0])      # replaced on each draw, never changed in place
 
-    @property
-    def n_sampled(self) -> int:
-        return len(self._times)
-
     def sampled(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the sampled times and values, in time order."""
         return self._times.copy(), self._values.copy()
@@ -114,14 +110,16 @@ def new_bridge(seed: int) -> LazyBridgePath:
 
 @dataclass(frozen=True)
 class GridPath:
-    """A path's values at the 2**level + 1 dyadic times k / 2**level; the
-    times derive from the level (dyadic_times) and are not stored."""
+    """A BRIDGE or CAUCHY path's values at the 2**level + 1 dyadic times
+    k / 2**level; the times derive from the level (dyadic_times), unstored."""
 
     level: int
     values: np.ndarray
     kind: str
 
     def __post_init__(self):
+        if self.kind not in (BRIDGE, CAUCHY):
+            raise ValueError(f"unknown path kind '{self.kind}'")
         n = 2 ** self.level
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.values) != n + 1:

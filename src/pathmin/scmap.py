@@ -83,6 +83,7 @@ class WalkPolygon:
     times holds t_0 = 0 < t_1 < ... < t_n = 1 and values the unscaled
     heights W_k with W_0 = W_n = 0; beta multiplies the heights wherever
     geometry is built, so the same walk can be examined at any amplitude.
+    slopes holds the n edge slopes of the scaled walk, computed once here.
     Non-finite times, values or beta, or slope jumps that beta overflows, raise.
     """
 
@@ -108,10 +109,12 @@ class WalkPolygon:
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         with np.errstate(over="ignore", invalid="ignore"):   # |slope jump| <= 2 max |slope|
-            jumps = 2.0 * np.abs(self.beta * (v[1:] - v[:-1]) / (t[1:] - t[:-1])).max()
+            slopes = np.diff(self.beta * v) / np.diff(t)
+            jumps = 2.0 * np.abs(slopes).max()
         for name, x in (("times", t), ("values", v), ("slope jumps", jumps)):
             if not np.isfinite(x).all():
                 raise ValueError(f"walk {name} must be finite, at beta = {self.beta:g}")
+        object.__setattr__(self, "slopes", slopes)
 
     @property
     def n_edges(self) -> int:
@@ -123,28 +126,21 @@ class WalkPolygon:
     def edge_lengths(self) -> np.ndarray:
         return np.hypot(np.diff(self.times), np.diff(self.scaled_values()))
 
-    def vertices(self) -> np.ndarray:
-        """Complex vertices w_1 .. w_{n+1} of the walk graph."""
-        return self.times + 1j * self.scaled_values()
-
 
 def turning_angles(poly: WalkPolygon) -> np.ndarray:
-    """Interior angle fractions alpha of the n + 2 polygon vertices, from
-    the edge slopes.
+    """Interior angle fractions alpha of the n + 2 polygon vertices.
 
     alpha[k] (0-based) is the fraction at vertex w_{k+1}; the final entry
     is the vertex at infinity closing the walls, with fraction 0.
 
-    With a_k = atan(edge slope of the scaled walk) / pi, each graph vertex
-    splits into half-angles eta^+ = 1/2 + a (taken from the outgoing edge)
-    and eta^- = 1/2 - a (from the incoming edge); the walls contribute
+    With a_k = atan(poly.slopes[k]) / pi, each graph vertex splits into
+    half-angles eta^+ = 1/2 + a (taken from the outgoing edge) and
+    eta^- = 1/2 - a (from the incoming edge); the walls contribute
     eta^-_0 = eta^+_n = 0 at the endpoints.  Each a_k enters one vertex
     with a plus and its neighbour with a minus, so sum(1 - alpha) = 2 up
     to float cancellation.
     """
-    t = poly.times
-    y = poly.scaled_values()
-    a = np.arctan(np.diff(y) / np.diff(t)) / math.pi
+    a = np.arctan(poly.slopes) / math.pi
     n = poly.n_edges
     alpha = np.zeros(n + 2)
     alpha[:n] += 0.5 + a
@@ -573,7 +569,7 @@ def solve_prevertices_full(poly: WalkPolygon,
 
 
 def lam_log_sin(x):
-    """Lam(x) = integral_0^x log|sin(pi u / 2)| du for |x| <= 2, vectorised.
+    """Lam(x) = integral_0^x log|sin(pi u / 2)| du for an array x, |x| <= 2.
 
     Odd in x, with the reflection Lam(x) = 2 * Lam(1) - Lam(2 - x) for
     x in (1, 2] and Lam(1) = -log 2.  On [0, 1] the endpoint log
@@ -581,8 +577,6 @@ def lam_log_sin(x):
     log(sinc(u/2)), analytic well beyond [0, 1], by the GJ_POINTS-node rule.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     ax = np.abs(x)
     if np.any(ax > 2.0 + 1e-9):
         raise ValueError("lam_log_sin is defined on [-2, 2]")
@@ -596,25 +590,14 @@ def lam_log_sin(x):
     smooth = (np.log(np.sinc(0.5 * u)) @ _GL_W) * 0.5 * xi
     vals[pos] = smooth + xi * (np.log(0.5 * np.pi * xi) - 1.0)
     vals = np.where(refl, 2.0 * LAM_ONE - vals, vals)
-    vals = np.where(x < 0.0, -vals, vals)
-    return float(vals[0]) if scalar else vals
-
-
-def slope_jumps(poly: WalkPolygon) -> np.ndarray:
-    """D_k = jump of the scaled walk slope at node t_k, k = 0 .. n.
-
-    The walk is flat outside [0, 1], so the jumps telescope:
-    sum_k D_k = 0 and -sum_k D_k min(t, t_k) reproduces the scaled walk.
-    """
-    slopes = np.diff(poly.scaled_values()) / np.diff(poly.times)
-    return np.diff(np.concatenate([[0.0], slopes, [0.0]]))
+    return np.where(x < 0.0, -vals, vals)
 
 
 def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
     """First-order pre-vertices in the walk amplitude.
 
     Expands around the flat-strip pre-vertices z0_k = sin^2(pi t_{k-1} / 2).
-    With D_k the scaled slope jumps and
+    With D_k the jump of poly.slopes at t_k, k = 0 .. n (flat outside [0, 1]) and
 
         K_k(tau) = Lam(tau - t_k) + Lam(tau + t_k)
         c        = -(1 / pi) * sum_k D_k K_k(1)
@@ -634,7 +617,7 @@ def solve_prevertices_perturbative(poly: WalkPolygon) -> PreVertexSolution:
         raise ValueError(f"walk has {n} edges; the perturbative solver caps at "
                          f"{MAX_PERTURBATIVE_EDGES}")
     z0 = np.sin(0.5 * np.pi * t) ** 2
-    d = slope_jumps(poly)
+    d = np.diff(np.concatenate([[0.0], poly.slopes, [0.0]]))
     kk1 = lam_log_sin(1.0 - t) + lam_log_sin(1.0 + t)
     c = -float(d @ kk1) / math.pi
     z = z0.copy()

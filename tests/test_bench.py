@@ -15,6 +15,7 @@ from pathmin.bench import (
     mcb_grid,
     range_distribution,
     run_grid,
+    run_trial,
     save_bench_csv,
     save_range_csv,
 )
@@ -125,6 +126,20 @@ def test_unknown_method_raises():
     grid = TrialGrid(method="bogus", cells=[{}], trials=5, seed=0)
     with pytest.raises(ValueError, match="bogus"):
         run_grid(grid)
+
+
+def test_harmonic_cell_runs_run_trial_at_the_trial_seeds():
+    # a harmonic cell draws no batch: trial t is run_trial at derive_seed(seed, c, t)
+    cell = {"budget": 8, "beta": 1.0, "solver": "full"}
+    [row] = run_grid(TrialGrid("harmonic", [cell], trials=3, seed=5, level=6))
+    errors, queries = [], []
+    for t in range(3):
+        rep, grid = run_trial("harmonic", cell, derive_seed(5, 0, t), 6)
+        errors.append(rep.min_value - grid.grid_min.value)
+        queries.append(rep.queries)
+    assert row.failures == 0
+    assert row.mean_error == float(np.mean(errors))
+    assert row.mean_queries == float(np.mean(queries))
 
 
 def test_invalid_cell_raises():
@@ -242,6 +257,15 @@ def test_range_validates_inputs():
         range_distribution("bridge", 4, 10)
     with pytest.raises(ValueError):
         range_distribution("cauchy", 4, 0)
+
+
+def test_draw_chunks_rejects_an_unknown_kind():
+    # run_grid and range_distribution both draw here, so neither can draw
+    # Cauchy rows for a kind that is not the bridge
+    drawn = []
+    with pytest.raises(ValueError, match="unknown path kind 'levy'"):
+        pathmin.bench._draw_chunks("levy", 3, 2, 0, (), lambda _, chunk: drawn.append(chunk))
+    assert drawn == []
 
 
 def test_bench_csv_layout(tmp_path):

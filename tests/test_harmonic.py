@@ -152,7 +152,7 @@ def test_full_solver_budget_past_vertex_cap_raises():
     path = new_bridge(1)
     with pytest.raises(ValueError, match="caps at"):
         harmonic_bisection_search(path, MAX_VERTICES, HmcParams(solver="full"))
-    assert path.n_sampled == 2   # rejected before any query
+    assert len(path.sampled()[0]) == 2   # rejected before any query
     rep = harmonic_bisection_search(lambda t: 0.0, MAX_VERTICES,
                                     HmcParams(beta=0.0, solver="perturbative"))
     assert rep.queries == MAX_VERTICES + 2
@@ -164,7 +164,7 @@ def test_perturbative_budget_past_edge_cap_raises():
     with pytest.raises(ValueError, match="caps at"):
         harmonic_bisection_search(path, MAX_PERTURBATIVE_EDGES + 1,
                                   HmcParams(solver="perturbative"))
-    assert path.n_sampled == 2   # rejected before any query
+    assert len(path.sampled()[0]) == 2   # rejected before any query
 
 
 BAD_OPTIONS = {
@@ -186,7 +186,7 @@ def test_unknown_solver_or_strategy_raises_before_any_query(field, budget):
     path = new_bridge(1)
     with pytest.raises(ValueError, match=message):
         harmonic_bisection_search(path, budget, HmcParams(**{"beta": 0.0, **options}))
-    assert path.n_sampled == 2
+    assert len(path.sampled()[0]) == 2
 
 
 def test_search_is_deterministic_per_seed():
@@ -534,13 +534,11 @@ def test_oracle_is_deterministic_per_seed():
 
 def test_measures_csv_layout(tmp_path):
     out = tmp_path / "m.csv"
-    save_measures_csv(np.array([0.0, 0.4, 1.0]), np.array([0.25, 0.75]), str(out),
-                      extra_meta={"note": 1})
+    save_measures_csv(np.array([0.0, 0.4, 1.0]), np.array([0.25, 0.75]), str(out))
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["k", "t_left", "t_right", "weight"]
     assert rows[1][0] == "1" and rows[2][0] == "2"
     assert float(rows[1][3]) == 0.25
-    assert (tmp_path / "m.csv.meta.json").exists()
 
 
 def test_measures_csv_rejects_times_that_do_not_bound_the_edges(tmp_path):

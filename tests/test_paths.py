@@ -33,7 +33,7 @@ def test_endpoints_are_pinned():
     path = new_bridge(0)
     assert path.query(0.0) == 0.0
     assert path.query(1.0) == 0.0
-    assert path.n_sampled == 2
+    assert len(path.sampled()[0]) == 2
 
 
 def test_query_outside_unit_interval_raises():
@@ -54,7 +54,7 @@ def test_requery_returns_stored_value(seed, times):
         seen.setdefault(t, path.query(t))
         for s, v in seen.items():
             assert path.query(s) == v
-        assert path.n_sampled == len(seen)
+        assert len(path.sampled()[0]) == len(seen)
 
 
 def test_same_seed_same_query_sequence_same_path():
@@ -142,6 +142,14 @@ def test_grid_path_validates_shape_and_pinning():
     for make in (fill_dyadic, simulate_cauchy, lambda s, lv: fill_dyadic(new_bridge(s), lv)):
         with pytest.raises(ValueError, match="level must be >= 0"):
             make(0, -1)
+
+
+def test_grid_path_rejects_an_unknown_kind(tmp_path):
+    # load_grid_csv refuses any other kind, so no such grid may be saved
+    out = tmp_path / "levy.csv"
+    with pytest.raises(ValueError, match="unknown path kind 'levy'"):
+        save_grid_csv(GridPath(2, np.zeros(5), "levy"), str(out))
+    assert not out.exists()
 
 
 def test_grid_min_takes_earliest_tie():
