@@ -8,15 +8,14 @@ import numpy as np
 from .golden import GssParams, golden_section, iterative_gss
 from .harmonic import HmcParams, harmonic_bisection_search
 from .mcb import McbParams, mcb_search
-from .paths import (BRIDGE, CAUCHY, GridPath, fill_dyadic, new_bridge, simulate_bridge_batch,
-                    simulate_cauchy, simulate_cauchy_batch)
+from .paths import (BRIDGE, CAUCHY, GridPath, fill_dyadic, grid_steps, new_bridge,
+                    simulate_bridge_batch, simulate_cauchy, simulate_cauchy_batch)
 from .report import write_csv
 from .rng import derive_seed, make_rng
 
 FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
-MAX_LEVEL = 24                 # largest grid level: 2**24 + 1 float64 values take 128 MiB
 CHUNK_VALUES = 2 ** 16         # grid values per drawn chunk of paths: 512 KiB
-# the path kind of each grid method, whose cells run_grid draws in chunks
+# the path kind of each grid method: run_trial simulates it, run_grid draws it in chunks
 GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauchy": CAUCHY}
 
 
@@ -24,10 +23,9 @@ GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauch
 class TrialGrid:
     """A family of benchmark cells for one search method.
 
-    method is one of run_trial's methods; cells holds one dict per cell of
-    the keys run_trial reads.  level is the grid resolution of the GSS
-    methods and of harmonic's reference grid.  run_grid documents the
-    streams each cell's trials draw from, given seed.
+    method is one of run_trial's methods; cells holds one dict per cell of the
+    keys run_trial reads and, for MCB, its grid level 'l' (level: the others').
+    run_grid documents the streams each cell's trials draw from, given seed.
     """
 
     method: str
@@ -58,31 +56,30 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     """One search of a benchmark cell: (report, grid searched or filled).
 
     Seed contract: unless a path is given, it is simulated from
-    derive_seed(seed, 0): a level-`level` bridge grid for the GSS methods,
-    a level-cell['l'] bridge or Cauchy grid for the MCB methods, a lazy
-    bridge for harmonic (its grid is fill_dyadic(bridge, level), filled
-    after the search).  The MCB descents draw from `descents` if it is
-    given, else from make_rng(derive_seed(seed, 1)); the harmonic search
-    draws nothing, so a harmonic trial uses only derive_seed(seed, 0).
-    `pathmin search --seed S` runs run_trial(..., S).  cell holds 'm' for
-    iter-gss, 'l', 'r', 'g' for MCB, and for harmonic 'budget', 'beta' and
-    'solver' (a harmonic.SOLVER_EDGES key).
+    derive_seed(seed, 0): a level-`level` grid of the kind GRID_KINDS names,
+    or for harmonic a lazy bridge, filled as fill_dyadic(bridge, level) after
+    the search.  The MCB descents draw from `descents` if it is given, else
+    from make_rng(derive_seed(seed, 1)); the harmonic search draws nothing,
+    so a harmonic trial uses only derive_seed(seed, 0).  `pathmin search
+    --seed S` runs run_trial(..., S).  cell holds 'm' for iter-gss, 'r', 'g'
+    for MCB, and 'budget', 'beta', 'solver' (a harmonic.SOLVER_EDGES key)
+    for harmonic.  A level outside 0..MAX_LEVEL raises ValueError first.
     """
-    if method in ("naive-gss", "iter-gss"):
+    if method in GRID_KINDS:
         if path is None:
-            path = fill_dyadic(derive_seed(seed, 0), level)
+            simulate = fill_dyadic if GRID_KINDS[method] == BRIDGE else simulate_cauchy
+            path = simulate(derive_seed(seed, 0), level)
         if method == "naive-gss":
             rep = golden_section(path, (0.0, 1.0), gss)
-        else:
+        elif method == "iter-gss":
             rep = iterative_gss(path, cell["m"], gss)
-    elif method in ("mcb", "mcb-cauchy"):
-        if path is None:
-            simulate = fill_dyadic if method == "mcb" else simulate_cauchy
-            path = simulate(derive_seed(seed, 0), cell["l"])
-        rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"]),
-                         make_rng(derive_seed(seed, 1)) if descents is None else descents)
+        else:
+            rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"]),
+                             make_rng(derive_seed(seed, 1)) if descents is None else descents)
     elif method == "harmonic":
         lazy = path is None
+        if lazy:
+            grid_steps(level)    # checked now: the fill comes after the search
         path = new_bridge(derive_seed(seed, 0)) if lazy else path
         rep = harmonic_bisection_search(path, cell["budget"],
                                         HmcParams(beta=cell["beta"], solver=cell["solver"]))
@@ -102,7 +99,7 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
       the n = max(1, CHUNK_VALUES // (2**level + 1)) paths that
       _draw_chunks draws from derive_seed(grid.seed, c, 0, k).  The level
       is grid.level for the GSS methods and cell['l'] for the MCB ones, and
-      one outside 0..MAX_LEVEL raises ValueError;
+      one outside 0..MAX_LEVEL raises ValueError (paths.grid_steps);
     - descents: the MCB searches of the cell draw from one generator,
       make_rng(derive_seed(grid.seed, c, 1)), in trial order.
     So a cell's results depend only on (grid.seed, c, trials, level), and
@@ -163,12 +160,10 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
     chunk is bound here, so only one is alive at a time.  A level outside
     0..MAX_LEVEL or a kind other than those two raises ValueError first.
     """
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"grid level {level} outside 0..{MAX_LEVEL}")
+    n = max(1, CHUNK_VALUES // (grid_steps(level) + 1))
     if kind not in (BRIDGE, CAUCHY):
         raise ValueError(f"unknown path kind '{kind}'")
     simulate = simulate_bridge_batch if kind == BRIDGE else simulate_cauchy_batch
-    n = max(1, CHUNK_VALUES // (2 ** level + 1))
     for k, start in enumerate(range(0, count, n)):
         consume(start, simulate(derive_seed(seed, *stream, k), level, min(n, count - start)))
 
@@ -200,7 +195,6 @@ class RangeDistribution:
     density describe the normalised range histogram.
     """
 
-    kind: str
     ranges: np.ndarray
     arg_gaps: np.ndarray
     bin_edges: np.ndarray
@@ -235,7 +229,7 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
     hist_hi = float(np.quantile(finite, 0.995))
     edges = np.linspace(0.0, max(hist_hi, 1e-12), bins + 1)
     density, _ = np.histogram(finite[finite <= hist_hi], bins=edges, density=True)
-    return RangeDistribution(kind=kind, ranges=ranges, arg_gaps=gaps,
+    return RangeDistribution(ranges=ranges, arg_gaps=gaps,
                              bin_edges=edges, density=density)
 
 

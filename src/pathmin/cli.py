@@ -11,9 +11,9 @@ level and kind to simulate's), and range also writes its histogram to
 Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
-ints, MAX_LEVEL capping grid levels and panel exponents), so flags and
---config entries are checked alike before any command runs.  search and
-bench take the grid method names from bench, search and measure the
+ints, paths.MAX_LEVEL capping grid levels and panel exponents), so flags
+and --config entries are checked alike before any command runs.  search
+and bench take the grid method names from bench, search and measure the
 solver names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
@@ -28,11 +28,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (GRID_KINDS, MAX_LEVEL, TrialGrid, mcb_grid, range_distribution,
-                    run_grid, run_trial, save_bench_csv, save_range_csv)
+from .bench import (GRID_KINDS, TrialGrid, mcb_grid, range_distribution, run_grid, run_trial,
+                    save_bench_csv, save_range_csv)
 from .golden import GssParams
 from .harmonic import SOLVER_EDGES, edge_measures, mc_hitting_oracle, save_measures_csv
-from .paths import (BRIDGE, CAUCHY, fill_dyadic, load_grid_csv, load_walk_csv,
+from .paths import (BRIDGE, CAUCHY, MAX_LEVEL, fill_dyadic, load_grid_csv, load_walk_csv,
                     new_bridge, save_grid_csv, simulate_cauchy)
 from .report import write_json
 from .rng import derive_seed, make_rng
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_search(args) -> int:
     path = load_grid_csv(args.path) if args.path else None
-    cell = {"m": args.m, "l": args.l, "r": args.r, "g": args.g, "budget": args.budget,
+    cell = {"m": args.m, "r": args.r, "g": args.g, "budget": args.budget,
             "beta": args.beta, "solver": args.solver}
     gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
     rep, grid = run_trial(args.method, cell, args.seed, args.level, gss, path)
@@ -220,13 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default=None,
                    help="grid CSV to search instead of simulating a path")
     p.add_argument("--level", type=_grid_level, default=10,
-                   help=f"grid level for GSS methods and harmonic's reference grid, {levels}")
+                   help=f"grid level of every method (harmonic: its reference grid), {levels}")
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
                    help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
     gss_options(p)
-    p.add_argument("--l", type=_grid_level, default=10, help=f"mcb: grid level, {levels}")
     p.add_argument("--r", type=_bounded("descent depth", 1, MAX_LEVEL), default=10,
-                   help="mcb: descent depth, 1..l")
+                   help="mcb: descent depth, 1..level")
     p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
                    help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
     p.add_argument("--budget", type=_bounded("query budget", 1, MAX_WALK_EDGES), default=33,

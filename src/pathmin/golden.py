@@ -18,6 +18,17 @@ class GssParams:
     max_iters: int = 200
 
 
+def _checked(params: GssParams | None) -> GssParams:
+    """params, GssParams() for None; an epsilon that is not finite and >= 0,
+    or a max_iters below 1, raises ValueError (the CLI's own bounds)."""
+    params = params or GssParams()
+    if not (math.isfinite(params.epsilon) and params.epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {params.epsilon}")
+    if params.max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {params.max_iters}")
+    return params
+
+
 class _CountingOracle:
     """Wraps a path oracle; counts calls and tracks the best point seen.
 
@@ -90,7 +101,7 @@ def golden_section(path, interval=(0.0, 1.0), params: GssParams | None = None,
     piecewise-linear interpolation) or any callable of t.  `trace`, if
     given, collects the (a, b) bracket after every iteration.
     """
-    params = params or GssParams()
+    params = _checked(params)
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("interval must have positive length")
@@ -114,7 +125,7 @@ def iterative_gss(path, m: int, params: GssParams | None = None) -> SearchReport
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    params = params or GssParams()
+    params = _checked(params)
     oracle = _CountingOracle(path)
     k = 2 ** m
     t0 = time.perf_counter()

@@ -23,6 +23,7 @@ from .rng import make_rng
 
 BRIDGE = "brownian_bridge"
 CAUCHY = "cauchy"
+MAX_LEVEL = 24      # largest grid level: 2**24 + 1 float64 values take 128 MiB
 
 # inverse-CDF sampling stops once |cdf(v) - p| falls below this
 PPF_RESIDUAL_TOL = 1e-10
@@ -73,9 +74,10 @@ class LazyBridgePath:
 
     def _fill(self, level: int) -> np.ndarray:
         """Values at k / 2**level, one draw per level: a coarser time splits any two new ones."""
+        n = grid_steps(level)
         for d in range(1, level + 1):
             self._draw(np.arange(1, 2 ** d, 2) / 2 ** d)
-        if len(self._times) == 2 ** level + 1:    # the store is the grid
+        if len(self._times) == n + 1:    # the store is the grid
             return self._values.copy()
         return self._values[np.searchsorted(self._times, dyadic_times(level))]
 
@@ -120,7 +122,7 @@ class GridPath:
     def __post_init__(self):
         if self.kind not in (BRIDGE, CAUCHY):
             raise ValueError(f"unknown path kind '{self.kind}'")
-        n = 2 ** self.level
+        n = grid_steps(self.level)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.values) != n + 1:
             raise ValueError(f"level {self.level} grid needs {n + 1} points")
@@ -153,9 +155,18 @@ class GridPath:
         return float(self.values[i] + frac * (self.values[i + 1] - self.values[i]))
 
 
+def grid_steps(level: int) -> int:
+    """2**level, the steps of a level-`level` grid, which every grid producer
+    takes from here before it allocates; a level outside 0..MAX_LEVEL raises ValueError."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"grid level {level} outside 0..{MAX_LEVEL}")
+    return 2 ** level
+
+
 def dyadic_times(level: int) -> np.ndarray:
     """The 2**level + 1 grid times k / 2**level, exact binary floats."""
-    return np.arange(2 ** level + 1) / float(2 ** level)
+    n = grid_steps(level)
+    return np.arange(n + 1) / float(n)
 
 
 def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
@@ -167,8 +178,6 @@ def fill_dyadic(path_or_seed: LazyBridgePath | int, level: int) -> GridPath:
     draws as the batch of its seed does but forms each mean and variance from its
     neighbours, so the two agree to an ulp, not bitwise.  The grid records no seed.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
     values = (path_or_seed._fill(level) if isinstance(path_or_seed, LazyBridgePath)
               else simulate_bridge_batch(path_or_seed, level, 1)[0])
     return GridPath(level=level, values=values, kind=BRIDGE)
@@ -178,7 +187,7 @@ def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
     """(count, 2**level + 1) array of independent pinned-bridge grid values,
     each level drawn into it in place, so a batch peaks at twice its result."""
     rng = make_rng(seed)
-    v = np.zeros((count, 2 ** level + 1))
+    v = np.zeros((count, grid_steps(level) + 1))
     for d in range(1, level + 1):
         h = 2 ** (level - d)
         v[:, h::2 * h] = 0.5 * (v[:, :-h:2 * h] + v[:, 2 * h::2 * h]) + (
@@ -189,8 +198,6 @@ def simulate_bridge_batch(seed: int, level: int, count: int) -> np.ndarray:
 def simulate_cauchy(seed: int, level: int) -> GridPath:
     """Cauchy process on the dyadic grid: the one path of
     simulate_cauchy_batch(seed, level, 1)."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
     return GridPath(level=level, values=simulate_cauchy_batch(seed, level, 1)[0], kind=CAUCHY)
 
 
@@ -203,7 +210,7 @@ def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
     place in the uniforms' array, so a batch peaks at twice its result.
     """
     rng = make_rng(seed)
-    n = 2 ** level
+    n = grid_steps(level)
     u = rng.random((count, n))
     u -= 0.5
     u *= np.pi

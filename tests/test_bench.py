@@ -21,7 +21,19 @@ from pathmin.bench import (
 )
 from pathmin.golden import GssParams, iterative_gss
 from pathmin.mcb import McbParams, mcb_search
-from pathmin.paths import BRIDGE, CAUCHY, GridPath, simulate_bridge_batch, simulate_cauchy_batch
+from pathmin.paths import (
+    BRIDGE,
+    CAUCHY,
+    MAX_LEVEL,
+    GridPath,
+    LazyBridgePath,
+    dyadic_times,
+    fill_dyadic,
+    new_bridge,
+    simulate_bridge_batch,
+    simulate_cauchy,
+    simulate_cauchy_batch,
+)
 from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import ScSolverError
 
@@ -167,6 +179,46 @@ def test_grid_level_past_batch_cap_raises(monkeypatch):
             range_distribution(kind, 27, 1)
 
 
+TRIAL_CELLS = {"naive-gss": {}, "iter-gss": {"m": 2}, "mcb": {"r": 1, "g": 4},
+               "mcb-cauchy": {"r": 1, "g": 4},
+               "harmonic": {"budget": 4, "beta": 1.0, "solver": "full"}}
+GRID_PRODUCERS = {
+    "fill_dyadic-seed": lambda level: fill_dyadic(1, level),
+    "fill_dyadic-lazy": lambda level: fill_dyadic(new_bridge(1), level),
+    "simulate_cauchy": lambda level: simulate_cauchy(1, level),
+    "simulate_bridge_batch": lambda level: simulate_bridge_batch(1, level, 2),
+    "simulate_cauchy_batch": lambda level: simulate_cauchy_batch(1, level, 2),
+    "GridPath": lambda level: GridPath(level, np.zeros(3), BRIDGE),
+    "dyadic_times": dyadic_times,
+    **{f"run_trial-{method}": (lambda level, method=method:
+                               run_trial(method, TRIAL_CELLS[method], 1, level))
+       for method in TRIAL_CELLS},
+}
+
+
+@pytest.mark.parametrize("level", [-1, MAX_LEVEL + 1])
+@pytest.mark.parametrize("producer", list(GRID_PRODUCERS))
+def test_every_grid_producer_checks_its_level_first(monkeypatch, producer, level):
+    # a level-25 grid would hold 2**25 + 1 values, 256 MiB: none may be allocated,
+    # and no search may query a path whose grid could not be built afterwards
+    peak_bound = 2 ** 20
+
+    def never(*args, **kwargs):
+        raise AssertionError("nothing may be queried or searched")
+
+    monkeypatch.setattr(LazyBridgePath, "query", never)
+    for search in ("golden_section", "iterative_gss", "mcb_search", "harmonic_bisection_search"):
+        monkeypatch.setattr(pathmin.bench, search, never)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^grid level {level} outside 0..{MAX_LEVEL}$"):
+            GRID_PRODUCERS[producer](level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_bound
+
+
 @pytest.mark.parametrize("error", [ScSolverError, FloatingPointError])
 def test_numerical_failures_are_counted_and_flagged(monkeypatch, error):
     search = pathmin.bench.mcb_search
@@ -199,7 +251,6 @@ def test_mcb_grid_builds_matched_budget_cells():
 
 def test_bridge_range_sits_below_continuum_value():
     rd = range_distribution("brownian_bridge", 8, 4000, seed=5)
-    assert rd.kind == "brownian_bridge"
     assert len(rd.ranges) == 4000
     # discrete grids clip the excursions, so the mean sits under sqrt(pi/2)
     assert 1.1 < rd.mean_range < math.sqrt(math.pi / 2.0)

@@ -52,8 +52,8 @@ def test_simulate_level_zero_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["search", "--method", "mcb", "--l", "40", "--r", "1", "--g", "1"], "--l"),
-    (["search", "--method", "mcb", "--l", "30", "--r", "1", "--g", "1"], "--l"),
+    (["search", "--method", "mcb", "--level", "40", "--r", "1", "--g", "1"], "--level"),
+    (["search", "--method", "mcb", "--level", "30", "--r", "1", "--g", "1"], "--level"),
     (["search", "--method", "naive-gss", "--level", "25"], "--level"),
     (["simulate", "--level", "25"], "--level"),
     (["range", "--level", "25", "--paths", "1"], "--level"),
@@ -93,7 +93,7 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, flag):
     (["range", "--paths", str(2 ** 24 + 1)], "--paths", "<= 16777216"),
     (["range", "--bins", "65537"], "--bins", "<= 65536"),
     # each single-option bound sits on its option, so nothing is simulated first
-    (["search", "--method", "mcb", "--l", "24", "--r", "0"], "--r", ">= 1"),
+    (["search", "--method", "mcb", "--level", "24", "--r", "0"], "--r", ">= 1"),
     (["search", "--method", "mcb", "--r", "25"], "--r", "<= 24"),
     (["search", "--method", "naive-gss", "--epsilon", "nan"], "--epsilon", ">= 0"),
     (["search", "--method", "naive-gss", "--epsilon", "-1"], "--epsilon", ">= 0"),
@@ -222,7 +222,7 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
     text = grid_file.read_text()
     grid_file.write_text(text.replace("\n0.125,", "\n0.041,", 1))
     rc, out = run(tmp_path, "search", "--method", method, "--path", str(grid_file),
-                  "--l", "3", "--r", "3", "--g", "8", "--seed", "3")
+                  "--level", "3", "--r", "3", "--g", "8", "--seed", "3")
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
@@ -232,10 +232,10 @@ HARMONIC = {"budget": 8, "beta": 1.0, "solver": "full"}
 
 
 @pytest.mark.parametrize("flags, method, cell", [
-    (["--method", "mcb", "--l", "6", "--r", "5", "--g", "32"],
-     "mcb", {"l": 6, "r": 5, "g": 32}),
-    (["--method", "mcb-cauchy", "--l", "6", "--r", "5", "--g", "32"],
-     "mcb-cauchy", {"l": 6, "r": 5, "g": 32}),
+    (["--method", "mcb", "--level", "7", "--r", "5", "--g", "32"],
+     "mcb", {"r": 5, "g": 32}),
+    (["--method", "mcb-cauchy", "--level", "7", "--r", "5", "--g", "32"],
+     "mcb-cauchy", {"r": 5, "g": 32}),
     (["--method", "naive-gss", "--level", "7"], "naive-gss", {}),
     (["--method", "iter-gss", "--level", "7", "--m", "2"], "iter-gss", {"m": 2}),
     (["--method", "harmonic", "--budget", "8", "--level", "7"], "harmonic", HARMONIC),
@@ -265,6 +265,15 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
     assert rep["error_vs_grid_min"] == trial.min_value - grid.grid_min.value
     if path is not None:   # a searched grid is queried by interpolation, never below its minimum
         assert rep["error_vs_grid_min"] >= 0.0
+
+
+def test_search_level_is_the_mcb_grid_level(tmp_path):
+    rc, out = run(tmp_path, "search", "--method", "mcb", "--level", "6", "--r", "6",
+                  "--g", "64", "--seed", "1")
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["params"]["l"] == 6
+    assert rep["meta"]["params"]["level"] == 6 and "l" not in rep["meta"]["params"]
 
 
 @pytest.mark.parametrize("case", ["nan", "-inf", "kind", "no-level", "not-object",
@@ -409,7 +418,7 @@ def test_each_command_writes_one_data_file_and_one_meta_record(tmp_path):
     # range also writes its histogram
     runs = {
         "simulate": ["simulate", "--level", "3"],
-        "search": ["search", "--method", "mcb", "--l", "4", "--r", "4", "--g", "8"],
+        "search": ["search", "--method", "mcb", "--level", "4", "--r", "4", "--g", "8"],
         "measure": ["measure", "--walk-nodes", "3", "--beta", "0.2"],
         "oracle": ["measure", "--walk-nodes", "3", "--beta", "0.2", "--oracle", "50"],
         "bench": ["bench", "--method", "mcb", "--n", "2", "--trials", "2"],
@@ -630,6 +639,11 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     # the harmonic search always bisects its heaviest edge: no strategy to pick
     pytest.param(["search", "--method", "harmonic", "--strategy", "max", "--seed", "1"], None,
                  "unrecognized arguments: --strategy max", id="no-strategy"),
+    # --level is every method's grid level: MCB has no level of its own
+    pytest.param(["search", "--method", "mcb", "--l", "6", "--g", "64", "--seed", "1"], None,
+                 "unrecognized arguments: --l 6", id="no-l-flag"),
+    pytest.param(["search", "--method", "mcb", "--g", "64", "--seed", "1", "--config", "CFG"],
+                 {"l": 6}, "unrecognized arguments: --l=6", id="no-l-key"),
 ])
 def test_misspelt_repeated_or_negative_option_is_usage_error(tmp_path, capsys, argv, config,
                                                              named):

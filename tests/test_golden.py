@@ -171,6 +171,24 @@ def test_iterative_rejects_negative_m():
         iterative_gss(lambda t: t, -1)
 
 
+@pytest.mark.parametrize("params, named", [
+    (GssParams(max_iters=0), "max_iters"),
+    (GssParams(max_iters=-5), "max_iters"),
+    (GssParams(epsilon=float("nan")), "epsilon"),
+    (GssParams(epsilon=float("inf")), "epsilon"),
+    (GssParams(epsilon=-0.001), "epsilon"),
+])
+def test_bad_params_raise_before_any_query(params, named):
+    # the CLI's bounds: epsilon finite and >= 0, max_iters >= 1
+    log = []
+    oracle = recording(lambda t: (t - 0.3) ** 2, log)
+    with pytest.raises(ValueError, match=named):
+        golden_section(oracle, (0.0, 1.0), params)
+    with pytest.raises(ValueError, match=named):
+        iterative_gss(oracle, 2, params)
+    assert log == []
+
+
 def gss_error(seed, m=None, level=8):
     """(error, report) of golden-section, partitioned when m is given,
     against the grid minimum of a grid bridge."""

@@ -140,7 +140,7 @@ def test_grid_path_validates_shape_and_pinning():
     with pytest.raises(ValueError, match="start at 0"):
         GridPath(level=1, values=np.array([1.0, 2.0, 3.0]), kind=CAUCHY)
     for make in (fill_dyadic, simulate_cauchy, lambda s, lv: fill_dyadic(new_bridge(s), lv)):
-        with pytest.raises(ValueError, match="level must be >= 0"):
+        with pytest.raises(ValueError, match="grid level -1 outside 0..24"):
             make(0, -1)
 
 
