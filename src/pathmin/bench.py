@@ -21,10 +21,10 @@ GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauch
 
 @dataclass
 class TrialGrid:
-    """A family of benchmark cells for one search method.
+    """A family of benchmark cells for one grid search method.
 
-    method is one of run_trial's methods; cells holds one dict per cell of the
-    keys run_trial reads and, for MCB, its grid level 'l' (level: the others').
+    method is one of GRID_KINDS; cells holds one dict per cell of the keys
+    run_trial reads and, for MCB, its grid level 'l' (level: the GSS ones').
     run_grid documents the streams each cell's trials draw from, given seed.
     """
 
@@ -93,8 +93,8 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
 def run_grid(grid: TrialGrid) -> list[BenchRow]:
     """Run every cell of the grid and aggregate per-cell statistics.
 
-    Seed contract.  A cell of the four grid methods draws its trials from
-    two streams of (grid.seed, c), c being the cell's index:
+    Seed contract.  A cell draws its trials from two streams of
+    (grid.seed, c), c being the cell's index:
     - paths: trial t searches row t % n of chunk t // n, chunk k holding
       the n = max(1, CHUNK_VALUES // (2**level + 1)) paths that
       _draw_chunks draws from derive_seed(grid.seed, c, 0, k).  The level
@@ -103,24 +103,28 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
     - descents: the MCB searches of the cell draw from one generator,
       make_rng(derive_seed(grid.seed, c, 1)), in trial order.
     So a cell's results depend only on (grid.seed, c, trials, level), and
-    it peaks at one chunk of paths.
-    A harmonic trial t runs run_trial at derive_seed(grid.seed, c, t), as
-    `pathmin search` would: its lazy bridge, the trial's one draw, is
-    sampled one query at a time, so there is no batch to draw.
+    it peaks at one chunk of paths.  A method outside GRID_KINDS, harmonic
+    included, raises ValueError before anything is drawn.
 
     Trials that hit a numerical failure (RuntimeError, which covers
     ScSolverError, or FloatingPointError) are counted as failures and
     excluded from the means; a cell with more than 1% failures is
-    flagged.  Any other error, such as an invalid cell or an unknown
-    method, propagates to the caller.
+    flagged.  Any other error, such as an invalid cell, propagates to the
+    caller.
     """
+    if grid.method not in GRID_KINDS:
+        raise ValueError(f"unknown benchmark method '{grid.method}'")
+    kind = GRID_KINDS[grid.method]
+    gss = grid.method in ("naive-gss", "iter-gss")
     rows = []
     for ci, cell in enumerate(grid.cells):
-        if grid.method in GRID_KINDS:
-            outcomes = _cell_outcomes(grid, ci, cell)
-        else:
-            outcomes = [_guarded_trial(grid, cell, derive_seed(grid.seed, ci, tr))
-                        for tr in range(grid.trials)]
+        level = grid.level if gss else cell["l"]
+        descents = None if gss else make_rng(derive_seed(grid.seed, ci, 1))
+        outcomes = []
+        _draw_chunks(kind, level, grid.trials, grid.seed, (ci, 0),
+                     lambda _, chunk: outcomes.extend(
+                         _guarded_trial(grid, cell, GridPath(level, row, kind), descents)
+                         for row in chunk))
         good = [o for o in outcomes if o is not None]
         failures = len(outcomes) - len(good)
         if good:
@@ -135,20 +139,6 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
             trials=grid.trials, failures=failures,
             flagged=failures > FAILURE_FLAG_FRACTION * grid.trials))
     return rows
-
-
-def _cell_outcomes(grid, ci, cell):
-    """The outcomes of one cell's trials, drawn from its streams (run_grid)."""
-    gss = grid.method in ("naive-gss", "iter-gss")
-    level = grid.level if gss else cell["l"]
-    kind = GRID_KINDS[grid.method]
-    descents = None if gss else make_rng(derive_seed(grid.seed, ci, 1))
-    outcomes = []
-    _draw_chunks(kind, level, grid.trials, grid.seed, (ci, 0),
-                 lambda _, chunk: outcomes.extend(
-                     _guarded_trial(grid, cell, grid.seed, GridPath(level, row, kind), descents)
-                     for row in chunk))
-    return outcomes
 
 
 def _draw_chunks(kind, level, count, seed, stream, consume):
@@ -168,10 +158,10 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
         consume(start, simulate(derive_seed(seed, *stream, k), level, min(n, count - start)))
 
 
-def _guarded_trial(grid, cell, tseed, path=None, descents=None):
-    """(error, wall_time, queries) of one trial, or None on a numerical failure."""
+def _guarded_trial(grid, cell, path, descents):
+    """(error, wall_time, queries) of one trial on path, or None on a numerical failure."""
     try:
-        rep, path = run_trial(grid.method, cell, tseed, grid.level, grid.gss, path, descents)
+        rep, path = run_trial(grid.method, cell, grid.seed, grid.level, grid.gss, path, descents)
         return rep.min_value - path.grid_min.value, rep.wall_time, rep.queries
     except (RuntimeError, FloatingPointError):
         return None

@@ -12,9 +12,12 @@ Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
 ints, paths.MAX_LEVEL capping grid levels and panel exponents), so flags
-and --config entries are checked alike before any command runs.  search
-and bench take the grid method names from bench, search and measure the
-solver names and walk caps from harmonic.
+and --config entries are checked alike before any command runs.  Each
+trial input has one source: search takes --path or --level, measure
+--walk or --walk-nodes, and meta records the searched grid's level and
+the measured walk's edge count.  search and bench take the grid method
+names from bench, search and measure the solver names and walk caps from
+harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -105,6 +108,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_search(args) -> int:
     path = load_grid_csv(args.path) if args.path else None
+    args.level = path.level if args.path else args.level or 10
     cell = {"m": args.m, "r": args.r, "g": args.g, "budget": args.budget,
             "beta": args.beta, "solver": args.solver}
     gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
@@ -125,7 +129,7 @@ def _load_polygon(args) -> WalkPolygon:
     if args.walk:
         times, values = load_walk_csv(args.walk)
     else:
-        n = args.walk_nodes
+        n = args.walk_nodes or 6
         path = new_bridge(derive_seed(args.seed, 100))
         times = np.arange(n + 1) / float(n)
         values = np.array([path.query(t) for t in times])
@@ -134,6 +138,7 @@ def _load_polygon(args) -> WalkPolygon:
 
 def cmd_measure(args) -> int:
     poly = _load_polygon(args)
+    args.walk_nodes = poly.n_edges
     weights = edge_measures(poly, solver=args.solver)
     oracle = None
     if args.oracle is not None:
@@ -217,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("search", cmd_search, "run one budgeted minimum search")
     p.add_argument("--method", choices=[*GRID_KINDS, "harmonic"], required=True,
                    help="mcb-cauchy simulates a Cauchy path, the others a bridge")
-    p.add_argument("--path", default=None,
-                   help="grid CSV to search instead of simulating a path")
-    p.add_argument("--level", type=_grid_level, default=10,
-                   help=f"grid level of every method (harmonic: its reference grid), {levels}")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--path", default=None,
+                        help="grid CSV to search instead of simulating a path")
+    source.add_argument("--level", type=_grid_level, default=None,
+                        help=f"grid level of every method (harmonic: its reference grid), "
+                             f"{levels}; default 10, or the --path grid's")
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
                    help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
     gss_options(p)
@@ -237,10 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="harmonic: pre-vertex solver")
 
     p = command("measure", cmd_measure, "harmonic edge weights of a walk polygon")
-    p.add_argument("--walk", default=None, help="CSV of walk nodes (t,value)")
-    p.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_WALK_EDGES),
-                   default=6, help=f"edges, 2..{MAX_WALK_EDGES}, of a synthetic "
-                                   f"bridge walk when --walk is absent")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--walk", default=None, help="CSV of walk nodes (t,value)")
+    source.add_argument("--walk-nodes", type=_bounded("walk edge count", 2, MAX_WALK_EDGES),
+                        help=f"edges, 2..{MAX_WALK_EDGES}, of a synthetic bridge walk; "
+                             f"default 6, or the --walk walk's")
     p.add_argument("--beta", type=_finite(">= 0"), default=1.0, help="finite and >= 0")
     p.add_argument("--solver", choices=list(SOLVER_EDGES), default="full")
     p.add_argument("--oracle", type=_bounded("walker count", 1), default=None, metavar="N",

@@ -133,25 +133,19 @@ def test_cell_memory_peaks_at_one_chunk():
     assert many < 3 * 15 * (2 ** 12 + 1) * 8
 
 
-def test_unknown_method_raises():
-    # a usage error, not a failed trial: it must reach the caller
-    grid = TrialGrid(method="bogus", cells=[{}], trials=5, seed=0)
-    with pytest.raises(ValueError, match="bogus"):
-        run_grid(grid)
+def never(*args):
+    raise AssertionError("nothing may be simulated")
 
 
-def test_harmonic_cell_runs_run_trial_at_the_trial_seeds():
-    # a harmonic cell draws no batch: trial t is run_trial at derive_seed(seed, c, t)
-    cell = {"budget": 8, "beta": 1.0, "solver": "full"}
-    [row] = run_grid(TrialGrid("harmonic", [cell], trials=3, seed=5, level=6))
-    errors, queries = [], []
-    for t in range(3):
-        rep, grid = run_trial("harmonic", cell, derive_seed(5, 0, t), 6)
-        errors.append(rep.min_value - grid.grid_min.value)
-        queries.append(rep.queries)
-    assert row.failures == 0
-    assert row.mean_error == float(np.mean(errors))
-    assert row.mean_queries == float(np.mean(queries))
+def test_unknown_method_raises(monkeypatch):
+    # a usage error, not a failed trial: it must reach the caller before any
+    # draw; harmonic is run_trial's alone, as it has no batch to draw
+    monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", never)
+    monkeypatch.setattr(pathmin.bench, "simulate_cauchy_batch", never)
+    for method in ("bogus", "harmonic"):
+        grid = TrialGrid(method=method, cells=[TRIAL_CELLS["harmonic"]], trials=5, seed=0)
+        with pytest.raises(ValueError, match=f"unknown benchmark method '{method}'"):
+            run_grid(grid)
 
 
 def test_invalid_cell_raises():
@@ -164,9 +158,6 @@ def test_invalid_cell_raises():
 
 def test_grid_level_past_batch_cap_raises(monkeypatch):
     # levels past MAX_LEVEL = 24 raise before anything is drawn
-    def never(*args):
-        raise AssertionError("nothing may be simulated")
-
     monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", never)
     monkeypatch.setattr(pathmin.bench, "simulate_cauchy_batch", never)
     for grid in (TrialGrid(method="naive-gss", cells=[{}], trials=1, level=25),

@@ -222,9 +222,9 @@ def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
     text = grid_file.read_text()
     grid_file.write_text(text.replace("\n0.125,", "\n0.041,", 1))
     rc, out = run(tmp_path, "search", "--method", method, "--path", str(grid_file),
-                  "--level", "3", "--r", "3", "--g", "8", "--seed", "3")
+                  "--r", "3", "--g", "8", "--seed", "3")
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "times are not the level-3 grid" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -257,6 +257,7 @@ def test_search_is_one_bench_trial(tmp_path, flags, method, cell):
     rep = json.loads(out.read_text())
     trial, grid = run_trial(method, cell, 13, level=7, gss=GssParams(), path=path)
     assert rep["meta"]["seed"] == 13
+    assert rep["meta"]["params"]["level"] == 7   # the saved grid's level under --path
     assert rep["min_value"] == trial.min_value
     assert rep["argmin_t"] == trial.argmin_t
     assert rep["queries"] == trial.queries
@@ -274,6 +275,41 @@ def test_search_level_is_the_mcb_grid_level(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["params"]["l"] == 6
     assert rep["meta"]["params"]["level"] == 6 and "l" not in rep["meta"]["params"]
+
+
+MCB4 = ["search", "--method", "mcb", "--r", "4", "--g", "16", "--path", "GRID"]
+WALK4 = "t,value\n0,0\n0.25,0.1\n0.5,-0.2\n0.75,0.1\n1,0\n"   # a 4-edge walk
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*MCB4, "--level", "12"], None),
+    # the former default, which argparse cannot tell from an absent option
+    ([*MCB4, "--level", "10"], None),
+    ([*MCB4, "--config", "CFG"], {"level": 4}),
+    (["measure", "--walk", "WALK", "--walk-nodes", "6"], None),
+], ids=["path-level-12", "path-level-10", "path-level-key", "walk-walk-nodes"])
+def test_each_trial_input_has_one_source(tmp_path, capsys, argv, config):
+    # a saved grid brings its level, a walk its edge count: a second source is refused
+    grid_file, walk, cfg = tmp_path / "g.csv", tmp_path / "w.csv", tmp_path / "cfg.json"
+    assert main(["simulate", "--seed", "3", "--level", "4", "--out", str(grid_file)]) == 0
+    walk.write_text(WALK4)
+    cfg.write_text(json.dumps(config))
+    inputs = sorted(tmp_path.iterdir())
+    argv = [{"GRID": str(grid_file), "WALK": str(walk), "CFG": str(cfg)}.get(a, a) for a in argv]
+    capsys.readouterr()
+    rc, _ = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_measure_meta_records_the_walk_edge_count(tmp_path):
+    walk = tmp_path / "w.csv"
+    walk.write_text(WALK4)
+    for argv, edges in ((["--walk", str(walk)], 4), ([], 6)):
+        rc, out = run(tmp_path, "measure", *argv, "--seed", "1")
+        assert rc == 0
+        assert json.loads(Path(f"{out}.meta.json").read_text())["params"]["walk_nodes"] == edges
 
 
 @pytest.mark.parametrize("case", ["nan", "-inf", "kind", "no-level", "not-object",
