@@ -1,23 +1,22 @@
 """Command-line front end: simulate, search, measure, bench, range.
 
-Every command requires an explicit --seed and records the tool version,
-the seed and the resolved parameters ('meta'), so a run can be reproduced
-from its artifacts alone.  Each command writes one data file, '<out>', and
-one meta record: search's data file is its JSON report, which embeds meta
-and holds the seed nowhere else; the other commands write a CSV and a
-'<out>.meta.json' sidecar (_write_meta; save_grid_csv adds the grid's
-level and kind to simulate's), and range also writes its histogram to
-'<out>.hist.csv'.
+Every command requires an explicit --seed and writes one data file,
+'<out>', and one meta record, so a run can be reproduced from its
+artifacts.  meta holds the tool, version, command and seed, and in 'params'
+each other option the run read that no other record of the artifact holds.
+search's report embeds meta and keeps the options its method read in its
+own 'params'; the other commands write a CSV and a '<out>.meta.json'
+sidecar (save_grid_csv puts the grid's level and kind in simulate's), and
+range also writes its histogram to '<out>.hist.csv'.
 Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
 ints, paths.MAX_LEVEL capping grid levels and panel exponents), so flags
 and --config entries are checked alike before any command runs.  Each
-trial input has one source: search takes --path or --level, measure
---walk or --walk-nodes, and meta records the searched grid's level and
-the measured walk's edge count.  search and bench take the grid method
-names from bench, search and measure the solver names and walk caps from
-harmonic.
+trial input has one source: search takes --path or --level (and --r
+defaults to that level), measure --walk or --walk-nodes.  search and bench
+take the grid method names from bench, search and measure the solver
+names and walk caps from harmonic.
 Exit codes: 0 success, 2 usage or invalid arguments, 3 numerical failure.
 """
 from __future__ import annotations
@@ -85,21 +84,24 @@ def _finite(low: str):
 _grid_level = _bounded("grid level", 1, MAX_LEVEL)
 
 
-def _meta(args, **extra) -> dict:
-    params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+def _meta(args, *owned, **extra) -> dict:
+    """The meta record: tool, version, command, seed and extra, and in 'params'
+    each other option but the owned ones, held by another record or unread."""
+    skip = {"func", "config", "command", "seed", *owned}
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     return {"tool": "pathmin", "version": __version__, "command": args.command,
             "seed": args.seed, "params": params, **extra}
 
 
-def _write_meta(args, **extra) -> None:
+def _write_meta(args, *owned, **extra) -> None:
     """Write the command's meta record to its '<out>.meta.json' sidecar."""
-    write_json(f"{args.out}.meta.json", _meta(args, **extra))
+    write_json(f"{args.out}.meta.json", _meta(args, *owned, **extra))
 
 
 def cmd_simulate(args) -> int:
     kind = KIND_ALIASES[args.kind]
     grid = (fill_dyadic if kind == BRIDGE else simulate_cauchy)(args.seed, args.level)
-    save_grid_csv(grid, args.out, extra_meta=_meta(args))
+    save_grid_csv(grid, args.out, extra_meta=_meta(args, "level", "kind"))
     gm = grid.grid_min
     print(f"{kind} level {args.level}: {len(grid.values)} points, "
           f"grid min {gm.value:.6g} at t = {gm.time:.6g} -> {args.out}")
@@ -109,7 +111,7 @@ def cmd_simulate(args) -> int:
 def cmd_search(args) -> int:
     path = load_grid_csv(args.path) if args.path else None
     args.level = path.level if args.path else args.level or 10
-    cell = {"m": args.m, "r": args.r, "g": args.g, "budget": args.budget,
+    cell = {"m": args.m, "r": args.r or args.level, "g": args.g, "budget": args.budget,
             "beta": args.beta, "solver": args.solver}
     gss = GssParams(epsilon=args.epsilon, max_iters=args.max_iters)
     rep, grid = run_trial(args.method, cell, args.seed, args.level, gss, path)
@@ -118,7 +120,8 @@ def cmd_search(args) -> int:
               f"back to uniform weights", file=sys.stderr)
     gm = grid.grid_min
     payload = {**dataclasses.asdict(rep), "grid_min": {"time": gm.time, "value": gm.value},
-               "error_vs_grid_min": rep.min_value - gm.value, "meta": _meta(args)}
+               "error_vs_grid_min": rep.min_value - gm.value,
+               "meta": _meta(args, *cell, "epsilon", "max_iters")}   # rep.params has those read
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
           f"({rep.queries} queries) -> {args.out}")
@@ -146,7 +149,7 @@ def cmd_measure(args) -> int:
                                    rng=make_rng(derive_seed(args.seed, 1)))
     t = poly.times
     save_measures_csv(t, weights, args.out, oracle=oracle)
-    _write_meta(args)
+    _write_meta(args, *(() if args.oracle else ("dt",)))   # only the oracle reads --dt
     top = int(np.argmax(weights))
     line = (f"{poly.n_edges} edges, beta = {poly.beta}: heaviest edge {top + 1} "
             f"on [{t[top]:.6g}, {t[top + 1]:.6g}] w = {weights[top]:.6g}")
@@ -163,17 +166,18 @@ def cmd_bench(args) -> int:
         if not args.n:
             raise ValueError("--n is required for bisection benchmarks")
         cells = mcb_grid(_parse_int_list(args.n)).cells
+        unread = ("level", "epsilon", "max_iters", "m")   # the CSV gives each cell's l, r, g
     elif args.method == "naive-gss":
-        cells = [{}]
+        cells, unread = [{}], ("m", "n")
     elif not args.m:
         raise ValueError("--m is required for iter-gss benchmarks")
     else:
-        cells = [{"m": m} for m in _parse_int_list(args.m)]
+        cells, unread = [{"m": m} for m in _parse_int_list(args.m)], ("n",)
     grid = TrialGrid(method=args.method, cells=cells, trials=args.trials,
                      seed=args.seed, level=args.level, gss=gss)
     rows = run_grid(grid)
     save_bench_csv(rows, args.out)
-    _write_meta(args)
+    _write_meta(args, *unread)
     flagged = sum(r.flagged for r in rows)
     print(f"{args.method}: {len(rows)} cells x {args.trials} trials"
           + (f", {flagged} flagged" if flagged else "") + f" -> {args.out}")
@@ -231,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_bounded("panel exponent", 0, MAX_LEVEL), default=3,
                    help=f"iter-gss: 2**m panels, m in 0..{MAX_LEVEL}")
     gss_options(p)
-    p.add_argument("--r", type=_bounded("descent depth", 1, MAX_LEVEL), default=10,
-                   help="mcb: descent depth, 1..level")
+    p.add_argument("--r", type=_bounded("descent depth", 1, MAX_LEVEL), default=None,
+                   help="mcb: descent depth, 1..level; default the grid level")
     p.add_argument("--g", type=_bounded("descent count", 1, 2 ** MAX_LEVEL), default=1024,
                    help=f"mcb: descent count, 1..2**{MAX_LEVEL}")
     p.add_argument("--budget", type=_bounded("query budget", 1, MAX_WALK_EDGES), default=33,

@@ -277,6 +277,55 @@ def test_search_level_is_the_mcb_grid_level(tmp_path):
     assert rep["meta"]["params"]["level"] == 6 and "l" not in rep["meta"]["params"]
 
 
+def test_search_r_defaults_to_the_grid_level(tmp_path):
+    rc, out = run(tmp_path, "search", "--method", "mcb", "--level", "6", "--seed", "1")
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["params"]["r"] == rep["params"]["l"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--method", "naive-gss", "--level", "4"],
+    ["search", "--method", "iter-gss", "--level", "4", "--m", "1"],
+    ["search", "--method", "mcb", "--level", "4", "--g", "8"],
+    ["search", "--method", "mcb-cauchy", "--level", "4", "--g", "8"],
+    ["search", "--method", "harmonic", "--level", "4", "--budget", "2"],
+    ["simulate", "--level", "3"],
+    ["measure", "--walk-nodes", "3", "--beta", "0.2"],
+    ["bench", "--method", "mcb", "--n", "2", "--trials", "2"],
+    ["range", "--level", "3", "--paths", "5", "--bins", "4"],
+], ids=lambda argv: "-".join(argv[:3:2]) if argv[0] == "search" else argv[0])
+def test_meta_says_each_fact_once(tmp_path, argv):
+    rc, out = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 0
+    if argv[0] == "search":
+        rep = json.loads(out.read_text())
+        meta = rep["meta"]
+        assert set(meta["params"]) == {"level", "method", "out", "path"}
+        assert not set(rep["params"]) & set(meta["params"])
+    else:
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+    assert meta["command"] == argv[0] and meta["seed"] == 1
+    assert not set(meta) & set(meta["params"])   # no top-level key again in params
+
+
+GIVEN = ["--n", "2", "--m", "1", "--level", "4", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv, kept, unread", [
+    # an MCB bench's CSV gives each cell's l, r, g
+    (["bench", "--method", "mcb", *GIVEN], {"n"}, {"level", "epsilon", "max_iters", "m"}),
+    (["bench", "--method", "naive-gss", *GIVEN], {"level", "epsilon", "max_iters"}, {"m", "n"}),
+    (["bench", "--method", "iter-gss", *GIVEN], {"level", "epsilon", "max_iters", "m"}, {"n"}),
+    (["measure", "--walk-nodes", "3"], {"walk_nodes", "oracle"}, {"dt"}),
+], ids=["bench-mcb", "bench-naive-gss", "bench-iter-gss", "measure"])
+def test_meta_leaves_out_options_the_run_did_not_read(tmp_path, argv, kept, unread):
+    rc, out = run(tmp_path, *argv, "--seed", "1")
+    assert rc == 0
+    params = set(json.loads(Path(f"{out}.meta.json").read_text())["params"])
+    assert kept <= params and not unread & params
+
+
 MCB4 = ["search", "--method", "mcb", "--r", "4", "--g", "16", "--path", "GRID"]
 WALK4 = "t,value\n0,0\n0.25,0.1\n0.5,-0.2\n0.75,0.1\n1,0\n"   # a 4-edge walk
 
@@ -586,8 +635,8 @@ def test_config_null_leaves_option_at_default(tmp_path):
                "--out", str(tmp_path / "a.csv")])
     assert rc == 0
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-    assert meta["params"]["level"] == 10
-    assert meta["params"]["kind"] == "bridge"
+    assert meta["level"] == 10   # the grid format's own keys, written by save_grid_csv
+    assert meta["kind"] == "brownian_bridge"
 
 
 @pytest.mark.parametrize("argv", [["search", "--method", "harmonic"], ["simulate"]])
@@ -616,17 +665,15 @@ def test_config_values_are_typed_like_flags(tmp_path):
     cfg.write_text(json.dumps({"n": 4}))
     assert rows("c.csv", "--config", str(cfg)) == rows("f.csv", "--n", "4")
 
-    def meta(name, *extra):
-        argv = ["search", "--method", "naive-gss", "--level", "4", "--seed", "1",
-                "--out", str(tmp_path / name), *extra]
+    def params(name, *extra):
+        argv = ["search", "--method", "harmonic", "--budget", "2", "--level", "4",
+                "--seed", "1", "--out", str(tmp_path / name), *extra]
         assert main(argv) == 0
-        params = json.loads((tmp_path / name).read_text())["meta"]["params"]
-        params.pop("out")
-        return params
+        return json.loads((tmp_path / name).read_text())["params"]
 
     cfg.write_text(json.dumps({"beta": 1}))
-    by_config = meta("c.json", "--config", str(cfg))
-    assert by_config == meta("f.json", "--beta", "1")
+    by_config = params("c.json", "--config", str(cfg))
+    assert by_config == params("f.json", "--beta", "1")
     assert isinstance(by_config["beta"], float)
 
 
