@@ -13,7 +13,6 @@ from .paths import (BRIDGE, CAUCHY, GridPath, fill_dyadic, grid_steps, new_bridg
 from .report import write_csv
 from .rng import derive_seed, make_rng
 
-FAILURE_FLAG_FRACTION = 0.01   # cells with more failed trials than this are flagged
 CHUNK_VALUES = 2 ** 16         # grid values per drawn chunk of paths: 512 KiB
 # the path kind of each grid method: run_trial simulates it, run_grid draws it in chunks
 GRID_KINDS = {"naive-gss": BRIDGE, "iter-gss": BRIDGE, "mcb": BRIDGE, "mcb-cauchy": CAUCHY}
@@ -38,7 +37,11 @@ class TrialGrid:
 
 @dataclass
 class BenchRow:
-    """Aggregated results of one cell."""
+    """Aggregated results of one cell; a failed trial raises instead (run_grid).
+
+    failures is always 0.  It is kept, with its CSV column, only because
+    perfbench reads it.
+    """
 
     method: str
     cell: dict
@@ -48,7 +51,6 @@ class BenchRow:
     mean_queries: float
     trials: int
     failures: int
-    flagged: bool
 
 
 def run_trial(method: str, cell: dict, seed: int, level: int = 10,
@@ -104,16 +106,14 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
       make_rng(derive_seed(grid.seed, c, 1)), in trial order.
     So a cell's results depend only on (grid.seed, c, trials, level), and
     it peaks at one chunk of paths.  A method outside GRID_KINDS, harmonic
-    included, raises ValueError before anything is drawn.
-
-    Trials that hit a numerical failure (RuntimeError, which covers
-    ScSolverError, or FloatingPointError) are counted as failures and
-    excluded from the means; a cell with more than 1% failures is
-    flagged.  Any other error, such as an invalid cell, propagates to the
-    caller.
+    included, or fewer than one trial raises ValueError before anything is
+    drawn.  Any error a trial raises, such as an invalid cell's, reaches the
+    caller: no trial is dropped from a cell's means.
     """
     if grid.method not in GRID_KINDS:
         raise ValueError(f"unknown benchmark method '{grid.method}'")
+    if grid.trials < 1:
+        raise ValueError("need at least one trial")
     kind = GRID_KINDS[grid.method]
     gss = grid.method in ("naive-gss", "iter-gss")
     rows = []
@@ -123,21 +123,14 @@ def run_grid(grid: TrialGrid) -> list[BenchRow]:
         outcomes = []
         _draw_chunks(kind, level, grid.trials, grid.seed, (ci, 0),
                      lambda _, chunk: outcomes.extend(
-                         _guarded_trial(grid, cell, GridPath(level, row, kind), descents)
+                         _trial_outcome(grid, cell, GridPath(level, row, kind), descents)
                          for row in chunk))
-        good = [o for o in outcomes if o is not None]
-        failures = len(outcomes) - len(good)
-        if good:
-            errs, walls, queries = np.array(good, dtype=float).T
-            mean_err, mean_wall, mean_q = (float(x.mean()) for x in (errs, walls, queries))
-            stderr = float(errs.std(ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-        else:
-            mean_err = stderr = mean_wall = mean_q = float("nan")
+        errs, walls, queries = np.array(outcomes, dtype=float).T
+        stderr = float(errs.std(ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
         rows.append(BenchRow(
-            method=grid.method, cell=dict(cell), mean_error=mean_err,
-            stderr_error=stderr, mean_wall_time=mean_wall, mean_queries=mean_q,
-            trials=grid.trials, failures=failures,
-            flagged=failures > FAILURE_FLAG_FRACTION * grid.trials))
+            method=grid.method, cell=dict(cell), mean_error=float(errs.mean()),
+            stderr_error=stderr, mean_wall_time=float(walls.mean()),
+            mean_queries=float(queries.mean()), trials=grid.trials, failures=0))
     return rows
 
 
@@ -148,7 +141,8 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
     max(1, CHUNK_VALUES // (2**level + 1)), drawn by simulate_bridge_batch
     (CAUCHY: simulate_cauchy_batch) from derive_seed(seed, *stream, k).  No
     chunk is bound here, so only one is alive at a time.  A level outside
-    0..MAX_LEVEL or a kind other than those two raises ValueError first.
+    0..MAX_LEVEL or a kind other than those two raises ValueError first;
+    an error that consume raises stops the draw and reaches the caller.
     """
     n = max(1, CHUNK_VALUES // (grid_steps(level) + 1))
     if kind not in (BRIDGE, CAUCHY):
@@ -158,13 +152,10 @@ def _draw_chunks(kind, level, count, seed, stream, consume):
         consume(start, simulate(derive_seed(seed, *stream, k), level, min(n, count - start)))
 
 
-def _guarded_trial(grid, cell, path, descents):
-    """(error, wall_time, queries) of one trial on path, or None on a numerical failure."""
-    try:
-        rep, path = run_trial(grid.method, cell, grid.seed, grid.level, grid.gss, path, descents)
-        return rep.min_value - path.grid_min.value, rep.wall_time, rep.queries
-    except (RuntimeError, FloatingPointError):
-        return None
+def _trial_outcome(grid, cell, path, descents):
+    """(error, wall_time, queries) of one trial on path."""
+    rep, path = run_trial(grid.method, cell, grid.seed, grid.level, grid.gss, path, descents)
+    return rep.min_value - path.grid_min.value, rep.wall_time, rep.queries
 
 
 def mcb_grid(n_values, trials: int = 500, seed: int = 0) -> TrialGrid:
@@ -215,10 +206,9 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
         gaps[rows] = np.abs(np.argmax(vals, axis=1) - np.argmin(vals, axis=1)) / 2 ** level
 
     _draw_chunks(kind, level, n_paths, seed, (), collect)
-    finite = ranges[np.isfinite(ranges)]
-    hist_hi = float(np.quantile(finite, 0.995))
+    hist_hi = float(np.quantile(ranges, 0.995))
     edges = np.linspace(0.0, max(hist_hi, 1e-12), bins + 1)
-    density, _ = np.histogram(finite[finite <= hist_hi], bins=edges, density=True)
+    density, _ = np.histogram(ranges[ranges <= hist_hi], bins=edges, density=True)
     return RangeDistribution(ranges=ranges, arg_gaps=gaps,
                              bin_edges=edges, density=density)
 
@@ -228,7 +218,7 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
 
 
 _BENCH_COLUMNS = ["method", "m", "l", "r", "g", "mean_error", "stderr_error",
-                  "mean_wall_time", "mean_queries", "trials", "failures", "flagged"]
+                  "mean_wall_time", "mean_queries", "trials", "failures"]
 
 
 def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
@@ -236,7 +226,7 @@ def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
     write_csv(out_path, _BENCH_COLUMNS, (
         [r.method, r.cell.get("m", ""), r.cell.get("l", ""), r.cell.get("r", ""),
          r.cell.get("g", ""), r.mean_error, r.stderr_error, r.mean_wall_time,
-         r.mean_queries, r.trials, r.failures, int(r.flagged)]
+         r.mean_queries, r.trials, r.failures]
         for r in rows))
 
 

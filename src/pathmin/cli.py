@@ -178,9 +178,7 @@ def cmd_bench(args) -> int:
     rows = run_grid(grid)
     save_bench_csv(rows, args.out)
     _write_meta(args, *unread)
-    flagged = sum(r.flagged for r in rows)
-    print(f"{args.method}: {len(rows)} cells x {args.trials} trials"
-          + (f", {flagged} flagged" if flagged else "") + f" -> {args.out}")
+    print(f"{args.method}: {len(rows)} cells x {args.trials} trials -> {args.out}")
     return 0
 
 

@@ -19,6 +19,7 @@ from pathmin.bench import (
     save_bench_csv,
     save_range_csv,
 )
+from pathmin.cli import main
 from pathmin.golden import GssParams, iterative_gss
 from pathmin.mcb import McbParams, mcb_search
 from pathmin.paths import (
@@ -46,7 +47,6 @@ def test_single_cell_single_trial():
     row = rows[0]
     assert row.trials == 1
     assert row.failures == 0
-    assert not row.flagged
     assert row.mean_queries == 34.0
     assert row.stderr_error == 0.0
     assert row.mean_error >= 0.0
@@ -146,6 +146,19 @@ def test_unknown_method_raises(monkeypatch):
         grid = TrialGrid(method=method, cells=[TRIAL_CELLS["harmonic"]], trials=5, seed=0)
         with pytest.raises(ValueError, match=f"unknown benchmark method '{method}'"):
             run_grid(grid)
+    with pytest.raises(ValueError, match="unknown benchmark method 'bogus'"):
+        run_trial("bogus", {}, 0)
+
+
+def test_a_grid_without_trials_raises(monkeypatch):
+    # no cell can have a mean of no trials: raised before any draw
+    monkeypatch.setattr(pathmin.bench, "simulate_bridge_batch", never)
+    monkeypatch.setattr(pathmin.bench, "simulate_cauchy_batch", never)
+    for trials in (0, -1):
+        for method, cell in (("naive-gss", {}), ("mcb-cauchy", {"l": 3, "r": 3, "g": 8})):
+            grid = TrialGrid(method=method, cells=[cell], trials=trials, seed=0)
+            with pytest.raises(ValueError, match="need at least one trial"):
+                run_grid(grid)
 
 
 def test_invalid_cell_raises():
@@ -211,27 +224,44 @@ def test_every_grid_producer_checks_its_level_first(monkeypatch, producer, level
 
 
 @pytest.mark.parametrize("error", [ScSolverError, FloatingPointError])
-def test_numerical_failures_are_counted_and_flagged(monkeypatch, error):
+def test_a_failed_trial_reaches_the_caller(monkeypatch, tmp_path, capsys, error):
+    # a failure stops the grid: no trial is dropped from a cell's means
     search = pathmin.bench.mcb_search
     calls = []
 
-    def fail_every_other(path, params, rng=None):
+    def fail_second(path, params, rng=None):
         calls.append(1)
-        if len(calls) % 2:
+        if len(calls) == 2:
             raise error("boom")
         return search(path, params, rng)
 
-    def fail_always(path, params, rng=None):
-        raise error("boom")
-
+    monkeypatch.setattr(pathmin.bench, "mcb_search", fail_second)
     grid = TrialGrid(method="mcb", cells=[{"l": 3, "r": 3, "g": 8}], trials=8, seed=0)
-    monkeypatch.setattr(pathmin.bench, "mcb_search", fail_every_other)
-    row = run_grid(grid)[0]
-    assert (row.failures, row.flagged, row.mean_queries) == (4, True, 10.0)
-    monkeypatch.setattr(pathmin.bench, "mcb_search", fail_always)
-    row = run_grid(grid)[0]
-    assert (row.failures, row.flagged) == (8, True)
-    assert math.isnan(row.mean_error)
+    with pytest.raises(error, match="boom"):
+        run_grid(grid)
+    assert len(calls) == 2
+    if error is ScSolverError:   # a FloatingPointError is no RuntimeError, so not exit 3
+        calls.clear()
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--method", "mcb", "--n", "3", "--trials", "8",
+                   "--seed", "0", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: boom\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method, cells", [
+    ("naive-gss", [{}]),
+    ("iter-gss", [{"m": 0}, {"m": 4}]),
+    ("mcb", mcb_grid([1, 6, 10]).cells),
+    ("mcb-cauchy", mcb_grid([1, 6, 10]).cells),
+])
+def test_grid_methods_raise_no_floating_point_error(method, cells):
+    # run_grid counts no failed trials, so no grid method may fail: a method
+    # that can should break this test, not a grid run
+    with np.errstate(all="raise"):
+        rows = run_grid(TrialGrid(method=method, cells=cells, trials=30, seed=1))
+    assert all(np.isfinite(r.mean_error) and r.mean_error >= 0.0 for r in rows)
 
 
 def test_mcb_grid_builds_matched_budget_cells():
@@ -313,17 +343,18 @@ def test_draw_chunks_rejects_an_unknown_kind():
 def test_bench_csv_layout(tmp_path):
     rows = [BenchRow(method="naive-gss", cell={}, mean_error=0.1,
                      stderr_error=0.01, mean_wall_time=0.002, mean_queries=18.0,
-                     trials=5, failures=0, flagged=False),
+                     trials=5, failures=0),
             BenchRow(method="mcb", cell={"l": 4, "r": 4, "g": 16}, mean_error=0.05,
                      stderr_error=0.01, mean_wall_time=0.001, mean_queries=18.0,
-                     trials=5, failures=1, flagged=True)]
+                     trials=5, failures=0)]
     out = tmp_path / "bench.csv"
     save_bench_csv(rows, str(out))
     got = list(csv.reader(out.open()))
-    assert got[0][:5] == ["method", "m", "l", "r", "g"]
+    assert got[0] == ["method", "m", "l", "r", "g", "mean_error", "stderr_error",
+                      "mean_wall_time", "mean_queries", "trials", "failures"]
     assert got[1][1:5] == ["", "", "", ""]
     assert got[2][2:5] == ["4", "4", "16"]
-    assert got[2][-1] == "1"
+    assert got[2][-2:] == ["5", "0"]
 
 
 def test_range_csv_and_histogram_sidecar(tmp_path):
