@@ -65,17 +65,22 @@ def run_trial(method: str, cell: dict, seed: int, level: int = 10,
     so a harmonic trial uses only derive_seed(seed, 0).  `pathmin search
     --seed S` runs run_trial(..., S).  cell holds 'm' for iter-gss, 'r', 'g'
     for MCB, and 'budget', 'beta', 'solver' (a harmonic.SOLVER_EDGES key)
-    for harmonic.  A level outside 0..MAX_LEVEL raises ValueError first.
+    for harmonic.  A level outside 0..MAX_LEVEL raises ValueError first, and
+    so does a given path whose kind is not the one an MCB method names
+    (mcb and mcb-cauchy differ only in it; the GSS methods take either kind).
     """
     if method in GRID_KINDS:
+        kind = GRID_KINDS[method]
         if path is None:
-            simulate = fill_dyadic if GRID_KINDS[method] == BRIDGE else simulate_cauchy
+            simulate = fill_dyadic if kind == BRIDGE else simulate_cauchy
             path = simulate(derive_seed(seed, 0), level)
         if method == "naive-gss":
             rep = golden_section(path, (0.0, 1.0), gss)
         elif method == "iter-gss":
             rep = iterative_gss(path, cell["m"], gss)
         else:
+            if path.kind != kind:
+                raise ValueError(f"{method} searches a {kind} grid, not a {path.kind} grid")
             rep = mcb_search(path, McbParams(r=cell["r"], g=cell["g"]),
                              make_rng(derive_seed(seed, 1)) if descents is None else descents)
     elif method == "harmonic":

@@ -21,7 +21,7 @@ from .report import SearchReport, write_csv
 from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
-MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges per round; peak about 85 B per walker
+MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges per round; peak about 51 B per walker
 NEAREST_BLOCK = 2 ** 16      # walker-edges per distance chunk of the oracle
 MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 # pre-vertex solver -> the longest walk it takes in edges, its largest search budget
@@ -148,16 +148,21 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
 # Monte-Carlo hitting oracle
 
 
-def _nearest_edge(x, y, t, yb, u, v):
-    """Each point's nearest edge of the walk (t, yb), ties to the lowest, and its distance.
+def _nearest_edge(x, y, t, yb, u, v, dt):
+    """Each point's distance to the walk (t, yb) and, for points within dt, its nearest edge.
 
-    Distances lie (edges, points) in the flat buffers u and v, len(u) // edges
-    points at a time, so that every inner loop runs along points.
+    Returns (edge, r).  r is the square root of each point's least squared
+    distance, which equals the least root because sqrt is monotone and
+    correctly rounded.  edge is the argmin of the roots, ties to the lowest
+    edge, where r < dt, and -1 elsewhere: only the oracle's absorbed walkers
+    need it.  Squared distances lie (edges, points) in the flat buffers u
+    and v, len(u) // edges points at a time, so that every inner loop runs
+    along points.
     """
     ax, ay = t[:-1, None], yb[:-1, None]
     dx, dy = t[1:, None] - ax, yb[1:, None] - ay
     n, step = len(ax), len(u) // len(ax)
-    edge, r = np.empty(len(x), dtype=np.intp), np.empty(len(x))
+    edge, r = np.full(len(x), -1, dtype=np.intp), np.empty(len(x))
     for s in range(0, len(x), step):
         px, py = x[s:s + step], y[s:s + step]
         k = len(px)
@@ -178,15 +183,28 @@ def _nearest_edge(x, y, t, yb, u, v):
         np.subtract(py, d, out=d)
         d *= d
         d += e
-        np.sqrt(d, out=d)
-        d.argmin(axis=0, out=edge[s:s + step])
-        d.min(axis=0, out=r[s:s + step])
+        rs = r[s:s + step]
+        d.min(axis=0, out=rs)
+        np.sqrt(rs, out=rs)
+        near = np.flatnonzero(rs < dt)
+        if len(near):
+            edge[s + near] = np.sqrt(d[:, near]).argmin(axis=0)
     return edge, r
 
 
 def _fold(x):
-    """Period-2 reflection of the real line onto [0, 1]."""
-    return 1.0 - np.abs(1.0 - np.mod(x, 2.0))
+    """Period-2 reflection of the real line onto [0, 1], in place; returns x.
+
+    Bit for bit 1 - |1 - mod(x, 2)|: mod is applied only outside [0, 2),
+    since inside it is the identity (fmod is exact there and needs no sign
+    fix; -0 becomes +0 either way after the reflection).
+    """
+    out = np.flatnonzero((x < 0.0) | (x >= 2.0))
+    x[out] = np.mod(x[out], 2.0)
+    np.subtract(1.0, x, out=x)
+    np.abs(x, out=x)
+    np.subtract(1.0, x, out=x)
+    return x
 
 
 def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4, *,
@@ -205,8 +223,10 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     radius is its distance to the graph (Muller 1956), which is exact in
     law.  A walker within `dt` of the graph is absorbed on its nearest
     edge, the lowest of tied edges; this absorption shell is the only
-    source of bias.  Memory peaks near 85 B per walker, plus 1 MiB for
-    distances, taken NEAREST_BLOCK walker-edges at a time.
+    source of bias.  Each round finds every walker's distance but the
+    nearest edge only of the absorbed ones (_nearest_edge).  Memory peaks
+    near 51 B per walker, plus 1 MiB for squared distances, taken
+    NEAREST_BLOCK walker-edges at a time.
 
     Returns (weights, stderr): each edge's share of the walkers and its
     binomial standard error.  Raises ValueError, before drawing anything,
@@ -237,18 +257,20 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
                 f"{len(x)} walkers still alive after {MAX_WALK_ROUNDS} rounds; "
                 f"deepest at y = {float(y.min()):.3g}")
         rounds += 1
-        edge, r = _nearest_edge(x, y, t, yb, u, v)
+        edge, r = _nearest_edge(x, y, t, yb, u, v, dt)
         hit = r < dt
         counts += np.bincount(edge[hit], minlength=n)
         live = ~hit
+        del edge   # this and the del below keep the peak near 51 B per walker
         x, y, r = x[live], y[live], r[live]
         angle = 2.0 * np.pi * rng.random(len(x))
-        x = x + r * np.cos(angle)
-        y = y + r * np.sin(angle)
-        deep = y < y_min
-        x[deep] += (y_min - y[deep]) * rng.standard_cauchy(int(deep.sum()))
+        x += r * np.cos(angle)
+        y += r * np.sin(angle)
+        deep = np.flatnonzero(y < y_min)
+        x[deep] += (y_min - y[deep]) * rng.standard_cauchy(len(deep))
         y[deep] = y_min
-        x = _fold(x)
+        _fold(x)
+        del angle, deep
 
     w = counts / float(walkers)
     return w, np.sqrt(w * (1.0 - w) / walkers)

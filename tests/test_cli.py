@@ -214,6 +214,24 @@ def test_search_accepts_saved_grid(tmp_path):
     assert json.loads((tmp_path / "rep2.json").read_text())["queries"] == 66
 
 
+@pytest.mark.parametrize("method, kind", [("mcb-cauchy", "bridge"), ("mcb", "cauchy")])
+def test_search_mcb_rejects_a_grid_of_the_other_kind(tmp_path, capsys, monkeypatch,
+                                                      method, kind):
+    # mcb and mcb-cauchy are one search that differs only in its grid's kind,
+    # so the wrong kind is refused before the search draws its descents
+    grid_file = tmp_path / "grid.csv"
+    assert main(["simulate", "--seed", "3", "--level", "6", "--kind", kind,
+                 "--out", str(grid_file)]) == 0
+    monkeypatch.setattr("pathmin.bench.mcb_search", None)
+    capsys.readouterr()
+    rc, out = run(tmp_path, "search", "--method", method, "--path", str(grid_file),
+                  "--r", "6", "--g", "64", "--seed", "1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "brownian_bridge" in err and "cauchy" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["mcb", "naive-gss"])
 def test_search_rejects_grid_with_non_dyadic_times(tmp_path, capsys, method):
     grid_file = tmp_path / "grid.csv"

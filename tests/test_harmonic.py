@@ -15,6 +15,7 @@ from pathmin.harmonic import (
     NEAREST_BLOCK,
     HmcParams,
     _edge_weights,
+    _fold,
     _nearest_edge,
     edge_measures,
     harmonic_bisection_search,
@@ -343,15 +344,16 @@ def reference_nearest_edge(px, py, t, yb):
     return edge, dist[np.arange(len(px)), edge]
 
 
-def check_nearest_edge(px, py, t, yb, walkers=None):
+def check_nearest_edge(px, py, t, yb, walkers=None, dt=np.inf):
     """Run the kernel on buffers sized as the oracle sizes them for `walkers`,
-    which may exceed the live points, and compare it with the reference."""
+    which may exceed the live points, and compare it with the reference: every
+    distance, and the edge of every point within dt (-1 for the others)."""
     n = len(t) - 1
     u, v = np.empty((2, n * min(walkers or len(px), max(1, NEAREST_BLOCK // n))))
-    edge, r = _nearest_edge(px, py, t, yb, u, v)
+    edge, r = _nearest_edge(px, py, t, yb, u, v, dt)
     want_edge, want_r = reference_nearest_edge(px, py, t, yb)
-    assert np.array_equal(edge, want_edge)
     assert np.array_equal(r, want_r)
+    assert np.array_equal(edge, np.where(want_r < dt, want_edge, -1))
     return edge
 
 
@@ -405,6 +407,41 @@ def test_nearest_edge_ties_go_to_the_lowest_edge(j, depth, seed):
     # vertices of a random walk, where a tie may be off by an ulp
     poly = make_bridge_walk(seed, n, beta=1.0)
     check_nearest_edge(poly.times, poly.scaled_values(), poly.times, poly.scaled_values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 64), st.integers(0, 2**31 - 1),
+       st.integers(1, 3000), st.floats(-6.0, 0.0))
+def test_nearest_edge_within_dt_matches_reference(j, n, seed, walkers, log_dt):
+    # a finite dt: every distance, but the edge only of points within dt.
+    # The zigzag's vertices lie at distance 0 from two edges, so they are
+    # ties that must still go to the lower edge.
+    dt = 10.0 ** log_dt
+    zn = 2 ** j
+    zt = np.arange(zn + 1) / zn
+    zy = np.where(np.arange(zn + 1) % 2 == 1, 1.0 / zn, 0.0)
+    px, py = scattered_points(WalkPolygon(times=zt, values=zy, beta=0.0), walkers, seed)
+    edge = check_nearest_edge(np.concatenate([zt, px]), np.concatenate([zy, py]), zt, zy,
+                              walkers, dt)
+    assert np.array_equal(edge[:zn + 1], np.maximum(np.arange(zn + 1) - 1, 0))
+    poly = make_bridge_walk(seed, n, beta=1.0)
+    yb = poly.scaled_values()
+    px, py = scattered_points(poly, walkers, seed)
+    check_nearest_edge(np.concatenate([poly.times, px]), np.concatenate([yb, py]),
+                       poly.times, yb, walkers, dt)
+
+
+def test_fold_is_the_reflection_bit_for_bit():
+    # the in-place fold skips np.mod inside [0, 2), so compare its bits with
+    # the plain formula on Cauchy draws and on the edges of that range
+    x = np.concatenate([
+        make_rng(5).standard_cauchy(200_000), make_rng(6).random(50_000) * 2.0,
+        [0.0, -0.0, 2.0, -2.0, np.nextafter(2.0, 0.0), np.nextafter(0.0, -1.0),
+         -1e-300, 4.0]])
+    want = 1.0 - np.abs(1.0 - np.mod(x, 2.0))
+    got = x.copy()
+    assert _fold(got) is got
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_oracle_matches_flat_two_edge_split():
