@@ -39,8 +39,8 @@ class TrialGrid:
 class BenchRow:
     """Aggregated results of one cell; a failed trial raises instead (run_grid).
 
-    failures is always 0.  It is kept, with its CSV column, only because
-    perfbench reads it.
+    failures is always 0, and the bench CSV has no column for it.  It is
+    kept only because perfbench reads it.
     """
 
     method: str
@@ -223,7 +223,7 @@ def range_distribution(kind: str, level: int, n_paths: int, bins: int = 60,
 
 
 _BENCH_COLUMNS = ["method", "m", "l", "r", "g", "mean_error", "stderr_error",
-                  "mean_wall_time", "mean_queries", "trials", "failures"]
+                  "mean_wall_time", "mean_queries", "trials"]
 
 
 def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
@@ -231,7 +231,7 @@ def save_bench_csv(rows: list[BenchRow], out_path: str) -> None:
     write_csv(out_path, _BENCH_COLUMNS, (
         [r.method, r.cell.get("m", ""), r.cell.get("l", ""), r.cell.get("r", ""),
          r.cell.get("g", ""), r.mean_error, r.stderr_error, r.mean_wall_time,
-         r.mean_queries, r.trials, r.failures]
+         r.mean_queries, r.trials]
         for r in rows))
 
 

@@ -4,10 +4,11 @@ Every command requires an explicit --seed and writes one data file,
 '<out>', and one meta record, so a run can be reproduced from its
 artifacts.  meta holds the tool, version, command and seed, and in 'params'
 each other option the run read that no other record of the artifact holds.
-search's report embeds meta and keeps the options its method read in its
-own 'params'; the other commands write a CSV and a '<out>.meta.json'
-sidecar (save_grid_csv puts the grid's level and kind in simulate's), and
-range also writes its histogram to '<out>.hist.csv'.
+search's report names its method in 'method', as --method spells it,
+embeds meta and keeps the options its method read in its own 'params';
+the other commands write a CSV and a '<out>.meta.json' sidecar
+(save_grid_csv puts the grid's level and kind in simulate's), and range
+also writes its histogram to '<out>.hist.csv'.
 Only argparse recognises options, by full name (allow_abbrev=False), and
 --config entries reach it as '--KEY=VALUE' flags.  Each option's valid
 range is declared once, on the option, by its argparse type (_bounded for
@@ -121,7 +122,7 @@ def cmd_search(args) -> int:
     gm = grid.grid_min
     payload = {**dataclasses.asdict(rep), "grid_min": {"time": gm.time, "value": gm.value},
                "error_vs_grid_min": rep.min_value - gm.value,
-               "meta": _meta(args, *cell, "epsilon", "max_iters")}   # rep.params has those read
+               "meta": _meta(args, "method", *cell, "epsilon", "max_iters")}   # rep holds them
     write_json(args.out, payload)
     print(f"{args.method}: min {rep.min_value:.6g} at t = {rep.argmin_t:.6g} "
           f"({rep.queries} queries) -> {args.out}")

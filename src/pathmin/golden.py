@@ -111,7 +111,7 @@ def golden_section(path, interval=(0.0, 1.0), params: GssParams | None = None,
     elapsed = time.perf_counter() - t0
     return SearchReport(
         argmin_t=oracle.best_t, min_value=oracle.best_v, queries=oracle.count,
-        wall_time=elapsed, method="golden-section",
+        wall_time=elapsed, method="naive-gss",
         params={"epsilon": params.epsilon, "max_iters": params.max_iters,
                 "interval": [a, b], "iterations": iters})
 
@@ -137,6 +137,6 @@ def iterative_gss(path, m: int, params: GssParams | None = None) -> SearchReport
     elapsed = time.perf_counter() - t0
     return SearchReport(
         argmin_t=oracle.best_t, min_value=oracle.best_v, queries=oracle.count,
-        wall_time=elapsed, method="iterative-gss",
+        wall_time=elapsed, method="iter-gss",
         params={"m": m, "epsilon": params.epsilon, "max_iters": params.max_iters,
                 "iterations": total_iters})

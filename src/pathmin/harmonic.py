@@ -84,8 +84,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     midpoints depend only on the path and params.  The full solver starts
     from the last solution it found, which a failed round keeps; a failed
     solve, one Newton solve that missed, gives uniform weights, counted in
-    report.params['fallbacks'].  Queries = budget + 2;
-    report.params['midpoints'] lists the queried times in order.
+    report.params['fallbacks'].  Queries = budget + 2.  report.params
+    holds budget, beta, solver, fallbacks and 'midpoints', the queried
+    times in order; report.method is 'harmonic'.
     A budget past the solver's SOLVER_EDGES entry (the last walk has budget
     edges), a solver not in SOLVER_EDGES, a strategy other than
     'max_measure', or a beta that is not finite and >= 0 raises ValueError
@@ -138,10 +139,9 @@ def harmonic_bisection_search(path, budget: int, params: HmcParams | None = None
     elapsed = time.perf_counter() - t0
     return SearchReport(
         argmin_t=float(times[best]), min_value=float(vals[best]),
-        queries=budget + 2, wall_time=elapsed, method="harmonic-bisection",
-        params={"budget": budget, "beta": params.beta, "strategy": params.strategy,
-                "solver": params.solver, "fallbacks": fallbacks,
-                "midpoints": midpoints})
+        queries=budget + 2, wall_time=elapsed, method="harmonic",
+        params={"budget": budget, "beta": params.beta, "solver": params.solver,
+                "fallbacks": fallbacks, "midpoints": midpoints})
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +228,17 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     near 51 B per walker, plus 1 MiB for squared distances, taken
     NEAREST_BLOCK walker-edges at a time.
 
+    dt must also be below half the walk's shortest edge.  An absorption
+    disc then has a diameter below every edge's length, so it never covers
+    a whole edge and the shell is finer than every feature of the walk.  A
+    wider shell credits walkers far off the graph to whichever edge is
+    nearest; dt = 1e300 absorbs every walker where it starts.
+
     Returns (weights, stderr): each edge's share of the walkers and its
     binomial standard error.  Raises ValueError, before drawing anything,
     when walkers < 1, walkers x edges > MAX_WALKER_EDGES or dt is not
-    finite and positive, and RuntimeError if any walker survives
-    MAX_WALK_ROUNDS rounds.
+    finite, positive and below half the shortest edge, and RuntimeError if
+    any walker survives MAX_WALK_ROUNDS rounds.
     """
     if walkers < 1:
         raise ValueError("need at least one walker")
@@ -241,6 +247,10 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
                          f"limit of {MAX_WALKER_EDGES} walker-edges")
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    half_edge = 0.5 * poly.edge_lengths().min()
+    if not dt < half_edge:
+        raise ValueError(f"dt must be below half the walk's shortest edge "
+                         f"({half_edge:.6g}), got {dt}")
     t = poly.times
     yb = poly.scaled_values()
     n = poly.n_edges

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import GridPath
+from .paths import CAUCHY, GridPath
 from .report import SearchReport
 
 
@@ -29,6 +29,7 @@ def mcb_search(path: GridPath, params: McbParams, rng: np.random.Generator) -> S
     visits are queried again; the distinct count is reported in
     params['unique_queries'], counted in memory that grows with g, not with
     2^level).  Ties keep the earliest candidate.  The descents draw from rng.
+    The report's method is 'mcb-cauchy' on a Cauchy grid, else 'mcb'.
     """
     if params.r < 1:
         raise ValueError("descent depth r must be >= 1")
@@ -50,7 +51,7 @@ def mcb_search(path: GridPath, params: McbParams, rng: np.random.Generator) -> S
     dense = n <= 128 * len(cand)
     unique = np.count_nonzero(np.bincount(cand)) if dense else len(np.unique(cand))
     return SearchReport(
-        argmin_t=float(cand[best] / n), min_value=float(vals[best]),
-        queries=params.g + 2, wall_time=elapsed, method="mcb",
+        argmin_t=float(cand[best] / n), min_value=float(vals[best]), queries=params.g + 2,
+        wall_time=elapsed, method="mcb-cauchy" if path.kind == CAUCHY else "mcb",
         params={"l": path.level, "r": params.r, "g": params.g,
                 "unique_queries": int(unique)})

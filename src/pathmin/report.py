@@ -14,6 +14,7 @@ import numpy as np
 class SearchReport:
     """Outcome of one budgeted minimum search.
 
+    method is the search's name as `pathmin search --method` spells it;
     wall_time covers the search loop only, not path construction; queries
     counts oracle evaluations including repeats at the same time.
     """

@@ -156,7 +156,7 @@ def test_search_reports_are_reproducible_minus_wall_time(tmp_path):
         rep.pop("meta")
         payloads.append(rep)
     assert payloads[0] == payloads[1]
-    assert payloads[0]["method"] == "iterative-gss"
+    assert payloads[0]["method"] == "iter-gss"
 
 
 def test_search_naive_gss_tags_method(tmp_path):
@@ -164,7 +164,7 @@ def test_search_naive_gss_tags_method(tmp_path):
                   "--level", "8")
     assert rc == 0
     rep = json.loads(out.read_text())
-    assert rep["method"] == "golden-section"
+    assert rep["method"] == "naive-gss"
     assert rep["grid_min"]["value"] <= rep["min_value"]
 
 
@@ -173,7 +173,7 @@ def test_search_harmonic_flat_midpoint_sequence(tmp_path):
                   "--budget", "9", "--seed", "5")
     assert rc == 0
     rep = json.loads(out.read_text())
-    assert rep["params"]["strategy"] == "max_measure"
+    assert "strategy" not in rep["params"]   # the search has one, fixed rule
     assert rep["params"]["midpoints"] == [0.5, 0.25, 0.75, 0.125, 0.375,
                                           0.625, 0.875, 0.0625, 0.1875]
 
@@ -319,12 +319,27 @@ def test_meta_says_each_fact_once(tmp_path, argv):
     if argv[0] == "search":
         rep = json.loads(out.read_text())
         meta = rep["meta"]
-        assert set(meta["params"]) == {"level", "method", "out", "path"}
+        assert set(meta["params"]) == {"level", "out", "path"}
         assert not set(rep["params"]) & set(meta["params"])
     else:
         meta = json.loads(Path(f"{out}.meta.json").read_text())
     assert meta["command"] == argv[0] and meta["seed"] == 1
     assert not set(meta) & set(meta["params"])   # no top-level key again in params
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "naive-gss", "--level", "4"],
+    ["--method", "iter-gss", "--level", "4", "--m", "1"],
+    ["--method", "mcb", "--level", "4", "--g", "8"],
+    ["--method", "mcb-cauchy", "--level", "4", "--g", "8"],
+    ["--method", "harmonic", "--solver", "perturbative", "--beta", "0.1", "--budget", "4"],
+], ids=lambda argv: argv[1])
+def test_search_report_names_its_method_as_the_cli_does(tmp_path, argv):
+    rc, out = run(tmp_path, "search", *argv, "--seed", "1")
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["method"] == argv[1]
+    assert "method" not in rep["meta"]["params"]
 
 
 GIVEN = ["--n", "2", "--m", "1", "--level", "4", "--trials", "2"]
@@ -437,6 +452,14 @@ def test_measure_oracle_flag_appends_columns(tmp_path):
     rows = list(csv.reader((tmp_path / "m.csv").open()))
     assert rows[0] == ["k", "t_left", "t_right", "weight", "mc_weight", "mc_stderr"]
     assert all(len(r) == 6 for r in rows[1:])
+
+
+def test_measure_oracle_dt_past_half_the_shortest_edge_is_usage_error(tmp_path, capsys):
+    rc, out = run(tmp_path, "measure", "--walk-nodes", "3", "--oracle", "1000",
+                  "--dt", "1e300", "--seed", "1")
+    assert rc == 2
+    assert "below half the walk's shortest edge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measure_rejects_malformed_walk(tmp_path, capsys):

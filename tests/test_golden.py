@@ -126,7 +126,7 @@ def test_best_value_is_min_of_all_queries():
     rep = golden_section(recording(grid.interp, log), (0.0, 1.0),
                          GssParams(epsilon=0.001))
     assert rep.min_value == min(grid.interp(t) for t in log)
-    assert rep.method == "golden-section"
+    assert rep.method == "naive-gss"
 
 
 def test_degenerate_interval_raises():
@@ -140,7 +140,7 @@ def test_iterative_covers_all_panels():
     log = []
     rep = iterative_gss(recording(lambda t: (t - 0.55) ** 2, log), 2,
                         GssParams(epsilon=0.01, max_iters=50))
-    assert rep.method == "iterative-gss"
+    assert rep.method == "iter-gss"
     assert log[0] == 0.0 and log[1] == 1.0
     # every quarter panel gets probed
     for lo in (0.0, 0.25, 0.5, 0.75):

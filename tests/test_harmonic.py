@@ -114,7 +114,7 @@ def test_flat_search_bisects_widest_edge_leftmost_first():
     assert rep.params["midpoints"] == [0.5, 0.25, 0.75, 0.125, 0.375,
                                        0.625, 0.875, 0.0625, 0.1875]
     assert rep.queries == 11
-    assert rep.method == "harmonic-bisection"
+    assert rep.method == "harmonic"
     assert rep.params["fallbacks"] == 0
 
 
@@ -505,6 +505,18 @@ def test_oracle_rejects_dt_that_is_not_finite_and_positive(dt):
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         mc_hitting_oracle(poly, walkers=10, dt=dt, rng=make_rng(5))
     assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_rejects_dt_not_below_half_the_shortest_edge():
+    # a wider shell credits walkers far off the graph to their nearest edge;
+    # rng=None shows that the check comes before any draw
+    poly = make_bridge_walk(77, 4, beta=0.4)
+    half = 0.5 * poly.edge_lengths().min()
+    for dt in (half, 2.0 * half, 1e300):
+        with pytest.raises(ValueError, match="dt must be below half the walk's shortest edge"):
+            mc_hitting_oracle(poly, walkers=10, dt=dt, rng=None)
+    w, _ = mc_hitting_oracle(poly, walkers=10, dt=np.nextafter(half, 0.0), rng=make_rng(5))
+    assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_oracle_rejects_walker_edges_past_memory_cap():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pathmin.mcb import McbParams, mcb_search
-from pathmin.paths import CAUCHY, GridPath, fill_dyadic
+from pathmin.paths import CAUCHY, GridPath, fill_dyadic, simulate_cauchy
 from pathmin.rng import make_rng
 
 
@@ -83,6 +83,8 @@ def test_search_query_count_is_g_plus_two():
     assert rep.queries == 39
     assert rep.method == "mcb"
     assert rep.params["unique_queries"] <= min(39, 2 ** 4 + 2)
+    rep = mcb_search(simulate_cauchy(1, 6), McbParams(r=4, g=37), make_rng(0))
+    assert rep.method == "mcb-cauchy"
 
 
 class ReadLog(np.ndarray):
