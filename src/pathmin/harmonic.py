@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import as_oracle
+from .paths import as_oracle, cauchy_from_uniform
 from .report import SearchReport, write_csv
 from .scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                     solve_prevertices_full, solve_prevertices_perturbative)
 
-MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges per round; peak about 51 B per walker
+MAX_WALKER_EDGES = 2 ** 24   # oracle walkers x edges per round; peak about 50 B per walker
 NEAREST_BLOCK = 2 ** 16      # walker-edges per distance chunk of the oracle
 MAX_WALK_ROUNDS = 1_000_000  # oracle rounds before surviving walkers raise
 # pre-vertex solver -> the longest walk it takes in edges, its largest search budget
@@ -207,6 +207,24 @@ def _fold(x):
     return x
 
 
+def _circle_step(x, y, r, tau):
+    """Move each point (x, y) by r along the unit vector at angle 2 atan(tau), in place.
+
+    That vector is ((1 - tau^2), 2 tau) / (1 + tau^2), the tangent half-angle
+    form of (cos, sin), so a standard Cauchy tau gives an angle uniform on
+    (-pi, pi) without a cos or sin call.  r and tau are overwritten.
+    """
+    t2 = tau * tau
+    tau *= r
+    tau += tau
+    r *= 1.0 - t2
+    t2 += 1.0
+    r /= t2
+    x += r
+    tau /= t2
+    y += tau
+
+
 def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-4, *,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the edge hitting weights by walk-on-spheres, every draw from rng.
@@ -221,11 +239,14 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
     that line at x uniform on [0, 2), the exact law of a start infinitely
     deep.  Above it a walker jumps to a uniform point on the circle whose
     radius is its distance to the graph (Muller 1956), which is exact in
-    law.  A walker within `dt` of the graph is absorbed on its nearest
+    law.  Both draws take one uniform each through the Cauchy inverse CDF
+    (cauchy_from_uniform): the re-entry offset is that draw times the
+    depth, and the circle point is at twice its arctangent (_circle_step).
+    A walker within `dt` of the graph is absorbed on its nearest
     edge, the lowest of tied edges; this absorption shell is the only
     source of bias.  Each round finds every walker's distance but the
     nearest edge only of the absorbed ones (_nearest_edge).  Memory peaks
-    near 51 B per walker, plus 1 MiB for squared distances, taken
+    near 50 B per walker, plus 1 MiB for squared distances, taken
     NEAREST_BLOCK walker-edges at a time.
 
     dt must also be below half the walk's shortest edge.  An absorption
@@ -271,16 +292,17 @@ def mc_hitting_oracle(poly: WalkPolygon, walkers: int = 100_000, dt: float = 1e-
         hit = r < dt
         counts += np.bincount(edge[hit], minlength=n)
         live = ~hit
-        del edge   # this and the del below keep the peak near 51 B per walker
+        del edge   # this and the del below keep the peak near 50 B per walker
         x, y, r = x[live], y[live], r[live]
-        angle = 2.0 * np.pi * rng.random(len(x))
-        x += r * np.cos(angle)
-        y += r * np.sin(angle)
+        tau = cauchy_from_uniform(rng.random(len(x)))
+        _circle_step(x, y, r, tau)
         deep = np.flatnonzero(y < y_min)
-        x[deep] += (y_min - y[deep]) * rng.standard_cauchy(len(deep))
+        # the offsets' uniforms reuse tau's buffer; rng.random(out=) draws as rng.random(k)
+        offset = cauchy_from_uniform(rng.random(out=tau[:len(deep)]))
+        x[deep] += (y_min - y[deep]) * offset
         y[deep] = y_min
         _fold(x)
-        del angle, deep
+        del tau, deep, offset
 
     w = counts / float(walkers)
     return w, np.sqrt(w * (1.0 - w) / walkers)

@@ -205,20 +205,26 @@ def simulate_cauchy_batch(seed: int, level: int, count: int) -> np.ndarray:
     """(count, 2**level + 1) array of independent Cauchy grid values.
 
     Increments are exact in law: each of the 2**level increments over a
-    step h = 2**-level is h * tan(pi * (U - 1/2)) with U uniform, the
-    inverse CDF of the Cauchy(0, h) law.  The increments are formed in
-    place in the uniforms' array, so a batch peaks at twice its result.
+    step h = 2**-level is h times a standard Cauchy draw of
+    cauchy_from_uniform, the inverse CDF of the Cauchy(0, h) law.  The
+    increments are formed in place in the uniforms' array, so a batch peaks
+    at twice its result.
     """
     rng = make_rng(seed)
     n = grid_steps(level)
-    u = rng.random((count, n))
-    u -= 0.5
-    u *= np.pi
-    np.tan(u, out=u)
+    u = cauchy_from_uniform(rng.random((count, n)))
     u /= n
     out = np.zeros((count, n + 1))
     np.cumsum(u, axis=1, out=out[:, 1:])
     return out
+
+
+def cauchy_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Standard Cauchy draws tan(pi * (u - 1/2)) from uniforms u on [0, 1), in place;
+    returns u.  This inverts the Cauchy CDF 1/2 + atan(x) / pi."""
+    u -= 0.5
+    u *= np.pi
+    return np.tan(u, out=u)
 
 
 def as_oracle(path) -> Callable[[float], float]:

@@ -2,6 +2,7 @@
 import bisect
 import csv
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pathmin.harmonic import (
     MAX_WALKER_EDGES,
     NEAREST_BLOCK,
     HmcParams,
+    _circle_step,
     _edge_weights,
     _fold,
     _nearest_edge,
@@ -22,7 +24,7 @@ from pathmin.harmonic import (
     mc_hitting_oracle,
     save_measures_csv,
 )
-from pathmin.paths import as_oracle, fill_dyadic, new_bridge
+from pathmin.paths import as_oracle, cauchy_from_uniform, fill_dyadic, new_bridge
 from pathmin.rng import derive_seed, make_rng
 from pathmin.scmap import (MAX_PERTURBATIVE_EDGES, MAX_VERTICES, ScSolverError, WalkPolygon,
                            solve_prevertices_full)
@@ -444,6 +446,19 @@ def test_fold_is_the_reflection_bit_for_bit():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_circle_step_is_libm_cos_and_sin():
+    # the round's step from tau = tan(pi (u - 1/2)) against np.cos and np.sin
+    # of the angle 2 pi (u - 1/2) it stands for, on dense u and at its ends
+    u = np.concatenate([np.arange(2 ** 20) / 2 ** 20,
+                        [0.0, 0.25, 0.5, 0.75, 2.0 ** -53, np.nextafter(1.0, 0.0)]])
+    angle = 2.0 * np.pi * (u - 0.5)
+    x, y = np.zeros((2, len(u)))
+    _circle_step(x, y, np.ones(len(u)), cauchy_from_uniform(u.copy()))
+    assert np.max(np.abs(x - np.cos(angle))) <= 4e-16
+    assert np.max(np.abs(y - np.sin(angle))) <= 4e-16
+    assert np.max(np.abs(np.hypot(x, y) - 1.0)) <= 4 * np.spacing(1.0)
+
+
 def test_oracle_matches_flat_two_edge_split():
     for split in (0.5, 0.1, 0.93):
         poly = flat_polygon([0.0, split, 1.0])
@@ -561,13 +576,29 @@ def test_oracle_counts_are_pinned():
     poly = WalkPolygon(times=t, values=np.array([bridge.query(s) for s in t]), beta=0.5)
     w, _ = mc_hitting_oracle(poly, walkers=20_000, rng=make_rng(1))
     assert np.round(w * 20_000).astype(int).tolist() == [
-        3347, 5103, 2759, 3178, 3525, 2088]
+        3296, 5178, 2722, 3228, 3511, 2065]
     assert 5000 > NEAREST_BLOCK // 32
     w, _ = mc_hitting_oracle(make_bridge_walk(derive_seed(77, 32), 32, beta=1.0),
                              walkers=5000, rng=make_rng(2))
     assert np.round(w * 5000).astype(int).tolist() == [
-        0, 0, 183, 41, 745, 425, 1, 475, 1459, 272, 4, 9, 73, 109, 67, 282,
-        3, 0, 0, 0, 13, 184, 210, 19, 1, 1, 0, 19, 196, 112, 54, 43]
+        0, 1, 193, 44, 706, 461, 2, 478, 1392, 254, 4, 10, 87, 113, 75, 270,
+        2, 0, 0, 0, 9, 167, 222, 12, 2, 0, 0, 30, 218, 132, 60, 56]
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_oracle_memory_peaks_near_50_bytes_per_walker(n):
+    # a round peaks at 50 B a walker, plus the distance buffers: the kept
+    # walkers' x, y and r beside the last round's, or the circle step's tau,
+    # tau^2 and one temporary beside x, y and r
+    walkers = 2 ** 18
+    poly = make_bridge_walk(derive_seed(5, n), n, beta=0.5)
+    tracemalloc.start()
+    try:
+        mc_hitting_oracle(poly, walkers=walkers, rng=make_rng(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 52 * walkers + 2 * NEAREST_BLOCK * 8
 
 
 def test_oracle_is_deterministic_per_seed():

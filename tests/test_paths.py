@@ -14,6 +14,7 @@ from pathmin.paths import (
     CauchyBridgeCdf,
     GridPath,
     as_oracle,
+    cauchy_from_uniform,
     dyadic_times,
     fill_dyadic,
     load_grid_csv,
@@ -214,6 +215,19 @@ def test_batch_cauchy_matches_single():
             batch = simulate_cauchy_batch(seed, level, 1)
             assert np.array_equal(batch[0], ref)
             assert np.array_equal(simulate_cauchy(seed, level).values, ref)
+
+
+def test_cauchy_from_uniform_follows_the_cauchy_law():
+    # Kolmogorov-Smirnov statistic against the closed-form CDF 1/2 + atan(x) / pi;
+    # 1.63 / sqrt(n) is its 1% critical value
+    n = 200_000
+    u = make_rng(0).random(n)
+    x = cauchy_from_uniform(u)
+    assert x is u
+    cdf = 0.5 + np.arctan(np.sort(x)) / np.pi
+    i = np.arange(1, n + 1)
+    ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    assert ks < 1.63 / np.sqrt(n)
 
 
 def test_bridge_batch_peaks_at_twice_its_result():
